@@ -12,7 +12,8 @@ rounds re-replay only the threads whose program maps touched poisoned
 addresses, and the detector consumes a streaming k-way merge instead of
 a globally re-sorted event list.  ``analyze()`` and ``events_for()`` are
 two consumers of the same context — not two divergent copies of the
-lowering logic.
+lowering logic — and ``events_for()`` on the bundle ``analyze()`` just
+finished reuses that very context instead of building a second one.
 """
 
 from __future__ import annotations
@@ -311,6 +312,11 @@ class OfflinePipeline:
         self.detect_shards = max(1, detect_shards)
         self.detect_executor = detect_executor
         self.reconcile_clock = reconcile_clock
+        #: ``(bundle, context, replay_result)`` of the last finished
+        #: :meth:`analyze`, which :meth:`events_for` reuses for that
+        #: very bundle object.
+        self._analyzed: Optional[
+            Tuple[TraceBundle, AnalysisContext, ReplayResult]] = None
 
     # ------------------------------------------------------------------
 
@@ -345,17 +351,37 @@ class OfflinePipeline:
         return context.paths, context.located_syncs, context.located_allocs
 
     def events_for(self, bundle: TraceBundle,
-                   poisoned: FrozenSet[int] = frozenset()):
-        """Produce the HB-consistent event stream for *bundle* (one
-        reconstruction round, no regeneration) — the hook alternative
-        detectors (lockset, reference) consume in tests and ablations.
+                   poisoned: Optional[FrozenSet[int]] = None):
+        """Produce the HB-consistent event stream for *bundle* — the
+        stream race confirmation plans witnesses on, and the hook
+        alternative detectors (lockset, reference) consume in tests and
+        ablations.
 
         Returns ``(events, replay_result)`` where *events* is the sorted
         list of ``(sort_key, Access | SyncOp)`` pairs, materialized from
         the same streaming merge ``analyze()`` consumes.
+
+        When *bundle* is the very object this pipeline's last
+        ``analyze()`` finished on (matched by identity, not by content)
+        and *poisoned* is omitted, that analysis's context is reused:
+        its decoded paths, located records, timelines and per-thread
+        replays, with no decode or replay run again.  The stream is
+        then the one the detectors ran on, replayed under the poison
+        set of ``analyze()``'s final §5.1 round, and *replay_result* is
+        that round's result (``DetectionResult.replay``).  Any other
+        bundle object, even an equal copy, and any explicit *poisoned*
+        (``frozenset()`` for the unpoisoned stream) get a fresh context
+        that decodes and replays *bundle* for one round under
+        *poisoned*.  The reused context is held until the next
+        ``analyze()``.
         """
-        context = self.context_for(bundle)
-        replay_result = context.replay(poisoned)
+        analyzed = self._analyzed
+        if (poisoned is None and analyzed is not None
+                and analyzed[0] is bundle):
+            _bundle, context, replay_result = analyzed
+        else:
+            context = self.context_for(bundle)
+            replay_result = context.replay(poisoned or frozenset())
         events = list(context.merged_events())
         return events, replay_result
 
@@ -463,6 +489,9 @@ class OfflinePipeline:
         such a snapshot and re-enters the fixed-point mid-flight, with a
         final result bit-identical to the uninterrupted run.
         """
+        # Release the previous bundle's context before building this
+        # one, so two contexts are never alive at once.
+        self._analyzed = None
         context = self.context_for(bundle)
         detection_seconds = 0.0
         poisoned: FrozenSet[int] = frozenset()
@@ -556,7 +585,7 @@ class OfflinePipeline:
                 context.bundle.defects or TraceDefects(),
                 overlap, total,
             )
-        return DetectionResult(
+        result = DetectionResult(
             races=list(primary.races),
             racy_addresses=primary.racy_addresses,
             replay=replay_result,
@@ -571,6 +600,8 @@ class OfflinePipeline:
             findings=findings,
             clock=clock_report,
         )
+        self._analyzed = (bundle, context, replay_result)
+        return result
 
     def degradation_report(
         self,

@@ -310,7 +310,10 @@ class CompiledProgram:
     """A program lowered to micro-ops, plus span metadata.
 
     Attributes:
-        program: the source program.
+        instructions: the source program's instructions.  The program
+            itself is not kept: it is this object's key in the
+            weak-keyed :data:`_COMPILED` cache, and a strong reference
+            here would keep every lowered program alive.
         uops: one micro-op tuple per code address.
         rev: one reverse micro-op tuple per code address (backward pass).
         retry: one blocked-step retry descriptor (or None) per address.
@@ -321,11 +324,11 @@ class CompiledProgram:
             effects cannot be captured in a replayable summary.
     """
 
-    __slots__ = ("program", "uops", "rev", "retry", "block_id",
+    __slots__ = ("instructions", "uops", "rev", "retry", "block_id",
                  "summarizable", "_interfaces", "__weakref__")
 
     def __init__(self, program: Program) -> None:
-        self.program = program
+        self.instructions = program.instructions
         self.uops: List[tuple] = [
             lower_instruction(ins, ip)
             for ip, ins in enumerate(program.instructions)
@@ -364,7 +367,7 @@ class CompiledProgram:
         cached = self._interfaces.get(path)
         if cached is not None:
             return cached
-        instructions = self.program.instructions
+        instructions = self.instructions
         reads: set = set()
         written: set = set()
         for ip in path:

@@ -10,13 +10,18 @@ The contract under test:
 * the incremental (cached) pipeline reports exactly the same verdicts,
   rounds and replay statistics as the from-scratch per-round pipeline;
 * the merged event stream is sorted strictly by the global event key and
-  is reproducible across fresh contexts.
+  is reproducible across fresh contexts;
+* ``events_for()`` after ``analyze()`` on the same bundle object reuses
+  the analyzed context and returns the stream the detectors ran on.
 """
+
+import copy
 
 import pytest
 
 import repro.analysis.context as context_mod
 from repro.analysis import AnalysisContext, OfflinePipeline
+from repro.detector.witness import WitnessPlanner
 from repro.errors import UsageError
 from repro.isa import assemble
 from repro.tracing import trace_run
@@ -71,6 +76,21 @@ def regen_case():
     pytest.fail("no seed produced a regenerating analysis")
 
 
+def _count_decodes(monkeypatch):
+    """Route ``decode_all_tolerant`` through a counter; returns the
+    list that grows by one per call."""
+    calls = []
+    real_decode_all = context_mod.decode_all_tolerant
+
+    def counting_decode_all(*args, **kwargs):
+        calls.append(1)
+        return real_decode_all(*args, **kwargs)
+
+    monkeypatch.setattr(context_mod, "decode_all_tolerant",
+                        counting_decode_all)
+    return calls
+
+
 class TestDecodeOnce:
     def test_decode_called_exactly_once_across_rounds(self, regen_case,
                                                       monkeypatch):
@@ -78,15 +98,7 @@ class TestDecodeOnce:
         guarantee it: one decode_all call for a whole multi-round
         analyze, observed from outside the cache."""
         program, bundle = regen_case
-        calls = []
-        real_decode_all = context_mod.decode_all_tolerant
-
-        def counting_decode_all(*args, **kwargs):
-            calls.append(1)
-            return real_decode_all(*args, **kwargs)
-
-        monkeypatch.setattr(context_mod, "decode_all_tolerant",
-                            counting_decode_all)
+        calls = _count_decodes(monkeypatch)
         result = OfflinePipeline(program).analyze(bundle)
         assert result.regeneration_rounds > 1
         assert len(calls) == 1
@@ -107,6 +119,84 @@ class TestDecodeOnce:
         assert context.stats.threads_replayed == first_replayed
         assert context.stats.threads_reused >= len(context.paths)
         assert not context.last_replay_changed
+
+
+class TestEventsForReusesAnalysis:
+    def test_events_for_after_analyze_decodes_once(self, racy_program,
+                                                   racy_bundle,
+                                                   monkeypatch):
+        calls = _count_decodes(monkeypatch)
+        pipeline = OfflinePipeline(racy_program)
+        result = pipeline.analyze(racy_bundle)
+        assert result.regeneration_rounds == 1
+        events, replay = pipeline.events_for(racy_bundle)
+        assert len(calls) == 1
+        assert replay is result.replay
+        fresh_events, fresh_replay = \
+            OfflinePipeline(racy_program).events_for(racy_bundle)
+        assert events == fresh_events
+        assert replay.per_thread == fresh_replay.per_thread
+
+    def test_regenerated_stream_is_the_poisoned_one(self, regen_case,
+                                                    monkeypatch):
+        """After a §5.1 regeneration the reused stream is the one the
+        race was reported on, replayed under the final poison set, and
+        the witness planner locates every reported pair on it."""
+        program, bundle = regen_case
+        poison_sets = []
+        real_replay = AnalysisContext.replay
+
+        def spying_replay(self, poisoned=frozenset()):
+            poison_sets.append(frozenset(poisoned))
+            return real_replay(self, poisoned)
+
+        monkeypatch.setattr(AnalysisContext, "replay", spying_replay)
+        pipeline = OfflinePipeline(program)
+        result = pipeline.analyze(bundle)
+        final_poison = poison_sets[-1]
+        assert final_poison, "the scenario must regenerate under poison"
+        rounds = len(poison_sets)
+        events, _ = pipeline.events_for(bundle)
+        assert len(poison_sets) == rounds, "reuse must not replay again"
+
+        poisoned_context = OfflinePipeline(program).context_for(bundle)
+        poisoned_context.replay(final_poison)
+        assert events == list(poisoned_context.merged_events())
+
+        planner = WitnessPlanner([event for _, event in events], tail=None)
+        assert result.races
+        for race in result.races:
+            located = planner.locate_pair(race)
+            assert located is not None
+            first, second = (planner.events[i] for i in located)
+            assert (first.tid, first.ip) == (race.first_tid, race.first_ip)
+            assert (second.tid, second.ip) == \
+                (race.second.tid, race.second.ip)
+
+        unpoisoned, _ = pipeline.events_for(bundle, frozenset())
+        plain_context = OfflinePipeline(program).context_for(bundle)
+        plain_context.replay(frozenset())
+        assert unpoisoned == list(plain_context.merged_events())
+        assert unpoisoned != events
+
+    def test_other_bundle_object_gets_fresh_context(self, racy_program,
+                                                    racy_bundle,
+                                                    monkeypatch):
+        """The reuse key is object identity: an equal copy, or a bundle
+        analyzed before the last ``analyze()``, decodes afresh."""
+        calls = _count_decodes(monkeypatch)
+        pipeline = OfflinePipeline(racy_program)
+        pipeline.analyze(racy_bundle)
+        copied = copy.copy(racy_bundle)
+        events, _ = pipeline.events_for(copied)
+        assert len(calls) == 2
+        assert events == pipeline.events_for(racy_bundle)[0]
+        assert len(calls) == 2
+
+        pipeline.analyze(copied)
+        assert len(calls) == 3
+        pipeline.events_for(racy_bundle)
+        assert len(calls) == 4
 
 
 class TestSelectiveInvalidation:

@@ -7,13 +7,16 @@ taint) against the interpreter on every workload, every replay mode,
 every fault plan, cold or warm cache.  These tests are the contract.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import OfflinePipeline
 from repro.faults import FaultPlan
-from repro.isa import SYSTEM_OPS
+from repro.isa import SYSTEM_OPS, lowering
 from repro.isa.lowering import lowered
 from repro.replay import BlockSummaryCache, ReplayEngine
 from repro.tracing import trace_run
@@ -207,3 +210,23 @@ class TestSummaryCacheInvalidation:
         warm = replay(program, degraded, cache=cache)
         assert cold.per_thread == interp.per_thread
         assert warm.per_thread == interp.per_thread
+
+
+class TestLoweringCache:
+    def test_dropped_programs_leave_the_cache(self):
+        """The compiled-program cache is weak-keyed by the program, so
+        a compiled form must not hold its own program: otherwise no
+        lowered program is ever freed (a leak for long-running
+        services that build a program per bundle)."""
+        before = len(lowering._COMPILED)
+        refs = []
+        for seed in range(30):
+            program, _ = generate_racy_program(seed, CONFIG)
+            OfflinePipeline(program).analyze(
+                trace_run(program, period=4, seed=seed))
+            assert program in lowering._COMPILED
+            refs.append(weakref.ref(program))
+        del program
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(lowering._COMPILED) <= before
