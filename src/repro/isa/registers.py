@@ -9,7 +9,7 @@ examples (Figure 5) instruction for instruction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: The sixteen general-purpose registers, in conventional order.
 GP_REGISTERS: Tuple[str, ...] = (
@@ -79,30 +79,37 @@ class RegisterFile:
     Values are stored as unsigned 64-bit integers (Python ints masked to
     64 bits).  Signed interpretation is applied only where an instruction's
     semantics require it (e.g. conditional branches).
+
+    The values live in :attr:`slots`, a flat list indexed by
+    :data:`REG_SLOT`.  The name-keyed API below validates names and masks
+    values; the simulated machine's pre-decoded instruction handlers
+    resolve register names to slots once and then read and write
+    :attr:`slots` directly, storing only values already masked.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("slots",)
 
     def __init__(self, values: Dict[str, int] | None = None) -> None:
-        self._values: Dict[str, int] = {name: 0 for name in ALL_REGISTERS}
+        self.slots: List[int] = [0] * NUM_SLOTS
         if values:
             for name, value in values.items():
                 self[name] = value
 
     def __getitem__(self, name: str) -> int:
         try:
-            return self._values[name]
+            return self.slots[REG_SLOT[name]]
         except KeyError:
             raise ValueError(f"unknown register: {name!r}") from None
 
     def __setitem__(self, name: str, value: int) -> None:
-        if name not in _REGISTER_SET:
+        slot = REG_SLOT.get(name)
+        if slot is None:
             raise ValueError(f"unknown register: {name!r}")
-        self._values[name] = value & MASK64
+        self.slots[slot] = value & MASK64
 
     def snapshot(self) -> Dict[str, int]:
         """Return a copy of every register value (a PEBS-style snapshot)."""
-        return dict(self._values)
+        return dict(zip(ALL_REGISTERS, self.slots))
 
     def restore(self, snapshot: Dict[str, int]) -> None:
         """Overwrite registers from *snapshot* (unknown keys rejected)."""
@@ -111,19 +118,19 @@ class RegisterFile:
 
     def copy(self) -> "RegisterFile":
         clone = RegisterFile()
-        clone._values = dict(self._values)
+        clone.slots = list(self.slots)
         return clone
 
     def items(self) -> Iterable[Tuple[str, int]]:
-        return self._values.items()
+        return self.snapshot().items()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegisterFile):
             return NotImplemented
-        return self._values == other._values
+        return self.slots == other.slots
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        nonzero = {k: hex(v) for k, v in self._values.items() if v}
+        nonzero = {k: hex(v) for k, v in self.items() if v}
         return f"RegisterFile({nonzero})"
 
 

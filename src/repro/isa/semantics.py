@@ -31,19 +31,28 @@ class Flags:
 
     def taken(self, op: Op) -> bool:
         """Whether conditional branch *op* is taken under these flags."""
-        if op == Op.JE:
-            return self.eq
-        if op == Op.JNE:
-            return not self.eq
-        if op == Op.JL:
-            return self.lt
-        if op == Op.JLE:
-            return self.lt or self.eq
-        if op == Op.JG:
-            return not (self.lt or self.eq)
-        if op == Op.JGE:
-            return not self.lt
-        raise ValueError(f"not a conditional branch: {op}")
+        try:
+            return _TAKEN[op](self)
+        except KeyError:
+            raise ValueError(f"not a conditional branch: {op}") from None
+
+
+#: Each conditional branch's predicate over the flags.
+_TAKEN: Dict[Op, Callable[[Flags], bool]] = {
+    Op.JE: lambda flags: flags.eq,
+    Op.JNE: lambda flags: not flags.eq,
+    Op.JL: lambda flags: flags.lt,
+    Op.JLE: lambda flags: flags.lt or flags.eq,
+    Op.JG: lambda flags: not (flags.lt or flags.eq),
+    Op.JGE: lambda flags: not flags.lt,
+}
+
+#: Every flag state, by ``(eq, lt)``: flags are immutable, so CMP and
+#: TEST share these instead of allocating one per execution.
+_FLAGS: Dict[tuple, Flags] = {
+    (eq, lt): Flags(eq=eq, lt=lt) for eq in (False, True)
+    for lt in (False, True)
+}
 
 
 def compare(a: int, b: int) -> Flags:
@@ -53,13 +62,13 @@ def compare(a: int, b: int) -> Flags:
     ``dst - src``, i.e. ``cmp $3, %rax`` then ``jl`` branches if rax < 3.
     """
     sa, sb = to_signed(a), to_signed(b)
-    return Flags(eq=(sb == sa), lt=(sb < sa))
+    return _FLAGS[sb == sa, sb < sa]
 
 
 def test_bits(a: int, b: int) -> Flags:
     """TEST a, b → flags of (a & b)."""
     value = a & b & MASK64
-    return Flags(eq=(value == 0), lt=(to_signed(value) < 0))
+    return _FLAGS[value == 0, to_signed(value) < 0]
 
 
 _ALU_FUNCS: Dict[Op, Callable[[int, int], int]] = {

@@ -16,24 +16,40 @@ An interpreter for :mod:`repro.isa` programs with:
 * sequentially consistent shared memory (one instruction retires at a
   time), FIFO mutexes/semaphores, fork/join threads, and a recycling heap;
 * an observer interface through which the PMU simulation and tracers watch
-  retirement-time events without perturbing the application.
+  retirement-time events without perturbing the application;
+* a per-program pre-decode: each instruction becomes a handler with its
+  operands resolved once, so executing it costs one table call (see
+  :class:`Machine`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..isa.instructions import ALU_BINARY, ALU_UNARY, Instruction, Op
+from ..isa.instructions import (
+    ALU_BINARY,
+    ALU_UNARY,
+    COND_BRANCHES,
+    Instruction,
+    Op,
+)
 from ..isa.operands import Imm, Mem, Operand, Reg
 from ..isa.program import (
     Program,
+    ProgramError,
     STACK_BASE,
     STACK_SIZE,
 )
-from ..isa.registers import MASK64, RegisterFile
-from ..isa.semantics import alu, alu_unary, compare, effective_address, test_bits
+from ..isa.registers import MASK64, REG_SLOT, RegisterFile
+from ..isa.semantics import (
+    _ALU_FUNCS,
+    _TAKEN,
+    _UNARY_FUNCS,
+    compare,
+    test_bits,
+)
 from .heap import Heap
 from .memory import Memory
 from .observers import (
@@ -49,6 +65,10 @@ from .threads import BlockReason, ThreadState, ThreadStatus
 #: Value pushed as the bottom-of-stack return address of every thread;
 #: returning to it ends the thread (like returning from a pthread entry).
 RETURN_SENTINEL = 0xDEAD_BEEF_DEAD_BEEF
+
+#: Register slots the handlers touch directly.
+_RIP = REG_SLOT["rip"]
+_RSP = REG_SLOT["rsp"]
 
 
 class MachineError(Exception):
@@ -77,6 +97,18 @@ class RunResult:
 
 class Machine:
     """Executes a :class:`Program` with multiple threads.
+
+    The constructor pre-decodes the program once into a per-ip table of
+    handlers, ``handler(machine, thread)``.  Each handler has its
+    operand kinds, register slots, ALU function, flag predicate and
+    branch target resolved when it is built, so retiring an instruction
+    is a fetch bounds check, the counters and one table call.  Handlers
+    read and write the thread's :attr:`RegisterFile.slots` directly.
+    They capture only per-instruction constants, never the machine or
+    its bound methods, which would make every machine a reference cycle
+    that only the cyclic collector frees.  The table lives on the
+    machine, not on the :class:`Program`, which is pickled into
+    confirmation workers.
 
     Args:
         program: the binary to run.
@@ -128,6 +160,10 @@ ScheduleController` that overrides scheduling while active, driving
         #: tid -> thread for threads blocked on IO, + earliest wake tsc.
         self._io_blocked: Dict[int, ThreadState] = {}
         self._io_next_wake: float = float("inf")
+        self._handlers: List[Handler] = [
+            _decode(program, ip, ins)
+            for ip, ins in enumerate(program.instructions)
+        ]
 
     # ------------------------------------------------------------------
     # Setup
@@ -297,12 +333,11 @@ ScheduleController` that overrides scheduling while active, driving
     # ------------------------------------------------------------------
 
     def _step(self, thread: ThreadState) -> None:
-        ip = thread.ip
-        if not (0 <= ip < len(self.program)):
+        ip = thread.registers.slots[_RIP]
+        if not 0 <= ip < len(self._handlers):
             raise MachineError(
                 f"thread {thread.tid} fetched out-of-range ip {ip}"
             )
-        ins = self.program[ip]
         self._instructions += 1
         thread.retired += 1
         if self._instructions > self.max_instructions:
@@ -310,54 +345,24 @@ ScheduleController` that overrides scheduling while active, driving
                 f"instruction budget exceeded ({self.max_instructions})"
             )
         self.tsc += 1
-        handler = _DISPATCH.get(ins.op)
-        if handler is None:
-            raise MachineError(f"unimplemented opcode: {ins.op}")
-        handler(self, thread, ip, ins)
-
-    # -- operand evaluation ---------------------------------------------
-
-    def _eval(self, thread: ThreadState, ip: int, operand: Operand) -> int:
-        """Evaluate a source operand, emitting a load event if memory."""
-        if isinstance(operand, Imm):
-            return operand.value & MASK64
-        if isinstance(operand, Reg):
-            return thread.registers[operand.name]
-        address = effective_address(operand, thread.registers, ip)
-        value = self.memory.load(address)
-        self._emit_access(thread, ip, address, is_store=False, value=value)
-        return value
-
-    def _write(self, thread: ThreadState, ip: int, operand: Operand,
-               value: int) -> None:
-        """Write a destination operand, emitting a store event if memory."""
-        if isinstance(operand, Reg):
-            thread.registers[operand.name] = value
-            return
-        if isinstance(operand, Mem):
-            address = effective_address(operand, thread.registers, ip)
-            self.memory.store(address, value)
-            self._emit_access(thread, ip, address, is_store=True, value=value)
-            return
-        raise MachineError(f"cannot write to operand {operand}")
+        self._handlers[ip](self, thread)
 
     # -- event emission ----------------------------------------------------
+    #
+    # An event that neither an observer nor an active controller would
+    # receive (a confirmation replay attaches no observers) is not built.
 
     def _emit_access(self, thread: ThreadState, ip: int, address: int,
                      is_store: bool, value: int) -> None:
         self._memory_ops += 1
         thread.memory_ops += 1
         self._seq += 1
-        event = MemoryAccessEvent(
-            tsc=self.tsc,
-            tid=thread.tid,
-            core=thread.core,
-            ip=ip,
-            address=address,
-            is_store=is_store,
-            value=value,
-            seq=self._seq,
-        )
+        controller = self.controller
+        watching = controller is not None and controller.active
+        if not (self.observers or watching):
+            return
+        event = MemoryAccessEvent(self.tsc, thread.tid, thread.core, ip,
+                                  address, is_store, value, self._seq)
         snapshot: Optional[Dict[str, int]] = None
         for obs in self.observers:
             if obs.wants_register_snapshot(thread.tid):
@@ -375,24 +380,17 @@ ScheduleController` that overrides scheduling while active, driving
                 obs.on_memory_access(event, snapshot)
             else:
                 obs.on_memory_access(event, None)
-        if self.controller is not None and self.controller.active:
-            self.controller.observe_access(event)
+        if watching:
+            controller.observe_access(event)
 
     def _emit_branch(self, thread: ThreadState, ip: int, target: int,
                      taken: Optional[bool], conditional: bool,
                      indirect: bool, is_call: bool = False) -> None:
         self._branches += 1
-        event = BranchEvent(
-            tsc=self.tsc,
-            tid=thread.tid,
-            core=thread.core,
-            ip=ip,
-            target=target,
-            taken=taken,
-            is_conditional=conditional,
-            is_indirect=indirect,
-            is_call=is_call,
-        )
+        if not self.observers:
+            return
+        event = BranchEvent(self.tsc, thread.tid, thread.core, ip, target,
+                            taken, conditional, indirect, is_call)
         for obs in self.observers:
             obs.on_branch(event)
 
@@ -400,148 +398,39 @@ ScheduleController` that overrides scheduling while active, driving
                    target: int) -> None:
         self._sync_ops += 1
         self._seq += 1
-        event = SyncEvent(
-            tsc=self.tsc, tid=thread.tid, ip=ip, kind=kind, target=target,
-            seq=self._seq,
-        )
+        controller = self.controller
+        watching = controller is not None and controller.active
+        if not (self.observers or watching):
+            return
+        event = SyncEvent(self.tsc, thread.tid, ip, kind, target, self._seq)
         for obs in self.observers:
             obs.on_sync(event)
-        if self.controller is not None and self.controller.active:
-            self.controller.observe_sync(event)
+        if watching:
+            controller.observe_sync(event)
 
     def _emit_alloc(self, thread: ThreadState, ip: int, kind: str,
                     address: int, size: int) -> None:
-        event = AllocEvent(
-            tsc=self.tsc, tid=thread.tid, ip=ip, kind=kind, address=address,
-            size=size,
-        )
+        if not self.observers:
+            return
+        event = AllocEvent(self.tsc, thread.tid, ip, kind, address, size)
         for obs in self.observers:
             obs.on_alloc(event)
 
     # ------------------------------------------------------------------
-    # Opcode handlers
+    # System and synchronization ops.  Their handlers read the operands
+    # (loads included) and call these bodies.
     # ------------------------------------------------------------------
 
-    def _op_mov(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        src, dst = ins.operands
-        value = self._eval(thread, ip, src)
-        self._write(thread, ip, dst, value)
-        thread.ip = ip + 1
-
-    def _op_lea(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        mem, dst = ins.operands
-        assert isinstance(mem, Mem) and isinstance(dst, Reg)
-        thread.registers[dst.name] = effective_address(
-            mem, thread.registers, ip
-        )
-        thread.ip = ip + 1
-
-    def _op_alu(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        src, dst = ins.operands
-        assert isinstance(dst, Reg)
-        value = self._eval(thread, ip, src)
-        thread.registers[dst.name] = alu(
-            ins.op, value, thread.registers[dst.name]
-        )
-        thread.ip = ip + 1
-
-    def _op_alu_unary(self, thread: ThreadState, ip: int,
-                      ins: Instruction) -> None:
-        (dst,) = ins.operands
-        assert isinstance(dst, Reg)
-        thread.registers[dst.name] = alu_unary(
-            ins.op, thread.registers[dst.name]
-        )
-        thread.ip = ip + 1
-
-    def _op_cmp(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        a, b = ins.operands
-        va = self._eval(thread, ip, a)
-        vb = self._eval(thread, ip, b)
-        if ins.op == Op.CMP:
-            thread.flags = compare(va, vb)
-        else:
-            thread.flags = test_bits(va, vb)
-        thread.ip = ip + 1
-
-    def _op_push(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        value = (
-            self._eval(thread, ip, ins.operands[0]) if ins.operands else 0
-        )
-        rsp = (thread.registers["rsp"] - 8) & MASK64
-        self.memory.store(rsp, value)
-        # Emit before updating rsp so sampled snapshots see pre-execution
-        # register state.
-        self._emit_access(thread, ip, rsp, is_store=True, value=value)
-        thread.registers["rsp"] = rsp
-        thread.ip = ip + 1
-
-    def _op_pop(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        (dst,) = ins.operands
-        assert isinstance(dst, Reg)
-        rsp = thread.registers["rsp"]
-        value = self.memory.load(rsp)
-        self._emit_access(thread, ip, rsp, is_store=False, value=value)
-        thread.registers[dst.name] = value
-        thread.registers["rsp"] = (rsp + 8) & MASK64
-        thread.ip = ip + 1
-
-    def _op_jmp(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        if ins.target is not None:
-            target = self.program.target_address(ins)
-            indirect = False
-        else:
-            (reg,) = ins.operands
-            assert isinstance(reg, Reg)
-            target = thread.registers[reg.name]
-            indirect = True
-        self._emit_branch(thread, ip, target, taken=None, conditional=False,
-                          indirect=indirect)
-        thread.ip = target
-
-    def _op_jcc(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        taken = thread.flags.taken(ins.op)
-        target = self.program.target_address(ins) if taken else ip + 1
-        self._emit_branch(thread, ip, target, taken=taken, conditional=True,
-                          indirect=False)
-        thread.ip = target
-
-    def _op_call(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        target = self.program.target_address(ins)
-        rsp = (thread.registers["rsp"] - 8) & MASK64
-        thread.registers["rsp"] = rsp
-        # The return-address push is part of the control transfer, not a
-        # PEBS-countable data access (thread-private, never racy).
-        self.memory.store(rsp, ip + 1)
-        self._emit_branch(thread, ip, target, taken=None, conditional=False,
-                          indirect=False, is_call=True)
-        thread.ip = target
-
-    def _op_ret(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        rsp = thread.registers["rsp"]
-        target = self.memory.load(rsp)
-        thread.registers["rsp"] = (rsp + 8) & MASK64
-        if target == RETURN_SENTINEL:
-            self._exit_thread(thread)
-            return
-        self._emit_branch(thread, ip, target, taken=None, conditional=False,
-                          indirect=True)
-        thread.ip = target
-
-    # -- system ops ------------------------------------------------------
-
-    def _op_spawn(self, thread: ThreadState, ip: int,
-                  ins: Instruction) -> None:
-        entry_ip = self.program.target_address(ins)
+    def _op_spawn(self, thread: ThreadState, ip: int, entry_ip: int,
+                  operands: Sequence[Operand]) -> None:
         child = self._create_thread(entry_ip, parent=thread)
-        (dst,) = ins.operands
+        (dst,) = operands
         assert isinstance(dst, Reg)
         thread.registers[dst.name] = child.tid
         self._emit_sync(thread, ip, "fork", child.tid)
         thread.ip = ip + 1
 
-    def _op_join(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        tid = self._eval(thread, ip, ins.operands[0])
+    def _op_join(self, thread: ThreadState, ip: int, tid: int) -> None:
         peer = self.threads.get(tid)
         if peer is None:
             raise MachineError(f"join on unknown tid {tid}")
@@ -554,8 +443,7 @@ ScheduleController` that overrides scheduling while active, driving
         # The join sync event is emitted when the join completes (at the
         # joined thread's exit), preserving happens-before TSC ordering.
 
-    def _op_lock(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        address = self._eval(thread, ip, ins.operands[0])
+    def _op_lock(self, thread: ThreadState, ip: int, address: int) -> None:
         mutex = self.sync.mutex(address)
         thread.ip = ip + 1
         if mutex.acquire(thread.tid):
@@ -564,8 +452,7 @@ ScheduleController` that overrides scheduling while active, driving
             thread.block(BlockReason.MUTEX, address)
 
     def _op_unlock(self, thread: ThreadState, ip: int,
-                   ins: Instruction) -> None:
-        address = self._eval(thread, ip, ins.operands[0])
+                   address: int) -> None:
         mutex = self.sync.mutex(address)
         self._emit_sync(thread, ip, "unlock", address)
         next_owner = mutex.release(thread.tid)
@@ -576,10 +463,8 @@ ScheduleController` that overrides scheduling while active, driving
             # The waiter's lock acquisition completes now.
             self._emit_sync(waiter, waiter.ip - 1, "lock", address)
 
-    def _op_cond_wait(self, thread: ThreadState, ip: int,
-                      ins: Instruction) -> None:
-        cv_addr = self._eval(thread, ip, ins.operands[0])
-        mutex_addr = self._eval(thread, ip, ins.operands[1])
+    def _op_cond_wait(self, thread: ThreadState, ip: int, cv_addr: int,
+                      mutex_addr: int) -> None:
         cv = self.sync.condvar(cv_addr)
         mutex = self.sync.mutex(mutex_addr)
         # pthread_cond_wait: atomically release the mutex and sleep.
@@ -608,8 +493,7 @@ ScheduleController` that overrides scheduling while active, driving
             waiter.block(BlockReason.MUTEX, mutex_addr)
 
     def _op_cond_signal(self, thread: ThreadState, ip: int,
-                        ins: Instruction) -> None:
-        cv_addr = self._eval(thread, ip, ins.operands[0])
+                        cv_addr: int) -> None:
         cv = self.sync.condvar(cv_addr)
         self._emit_sync(thread, ip, "cond_signal", cv_addr)
         if cv.waiters:
@@ -617,8 +501,7 @@ ScheduleController` that overrides scheduling while active, driving
         thread.ip = ip + 1
 
     def _op_cond_broadcast(self, thread: ThreadState, ip: int,
-                           ins: Instruction) -> None:
-        cv_addr = self._eval(thread, ip, ins.operands[0])
+                           cv_addr: int) -> None:
         cv = self.sync.condvar(cv_addr)
         self._emit_sync(thread, ip, "cond_signal", cv_addr)
         while cv.waiters:
@@ -626,8 +509,7 @@ ScheduleController` that overrides scheduling while active, driving
         thread.ip = ip + 1
 
     def _op_sem_post(self, thread: ThreadState, ip: int,
-                     ins: Instruction) -> None:
-        address = self._eval(thread, ip, ins.operands[0])
+                     address: int) -> None:
         sem = self.sync.semaphore(address)
         self._emit_sync(thread, ip, "sem_post", address)
         woken = sem.post()
@@ -638,8 +520,7 @@ ScheduleController` that overrides scheduling while active, driving
             self._emit_sync(waiter, waiter.ip - 1, "sem_wait", address)
 
     def _op_sem_wait(self, thread: ThreadState, ip: int,
-                     ins: Instruction) -> None:
-        address = self._eval(thread, ip, ins.operands[0])
+                     address: int) -> None:
         sem = self.sync.semaphore(address)
         thread.ip = ip + 1
         if sem.wait(thread.tid):
@@ -648,8 +529,7 @@ ScheduleController` that overrides scheduling while active, driving
             thread.block(BlockReason.SEMAPHORE, address)
 
     def _op_rwlock_rd(self, thread: ThreadState, ip: int,
-                      ins: Instruction) -> None:
-        address = self._eval(thread, ip, ins.operands[0])
+                      address: int) -> None:
         rwlock = self.sync.rwlock(address)
         thread.ip = ip + 1
         if rwlock.acquire_rd(thread.tid):
@@ -658,8 +538,7 @@ ScheduleController` that overrides scheduling while active, driving
             thread.block(BlockReason.RWLOCK, address)
 
     def _op_rwlock_wr(self, thread: ThreadState, ip: int,
-                      ins: Instruction) -> None:
-        address = self._eval(thread, ip, ins.operands[0])
+                      address: int) -> None:
         rwlock = self.sync.rwlock(address)
         thread.ip = ip + 1
         if rwlock.acquire_wr(thread.tid):
@@ -668,8 +547,7 @@ ScheduleController` that overrides scheduling while active, driving
             thread.block(BlockReason.RWLOCK, address)
 
     def _op_rwlock_unlock(self, thread: ThreadState, ip: int,
-                          ins: Instruction) -> None:
-        address = self._eval(thread, ip, ins.operands[0])
+                          address: int) -> None:
         rwlock = self.sync.rwlock(address)
         self._emit_sync(thread, ip, "rwlock_unlock", address)
         woken = rwlock.release(thread.tid)
@@ -681,10 +559,8 @@ ScheduleController` that overrides scheduling while active, driving
             # The waiter's acquisition completes now.
             self._emit_sync(waiter, waiter.ip - 1, kind, address)
 
-    def _op_barrier_wait(self, thread: ThreadState, ip: int,
-                         ins: Instruction) -> None:
-        address = self._eval(thread, ip, ins.operands[0])
-        parties = self._eval(thread, ip, ins.operands[1])
+    def _op_barrier_wait(self, thread: ThreadState, ip: int, address: int,
+                         parties: int) -> None:
         barrier = self.sync.barrier(address)
         self._emit_sync(thread, ip, "barrier_arrive", address)
         thread.ip = ip + 1
@@ -701,24 +577,19 @@ ScheduleController` that overrides scheduling while active, driving
                 self._emit_sync(waiter, waiter.ip - 1, "barrier_wait",
                                 address)
 
-    def _op_malloc(self, thread: ThreadState, ip: int,
-                   ins: Instruction) -> None:
-        size, dst = ins.operands
-        assert isinstance(dst, Reg)
-        nbytes = self._eval(thread, ip, size)
+    def _op_malloc(self, thread: ThreadState, ip: int, nbytes: int,
+                   dst: str) -> None:
         address = self.heap.malloc(nbytes, self.tsc)
-        thread.registers[dst.name] = address
+        thread.registers[dst] = address
         self._emit_alloc(thread, ip, "malloc", address, nbytes)
         thread.ip = ip + 1
 
-    def _op_free(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        address = self._eval(thread, ip, ins.operands[0])
+    def _op_free(self, thread: ThreadState, ip: int, address: int) -> None:
         record = self.heap.free(address, self.tsc)
         self._emit_alloc(thread, ip, "free", address, record.size)
         thread.ip = ip + 1
 
-    def _op_io(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        cycles = self._eval(thread, ip, ins.operands[0])
+    def _op_io(self, thread: ThreadState, ip: int, cycles: int) -> None:
         self._io_cycles += cycles
         thread.io_cycles += cycles
         thread.ip = ip + 1
@@ -727,12 +598,6 @@ ScheduleController` that overrides scheduling while active, driving
         self._io_blocked[thread.tid] = thread
         if wake < self._io_next_wake:
             self._io_next_wake = wake
-
-    def _op_halt(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        self._exit_thread(thread)
-
-    def _op_nop(self, thread: ThreadState, ip: int, ins: Instruction) -> None:
-        thread.ip = ip + 1
 
     def _exit_thread(self, thread: ThreadState) -> None:
         thread.status = ThreadStatus.DONE
@@ -745,38 +610,395 @@ ScheduleController` that overrides scheduling while active, driving
         thread.join_waiters.clear()
 
 
-_DISPATCH = {
-    Op.MOV: Machine._op_mov,
-    Op.LEA: Machine._op_lea,
-    Op.PUSH: Machine._op_push,
-    Op.POP: Machine._op_pop,
-    Op.CMP: Machine._op_cmp,
-    Op.TEST: Machine._op_cmp,
-    Op.JMP: Machine._op_jmp,
-    Op.CALL: Machine._op_call,
-    Op.RET: Machine._op_ret,
-    Op.SPAWN: Machine._op_spawn,
-    Op.JOIN: Machine._op_join,
-    Op.LOCK: Machine._op_lock,
-    Op.UNLOCK: Machine._op_unlock,
-    Op.SEM_POST: Machine._op_sem_post,
-    Op.SEM_WAIT: Machine._op_sem_wait,
-    Op.COND_WAIT: Machine._op_cond_wait,
-    Op.COND_SIGNAL: Machine._op_cond_signal,
-    Op.COND_BROADCAST: Machine._op_cond_broadcast,
-    Op.RWLOCK_RD: Machine._op_rwlock_rd,
-    Op.RWLOCK_WR: Machine._op_rwlock_wr,
-    Op.RWLOCK_UNLOCK: Machine._op_rwlock_unlock,
-    Op.BARRIER_WAIT: Machine._op_barrier_wait,
-    Op.MALLOC: Machine._op_malloc,
-    Op.FREE: Machine._op_free,
-    Op.IO: Machine._op_io,
-    Op.HALT: Machine._op_halt,
-    Op.NOP: Machine._op_nop,
+# ---------------------------------------------------------------------------
+# Pre-decode: one handler per instruction.  A handler's closure holds only
+# constants of its instruction (slots, masked immediates, address
+# functions, the ALU function, the branch target) — see Machine.
+# ---------------------------------------------------------------------------
+
+#: ``handler(machine, thread)``: retires one decoded instruction.
+Handler = Callable[[Machine, ThreadState], None]
+#: ``reader(machine, thread) -> value`` of one source operand.
+Reader = Callable[[Machine, ThreadState], int]
+
+
+def _decode(program: Program, ip: int, ins: Instruction) -> Handler:
+    """The handler of instruction *ins* at address *ip*.
+
+    An instruction whose operands do not fit its opcode decodes to a
+    handler that raises, when it executes, what executing it raised
+    before any side effect.
+    """
+    decoder = _DECODERS.get(ins.op)
+    if decoder is None:
+        return _raising(MachineError(f"unimplemented opcode: {ins.op}"))
+    try:
+        return decoder(program, ip, ins)
+    except (AssertionError, ValueError, ProgramError) as error:
+        return _raising(error)
+
+
+def _raising(error: Exception) -> Handler:
+    # Keep the class and arguments, not the exception: its traceback
+    # reaches the constructing machine's frame.
+    kind, args = type(error), error.args
+
+    def handler(machine: Machine, thread: ThreadState) -> None:
+        raise kind(*args)
+
+    return handler
+
+
+def _address(mem: Mem, ip: int) -> Callable[[List[int]], int]:
+    """*mem*'s effective address as a function of the register slots
+    (:func:`~repro.isa.semantics.effective_address`, resolved once)."""
+    disp, scale = mem.disp, mem.scale
+    if mem.rip_relative or not (mem.base or mem.index):
+        address = ((ip if mem.rip_relative else 0) + disp) & MASK64
+        return lambda r: address
+    if mem.base and mem.index:
+        base, index = REG_SLOT[mem.base], REG_SLOT[mem.index]
+        return lambda r: (r[base] + r[index] * scale + disp) & MASK64
+    if mem.base:
+        base = REG_SLOT[mem.base]
+        return lambda r: (r[base] + disp) & MASK64
+    index = REG_SLOT[mem.index]
+    return lambda r: (r[index] * scale + disp) & MASK64
+
+
+def _reader(operand: Operand, ip: int) -> Reader:
+    """Reader of a source operand; reading a memory operand retires a
+    load."""
+    if isinstance(operand, Imm):
+        value = operand.value & MASK64
+        return lambda machine, thread: value
+    if isinstance(operand, Reg):
+        slot = REG_SLOT[operand.name]
+        return lambda machine, thread: thread.registers.slots[slot]
+    address_of = _address(operand, ip)
+
+    def load(machine: Machine, thread: ThreadState) -> int:
+        address = address_of(thread.registers.slots)
+        value = machine.memory.load(address)
+        machine._emit_access(thread, ip, address, False, value)
+        return value
+
+    return load
+
+
+def _operand_reader(operands: Sequence[Operand], k: int,
+                    ip: int) -> Reader:
+    """Reader of operand *k*, which a malformed instruction may lack:
+    reading a missing operand raises only then, as it always did."""
+    if k < len(operands):
+        return _reader(operands[k], ip)
+    return lambda machine, thread: operands[k]
+
+
+def _decode_mov(program: Program, ip: int, ins: Instruction) -> Handler:
+    src, dst = ins.operands
+    read, nxt = _reader(src, ip), ip + 1
+    if isinstance(dst, Reg):
+        d = REG_SLOT[dst.name]
+
+        def mov(machine: Machine, thread: ThreadState) -> None:
+            value = read(machine, thread)
+            r = thread.registers.slots
+            r[d] = value
+            r[_RIP] = nxt
+
+        return mov
+    if not isinstance(dst, Mem):
+        message = f"cannot write to operand {dst}"
+
+        def unwritable(machine: Machine, thread: ThreadState) -> None:
+            read(machine, thread)
+            raise MachineError(message)
+
+        return unwritable
+    address_of = _address(dst, ip)
+
+    def store(machine: Machine, thread: ThreadState) -> None:
+        value = read(machine, thread)
+        r = thread.registers.slots
+        address = address_of(r)
+        machine.memory.store(address, value)
+        machine._emit_access(thread, ip, address, True, value)
+        r[_RIP] = nxt
+
+    return store
+
+
+def _decode_lea(program: Program, ip: int, ins: Instruction) -> Handler:
+    mem, dst = ins.operands
+    assert isinstance(mem, Mem) and isinstance(dst, Reg)
+    address_of, d, nxt = _address(mem, ip), REG_SLOT[dst.name], ip + 1
+
+    def lea(machine: Machine, thread: ThreadState) -> None:
+        r = thread.registers.slots
+        r[d] = address_of(r)
+        r[_RIP] = nxt
+
+    return lea
+
+
+def _decode_alu(program: Program, ip: int, ins: Instruction) -> Handler:
+    src, dst = ins.operands
+    assert isinstance(dst, Reg)
+    func, d, nxt = _ALU_FUNCS[ins.op], REG_SLOT[dst.name], ip + 1
+    if isinstance(src, Imm):
+        value = src.value & MASK64
+
+        def alu_imm(machine: Machine, thread: ThreadState) -> None:
+            r = thread.registers.slots
+            r[d] = func(value, r[d]) & MASK64
+            r[_RIP] = nxt
+
+        return alu_imm
+    read = _reader(src, ip)
+
+    def alu(machine: Machine, thread: ThreadState) -> None:
+        value = read(machine, thread)
+        r = thread.registers.slots
+        r[d] = func(value, r[d]) & MASK64
+        r[_RIP] = nxt
+
+    return alu
+
+
+def _decode_alu_unary(program: Program, ip: int,
+                      ins: Instruction) -> Handler:
+    (dst,) = ins.operands
+    assert isinstance(dst, Reg)
+    func, d, nxt = _UNARY_FUNCS[ins.op], REG_SLOT[dst.name], ip + 1
+
+    def alu_unary(machine: Machine, thread: ThreadState) -> None:
+        r = thread.registers.slots
+        r[d] = func(r[d]) & MASK64
+        r[_RIP] = nxt
+
+    return alu_unary
+
+
+def _decode_flags(program: Program, ip: int, ins: Instruction) -> Handler:
+    a, b = ins.operands
+    rule = compare if ins.op is Op.CMP else test_bits
+    read_a, read_b = _reader(a, ip), _reader(b, ip)
+    nxt = ip + 1
+
+    def flags(machine: Machine, thread: ThreadState) -> None:
+        value = read_a(machine, thread)
+        thread.flags = rule(value, read_b(machine, thread))
+        thread.registers.slots[_RIP] = nxt
+
+    return flags
+
+
+def _decode_push(program: Program, ip: int, ins: Instruction) -> Handler:
+    read = (_reader(ins.operands[0], ip) if ins.operands
+            else lambda machine, thread: 0)
+    nxt = ip + 1
+
+    def push(machine: Machine, thread: ThreadState) -> None:
+        value = read(machine, thread)
+        r = thread.registers.slots
+        rsp = (r[_RSP] - 8) & MASK64
+        machine.memory.store(rsp, value)
+        # Emit before updating rsp so sampled snapshots see
+        # pre-execution register state.
+        machine._emit_access(thread, ip, rsp, True, value)
+        r[_RSP] = rsp
+        r[_RIP] = nxt
+
+    return push
+
+
+def _decode_pop(program: Program, ip: int, ins: Instruction) -> Handler:
+    (dst,) = ins.operands
+    assert isinstance(dst, Reg)
+    d, nxt = REG_SLOT[dst.name], ip + 1
+
+    def pop(machine: Machine, thread: ThreadState) -> None:
+        r = thread.registers.slots
+        rsp = r[_RSP]
+        value = machine.memory.load(rsp)
+        machine._emit_access(thread, ip, rsp, False, value)
+        r[d] = value
+        r[_RSP] = (rsp + 8) & MASK64
+        r[_RIP] = nxt
+
+    return pop
+
+
+def _decode_jmp(program: Program, ip: int, ins: Instruction) -> Handler:
+    if ins.target is not None:
+        target = program.target_address(ins)
+
+        def jmp(machine: Machine, thread: ThreadState) -> None:
+            machine._emit_branch(thread, ip, target, None, False, False)
+            thread.registers.slots[_RIP] = target
+
+        return jmp
+    (reg,) = ins.operands
+    assert isinstance(reg, Reg)
+    s = REG_SLOT[reg.name]
+
+    def jmp_indirect(machine: Machine, thread: ThreadState) -> None:
+        r = thread.registers.slots
+        target = r[s]
+        machine._emit_branch(thread, ip, target, None, False, True)
+        r[_RIP] = target
+
+    return jmp_indirect
+
+
+def _decode_jcc(program: Program, ip: int, ins: Instruction) -> Handler:
+    taken_if, nxt = _TAKEN[ins.op], ip + 1
+    try:
+        target = program.target_address(ins)
+    except ProgramError as error:
+        # Only a taken branch needs its (missing) target.
+        fail = _raising(error)
+
+        def jcc_untargeted(machine: Machine, thread: ThreadState) -> None:
+            if taken_if(thread.flags):
+                fail(machine, thread)
+            machine._emit_branch(thread, ip, nxt, False, True, False)
+            thread.registers.slots[_RIP] = nxt
+
+        return jcc_untargeted
+
+    def jcc(machine: Machine, thread: ThreadState) -> None:
+        if taken_if(thread.flags):
+            machine._emit_branch(thread, ip, target, True, True, False)
+            thread.registers.slots[_RIP] = target
+        else:
+            machine._emit_branch(thread, ip, nxt, False, True, False)
+            thread.registers.slots[_RIP] = nxt
+
+    return jcc
+
+
+def _decode_call(program: Program, ip: int, ins: Instruction) -> Handler:
+    target, return_ip = program.target_address(ins), ip + 1
+
+    def call(machine: Machine, thread: ThreadState) -> None:
+        r = thread.registers.slots
+        rsp = (r[_RSP] - 8) & MASK64
+        r[_RSP] = rsp
+        # The return-address push is part of the control transfer, not a
+        # PEBS-countable data access (thread-private, never racy).
+        machine.memory.store(rsp, return_ip)
+        machine._emit_branch(thread, ip, target, None, False, False, True)
+        r[_RIP] = target
+
+    return call
+
+
+def _decode_ret(program: Program, ip: int, ins: Instruction) -> Handler:
+    def ret(machine: Machine, thread: ThreadState) -> None:
+        r = thread.registers.slots
+        rsp = r[_RSP]
+        target = machine.memory.load(rsp)
+        r[_RSP] = (rsp + 8) & MASK64
+        if target == RETURN_SENTINEL:
+            machine._exit_thread(thread)
+            return
+        machine._emit_branch(thread, ip, target, None, False, True)
+        r[_RIP] = target
+
+    return ret
+
+
+def _decode_halt(program: Program, ip: int, ins: Instruction) -> Handler:
+    def halt(machine: Machine, thread: ThreadState) -> None:
+        machine._exit_thread(thread)
+
+    return halt
+
+
+def _decode_nop(program: Program, ip: int, ins: Instruction) -> Handler:
+    nxt = ip + 1
+
+    def nop(machine: Machine, thread: ThreadState) -> None:
+        thread.registers.slots[_RIP] = nxt
+
+    return nop
+
+
+def _decode_spawn(program: Program, ip: int, ins: Instruction) -> Handler:
+    entry_ip, operands = program.target_address(ins), ins.operands
+
+    def spawn(machine: Machine, thread: ThreadState) -> None:
+        machine._op_spawn(thread, ip, entry_ip, operands)
+
+    return spawn
+
+
+def _decode_malloc(program: Program, ip: int, ins: Instruction) -> Handler:
+    size, dst = ins.operands
+    assert isinstance(dst, Reg)
+    read, name = _reader(size, ip), dst.name
+
+    def malloc(machine: Machine, thread: ThreadState) -> None:
+        machine._op_malloc(thread, ip, read(machine, thread), name)
+
+    return malloc
+
+
+#: Sync and system ops whose bodies take their evaluated operands:
+#: opcode -> (body, number of operands read).
+_SYSTEM_BODIES = {
+    Op.JOIN: (Machine._op_join, 1),
+    Op.LOCK: (Machine._op_lock, 1),
+    Op.UNLOCK: (Machine._op_unlock, 1),
+    Op.SEM_POST: (Machine._op_sem_post, 1),
+    Op.SEM_WAIT: (Machine._op_sem_wait, 1),
+    Op.COND_WAIT: (Machine._op_cond_wait, 2),
+    Op.COND_SIGNAL: (Machine._op_cond_signal, 1),
+    Op.COND_BROADCAST: (Machine._op_cond_broadcast, 1),
+    Op.RWLOCK_RD: (Machine._op_rwlock_rd, 1),
+    Op.RWLOCK_WR: (Machine._op_rwlock_wr, 1),
+    Op.RWLOCK_UNLOCK: (Machine._op_rwlock_unlock, 1),
+    Op.BARRIER_WAIT: (Machine._op_barrier_wait, 2),
+    Op.FREE: (Machine._op_free, 1),
+    Op.IO: (Machine._op_io, 1),
 }
-for _op in ALU_BINARY:
-    _DISPATCH[_op] = Machine._op_alu
-for _op in ALU_UNARY:
-    _DISPATCH[_op] = Machine._op_alu_unary
-for _op in (Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE):
-    _DISPATCH[_op] = Machine._op_jcc
+
+
+def _decode_system(program: Program, ip: int, ins: Instruction) -> Handler:
+    body, arity = _SYSTEM_BODIES[ins.op]
+    read = _operand_reader(ins.operands, 0, ip)
+    if arity == 1:
+        def system(machine: Machine, thread: ThreadState) -> None:
+            body(machine, thread, ip, read(machine, thread))
+
+        return system
+    read_second = _operand_reader(ins.operands, 1, ip)
+
+    def system2(machine: Machine, thread: ThreadState) -> None:
+        first = read(machine, thread)
+        body(machine, thread, ip, first, read_second(machine, thread))
+
+    return system2
+
+
+_DECODERS: Dict[Op, Callable[[Program, int, Instruction], Handler]] = {
+    Op.MOV: _decode_mov,
+    Op.LEA: _decode_lea,
+    Op.PUSH: _decode_push,
+    Op.POP: _decode_pop,
+    Op.CMP: _decode_flags,
+    Op.TEST: _decode_flags,
+    Op.JMP: _decode_jmp,
+    Op.CALL: _decode_call,
+    Op.RET: _decode_ret,
+    Op.SPAWN: _decode_spawn,
+    Op.MALLOC: _decode_malloc,
+    Op.HALT: _decode_halt,
+    Op.NOP: _decode_nop,
+}
+_DECODERS.update({op: _decode_system for op in _SYSTEM_BODIES})
+_DECODERS.update({op: _decode_alu for op in ALU_BINARY})
+_DECODERS.update({op: _decode_alu_unary for op in ALU_UNARY})
+_DECODERS.update({op: _decode_jcc for op in COND_BRANCHES})

@@ -4,7 +4,7 @@ whole pass is deterministic (satellite: same seed + same schedules →
 bit-identical verdicts across runs and across ``--jobs``)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import OfflinePipeline
@@ -30,6 +30,9 @@ from repro.workloads import (
 from tests.helpers import CLEAN_COUNTER_ASM
 
 GEN_CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
+#: The generated program whose confirmation is also run in worker
+#: processes (14 replays at this seed).
+PROCESS_SEED = 11
 
 
 def detect(program, period=2, seed=0):
@@ -160,10 +163,15 @@ class TestDeterminism:
         assert first.to_dict() == second.to_dict()
 
     @given(seed=st.integers(min_value=0, max_value=500))
+    @example(seed=PROCESS_SEED)
     @settings(max_examples=4, deadline=None)
     def test_jobs_invariance(self, seed):
         """Fan-out width must not leak into verdicts: serial and
-        2-way threaded confirmation produce identical reports."""
+        2-way threaded confirmation produce identical reports.  So does
+        the process executor ``repro confirm --jobs N`` uses, which
+        pickles the program into every replay item (so a program must
+        stay picklable); it is compared on one fixed seed only, since
+        each comparison starts a process pool."""
         program, _ = generate_racy_program(seed, GEN_CONFIG)
         result, events = detect(program, seed=seed)
         config = ConfirmConfig(seed=seed, machine_seed=seed)
@@ -172,6 +180,12 @@ class TestDeterminism:
         threaded = confirm_races(program, result.races, events,
                                  config=config, jobs=2, executor="thread")
         assert serial.to_dict() == threaded.to_dict()
+        if seed == PROCESS_SEED:
+            assert serial.replays_total > 1
+            pooled = confirm_races(program, result.races, events,
+                                   config=config, jobs=2,
+                                   executor="process")
+            assert serial.to_dict() == pooled.to_dict()
 
     def test_digest_stability_pins_event_stream(self):
         """The digest is over the matched-event stream, so two runs
