@@ -18,6 +18,7 @@ inserts themselves must clear a generous absolute floor.
 Run directly: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
 
+import statistics
 import sys
 import tempfile
 import time
@@ -43,6 +44,18 @@ MIN_WARM_SPEEDUP = 1.05
 #: this is a real protocol regression, not noise).
 MAX_REGISTRY_OVERHEAD = 0.05
 REPEATS = 3
+#: The registry, clock-key and controller gates each compare two sides
+#: whose passes take a few milliseconds.  Timed as two blocks, one after
+#: the other, a burst of load on a shared runner that lands on one block
+#: reads as tens of percent of overhead.  So each gate times this many
+#: back-to-back pairs of passes, one of each side, and reads the median
+#: over the pairs of one side's time over the other's (see
+#: :func:`_paired_passes`).  A pass of the registry gate takes 35-60 ms
+#: on a shared 2-vCPU VM, a clock-key pass about 8 ms, a machine run of
+#: the controller gate 6-10 ms.
+REGISTRY_PAIRS = 20
+CLOCK_KEY_PAIRS = 100
+CONTROLLER_PAIRS = 30
 #: Race-DB floors: dedup refusal skips the append+fsync entirely, so it
 #: must beat first-time inserts by a wide margin; the insert floor is
 #: set far below local numbers (fsync-per-append on CI disks is slow,
@@ -69,13 +82,6 @@ MAX_CLOCK_KEY_OVERHEAD = 0.05
 #: and then free-runs the whole program) must cost <10% wall clock over
 #: an identical controller-free run.
 MAX_CONTROLLER_OVERHEAD = 0.10
-#: Each controller-gate sample times this many machine runs of each
-#: kind, best of CONTROLLER_REPEATS samples.  One run of the pre-decoded
-#: machine takes about 6 ms on a shared 2-vCPU VM, too short to resolve
-#: a 10% bound; six keep a sample longer than the 20-40 ms that one run
-#: took there before the pre-decode.
-CONTROLLER_RUNS_PER_SAMPLE = 6
-CONTROLLER_REPEATS = 5
 
 
 def _recon_seconds(program, bundle, jit):
@@ -115,21 +121,48 @@ def _detector_stream(events=40_000):
     return accesses
 
 
-def _detector_seconds(factory, accesses, repeats=5):
-    """Best-of-N seconds for one full detector pass, pre-bound access
-    method — the exact loop shape of the pipeline's single-backend fast
-    path."""
-    best = None
-    for _ in range(repeats):
-        detector = factory()
-        d_access = detector.access
-        t0 = time.perf_counter()
-        for access in accesses:
-            d_access(access)
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+def _paired_passes(first, second, pairs):
+    """Time *pairs* back-to-back pairs of passes of two sides, each a
+    callable that runs one pass and returns its seconds, with the side
+    that goes first alternating.  Returns the median pass seconds of
+    each side and the median over the pairs of second/first - 1: a
+    burst of load slows both passes of a pair alike, and a burst that
+    lands on one pass moves a few pairs, not the median."""
+    firsts, seconds, ratios = [], [], []
+    for index in range(pairs):
+        if index % 2:
+            spent_second = second()
+            spent_first = first()
+        else:
+            spent_first = first()
+            spent_second = second()
+        firsts.append(spent_first)
+        seconds.append(spent_second)
+        ratios.append(spent_second / spent_first)
+    return (statistics.median(firsts), statistics.median(seconds),
+            statistics.median(ratios) - 1.0)
+
+
+def _detector_pass(factory, accesses):
+    """Seconds for one full detector pass, pre-bound access method — the
+    exact loop shape of the pipeline's single-backend fast path."""
+    detector = factory()
+    d_access = detector.access
+    t0 = time.perf_counter()
+    for access in accesses:
+        d_access(access)
+    return time.perf_counter() - t0
+
+
+def _detector_seconds(accesses):
+    """:func:`_paired_passes` of FastTrack passes over *accesses*,
+    constructed directly and through the registry."""
+    return _paired_passes(
+        lambda: _detector_pass(FastTrack, accesses),
+        lambda: _detector_pass(lambda: create_backend("fasttrack"),
+                               accesses),
+        REGISTRY_PAIRS,
+    )
 
 
 def _batch_gate_seconds(repeats=5):
@@ -190,12 +223,12 @@ def _clock_key_chunks(chunks):
     return keyed
 
 
-def _clock_key_gate_seconds(repeats=5):
-    """Best-of-N (aliased seconds, separate-key seconds) for one
-    FastTrack pass that enumerates each batch through the merge's
-    ``run_end`` bisection (keyed on ``key_tscs``) and feeds the
-    resulting runs — the splice-merge loop shape of the pipeline, on
-    both key layouts."""
+def _clock_key_gate_seconds():
+    """The event count and :func:`_paired_passes` of a FastTrack pass
+    that enumerates each batch through the merge's ``run_end`` bisection
+    (keyed on ``key_tscs``) and feeds the resulting runs — the
+    splice-merge loop shape of the pipeline — on the aliased and on the
+    separate key layout."""
     from repro.detector.events import EVENT_KIND_SYNC
 
     _accesses, chunks = locality_stream(events=BATCH_STREAM_EVENTS)
@@ -220,48 +253,42 @@ def _clock_key_gate_seconds(repeats=5):
                 pos = end
         return time.perf_counter() - t0, detector
 
-    best_aliased = best_keyed = None
-    for _ in range(repeats):
-        elapsed, plain_det = one_pass(chunks)
-        if best_aliased is None or elapsed < best_aliased:
-            best_aliased = elapsed
-        elapsed, keyed_det = one_pass(keyed)
-        if best_keyed is None or elapsed < best_keyed:
-            best_keyed = elapsed
-        assert keyed_det.races == plain_det.races, \
+    reference = one_pass(chunks)[1].races
+
+    def timed(chunk_list):
+        elapsed, detector = one_pass(chunk_list)
+        assert detector.races == reference, \
             "identity merge keys changed verdicts"
-    return len(_accesses), best_aliased, best_keyed
+        return elapsed
+
+    return len(_accesses), _paired_passes(
+        lambda: timed(chunks), lambda: timed(keyed), CLOCK_KEY_PAIRS)
 
 
-def _controller_seconds(program, repeats=CONTROLLER_REPEATS,
-                        runs=CONTROLLER_RUNS_PER_SAMPLE):
-    """Best-of-N (free-run seconds, diverging-controller seconds), each
-    sample summing *runs* machine executions of each kind, interleaved
-    run by run so that a burst of load on a shared runner slows both
-    sides alike — the confirmation service's unconfirmed replay shape:
-    the schedule never matches, the controller burns its step budget,
-    deactivates, and the machine free-runs the rest."""
+def _controller_seconds(program):
+    """:func:`_paired_passes` of free machine runs and of runs under a
+    diverging controller — the confirmation service's
+    unconfirmed replay shape: the schedule never matches, the
+    controller burns its step budget, deactivates, and the machine
+    free-runs the rest."""
     # A schedule step no instruction can ever match: the controller
     # spends its whole budget, diverges, and hands the run back.
     steps = [WitnessStep(tid=0, op="write", detail=10**9)]
-    best_free = best_driven = None
-    for _ in range(repeats):
-        free = driven = 0.0
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            Machine(program, num_cores=4, seed=1).run()
-            free += time.perf_counter() - t0
-            controller = ScheduleController(steps, step_budget=64)
-            t0 = time.perf_counter()
-            Machine(program, num_cores=4, seed=1,
-                    controller=controller).run()
-            driven += time.perf_counter() - t0
-            assert controller.diverged, "gate expects an unconfirmed replay"
-        if best_free is None or free < best_free:
-            best_free = free
-        if best_driven is None or driven < best_driven:
-            best_driven = driven
-    return best_free, best_driven
+
+    def free():
+        t0 = time.perf_counter()
+        Machine(program, num_cores=4, seed=1).run()
+        return time.perf_counter() - t0
+
+    def driven():
+        controller = ScheduleController(steps, step_budget=64)
+        t0 = time.perf_counter()
+        Machine(program, num_cores=4, seed=1, controller=controller).run()
+        elapsed = time.perf_counter() - t0
+        assert controller.diverged, "gate expects an unconfirmed replay"
+        return elapsed
+
+    return _paired_passes(free, driven, CONTROLLER_PAIRS)
 
 
 def _racedb_seconds(bundles=RACEDB_BUNDLES):
@@ -313,11 +340,9 @@ def main():
           f"({cache.window_hits} window memo hits)")
 
     accesses = _detector_stream()
-    direct = _detector_seconds(FastTrack, accesses)
-    registered = _detector_seconds(
-        lambda: create_backend("fasttrack"), accesses)
-    registry_overhead = registered / direct - 1.0
-    print(f"fasttrack fast path: direct {direct * 1e3:.1f} ms, "
+    direct, registered, registry_overhead = _detector_seconds(accesses)
+    print(f"fasttrack fast path (median of {REGISTRY_PAIRS} pass pairs): "
+          f"direct {direct * 1e3:.1f} ms, "
           f"via registry {registered * 1e3:.1f} ms -> "
           f"{100 * registry_overhead:+.1f}% "
           f"({len(accesses) / registered:,.0f} events/sec)")
@@ -328,9 +353,10 @@ def main():
           f"batched {batched_s * 1e3:.1f} ms -> {batch_speedup:.2f}x "
           f"({events / batched_s:,.0f} events/sec)")
 
-    key_events, aliased_s, keyed_s = _clock_key_gate_seconds()
-    clock_key_overhead = keyed_s / aliased_s - 1.0
-    print(f"clock merge keys: aliased {aliased_s * 1e3:.1f} ms, "
+    key_events, (aliased_s, keyed_s, clock_key_overhead) = \
+        _clock_key_gate_seconds()
+    print(f"clock merge keys (median of {CLOCK_KEY_PAIRS} pass pairs): "
+          f"aliased {aliased_s * 1e3:.1f} ms, "
           f"separate key_tscs {keyed_s * 1e3:.1f} ms -> "
           f"{100 * clock_key_overhead:+.1f}% "
           f"({key_events / keyed_s:,.0f} events/sec)")
@@ -342,10 +368,9 @@ def main():
           f"({insert_rate:,.0f}/sec), redelivery refused in "
           f"{dedup * 1e3:.1f} ms -> {dedup_speedup:.1f}x")
 
-    free_s, driven_s = _controller_seconds(program)
-    controller_overhead = driven_s / free_s - 1.0
+    free_s, driven_s, controller_overhead = _controller_seconds(program)
     print(f"schedule controller (diverging/unconfirmed replay, "
-          f"{CONTROLLER_RUNS_PER_SAMPLE} runs per sample): "
+          f"median of {CONTROLLER_PAIRS} run pairs): "
           f"free {free_s * 1e3:.1f} ms, controlled {driven_s * 1e3:.1f} ms "
           f"-> {100 * controller_overhead:+.1f}%")
 

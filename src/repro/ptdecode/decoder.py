@@ -7,6 +7,15 @@ consume TNT bits, indirect transfers consume TIP packets, and compressed
 returns consume a TNT bit while popping a shadow call stack that exactly
 mirrors the packetizer's.
 
+Decode walks a *run* at a time, not an instruction at a time.  Between
+two packets the program text alone fixes every step, so the decoder
+tabulates, per start address, the instructions up to the next one whose
+successor only a packet can tell (a conditional branch, an indirect
+jump, a return, a halt), together with the return addresses its direct
+calls push; a path then grows by a whole run per packet.  The table is
+built lazily by each :func:`decode_thread` call — libipt's block decoder
+(``pt_blk_*``) is the production precedent.
+
 The decoded path carries *anchors* — (step index, TSC) pairs, one per
 consumed packet — which later stages use to align PEBS samples and sync
 records onto exact path positions.
@@ -22,17 +31,83 @@ from typing import Dict, List, Optional, Sequence, Tuple
 # its documented exit code without importing the decoder) but remains
 # importable from here, its historical home.
 from ..errors import DecodeError
-from ..isa.instructions import Op
+from ..isa.instructions import COND_BRANCHES, Op
 from ..isa.program import Program
 from ..pmu.pt import PTConfig, PTThreadTrace, PacketKind
 from ..pmu.records import PEBSSample, SyncRecord
 
 
-def _needs_packet(ins) -> bool:
-    """True if executing *ins* requires consuming a PT packet."""
-    if ins.op in (Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE, Op.RET):
-        return True
-    return ins.op == Op.JMP and ins.target is None
+#: How a run ends.  The first three end on a branch that consumes one
+#: packet; the rest end on a halt or without reaching a packet at all.
+_COND, _RET, _IJMP, _HALT, _FILTERED, _OFF, _CALL, _CYCLE = range(8)
+
+
+def _run_from(program: Program, ip: int, config: Optional[PTConfig]
+              ) -> Tuple[tuple, tuple, int, float, object]:
+    """The run decode walks from *ip*: ``(steps, pushes, kind, budget,
+    detail)``.
+
+    *steps* follows fall-throughs, direct jumps and direct calls up to
+    and including the first instruction whose successor only a packet
+    can tell (*kind* ``_COND``, ``_RET``, ``_IJMP``) or the first halt
+    (``_HALT``); *pushes* are the return addresses its calls push, in
+    order.  A run also ends before a packet branch that *config*'s
+    filters kept out of the trace (``_FILTERED``: the branch is not a
+    step), where control leaves the program (``_OFF``; *detail* is the
+    ip), at a call with no target (``_CALL``; *detail* is the call,
+    which is the last step) and where a direct transfer revisits one of
+    its addresses (``_CYCLE``: no packet can ever leave the loop).  For
+    ``_COND``, *detail* is the taken target, or None when the branch
+    has no target.
+
+    *budget* is how many steps the run counts against ``max_steps``
+    before decode acts on its end, counting the filtered branch, the
+    off-program ip and a cycle's endless steps the way a step-by-step
+    walk would reach them.
+    """
+    instructions = program.instructions
+    size = len(instructions)
+    steps: List[int] = []
+    pushes: List[int] = []
+    seen = set()
+    while 0 <= ip < size:
+        if ip in seen:
+            return (), (), _CYCLE, float("inf"), None
+        seen.add(ip)
+        steps.append(ip)
+        ins = instructions[ip]
+        op = ins.op
+        if op is Op.JMP and ins.target is not None:
+            ip = program.target_address(ins)
+            continue
+        if op is Op.CALL:
+            pushes.append(ip + 1)
+            if ins.target is None:
+                return tuple(steps), tuple(pushes), _CALL, len(steps), ins
+            ip = program.target_address(ins)
+            continue
+        if op is Op.HALT:
+            return tuple(steps), tuple(pushes), _HALT, len(steps), None
+        if op in COND_BRANCHES:
+            kind = _COND
+        elif op is Op.RET:
+            kind = _RET
+        elif op is Op.JMP:
+            kind = _IJMP
+        else:
+            ip += 1
+            continue
+        if config is not None and config.filters \
+                and not config.in_region(ip):
+            # The packetizer never recorded this branch; control flow
+            # past it is unknown.
+            steps.pop()
+            return tuple(steps), (), _FILTERED, len(steps) + 1, None
+        detail = None
+        if kind == _COND and ins.target is not None:
+            detail = program.target_address(ins)
+        return tuple(steps), tuple(pushes), kind, len(steps), detail
+    return tuple(steps), tuple(pushes), _OFF, len(steps) + 1, ip
 
 
 #: Sentinel gap end: the stream never resynchronized after the gap.
@@ -198,6 +273,12 @@ def decode_thread(
     and register file at a known TSC, which is precisely a new decode
     entry point.  Without samples to resynchronize on, the path simply
     ends at the gap and is marked incomplete — degraded, never wrong.
+
+    The path grows a run at a time (see :func:`_run_from`): one loop
+    iteration per consumed packet, not per instruction.  The call
+    tabulates each run the first time decode reaches its start address.
+    A direct-transfer cycle, which no packet can leave, fails with the
+    step-budget error at once.
     """
     steps: List[int] = []
     anchors: List[Tuple[int, int]] = []
@@ -205,28 +286,17 @@ def decode_thread(
     segment_starts: List[int] = []
     shadow_stack: List[int] = []
     packets = trace.packets
+    n_packets = len(packets)
     cursor = 0
     ip = trace.start_ip
     complete = True
     ovf_gaps = 0
+    runs: Dict[int, tuple] = {}  # start ip -> _run_from(...)
+    TNT, TIP = PacketKind.TNT, PacketKind.TIP
+    END, OVF = PacketKind.END, PacketKind.OVF
 
     sample_list = sorted(samples or (), key=lambda s: s.tsc)
     sample_tscs = [s.tsc for s in sample_list]
-
-    def next_packet():
-        nonlocal cursor
-        if cursor >= len(packets):
-            return None
-        packet = packets[cursor]
-        cursor += 1
-        return packet
-
-    def peek_packet():
-        return packets[cursor] if cursor < len(packets) else None
-
-    def count_gap() -> None:
-        nonlocal ovf_gaps
-        ovf_gaps += 1
 
     def resync(gap_start: int, gap_end: int) -> bool:
         """Re-enter decode at the first sample past a lost span.
@@ -238,7 +308,7 @@ def decode_thread(
         decode at the sample's authoritative ip.  Returns False when no
         sample exists past the gap — the caller must end the path.
         """
-        nonlocal ip, complete, cursor
+        nonlocal ip, complete, cursor, ovf_gaps
         pos = bisect.bisect_right(sample_tscs, gap_end)
         if pos >= len(sample_list):
             gap_ranges.append((gap_start, GAP_OPEN))
@@ -246,18 +316,18 @@ def decode_thread(
             return False
         sample = sample_list[pos]
         gap_ranges.append((gap_start, sample.tsc))
-        while cursor < len(packets):
+        while cursor < n_packets:
             stale = packets[cursor]
-            if stale.kind == PacketKind.OVF:
+            if stale.kind == OVF:
                 # A second gap before the resync point: swallow it into
                 # this one (its span is already inside the skip window).
-                count_gap()
+                ovf_gaps += 1
                 cursor += 1
                 continue
             if stale.tsc >= sample.tsc:
                 break
             cursor += 1
-            if stale.kind == PacketKind.END:
+            if stale.kind == END:
                 # The thread exited before the resync point was reached.
                 gap_ranges[-1] = (gap_start, GAP_OPEN)
                 complete = False
@@ -269,152 +339,136 @@ def decode_thread(
         return True
 
     while True:
-        if len(steps) >= max_steps:
+        run = runs.get(ip)
+        if run is None:
+            run = runs[ip] = _run_from(program, ip, config)
+        run_steps, pushes, kind, budget, detail = run
+        if len(steps) + budget > max_steps:
             raise DecodeError(f"decode exceeded {max_steps} steps")
-        if not (0 <= ip < len(program)):
+        steps += run_steps
+        if pushes:
+            shadow_stack += pushes
+
+        if kind <= _IJMP:
+            # The run's last step is a branch that consumes one packet.
+            if cursor < n_packets:
+                packet = packets[cursor]
+                cursor += 1
+                packet_kind = packet.kind
+            else:
+                packet = packet_kind = None
+            if packet_kind is OVF:
+                # This branch executed (its packet is the first lost
+                # one) but its outcome is gone: anchor it at the gap
+                # start and resynchronize past the lost span.
+                ovf_gaps += 1
+                anchors.append((len(steps) - 1, packet.tsc))
+                gap_end = packet.target if packet.target is not None \
+                    else packet.tsc
+                if resync(packet.tsc, gap_end):
+                    continue
+                break
+
+            if kind == _COND:
+                if packet_kind is TNT:
+                    anchors.append((len(steps) - 1, packet.tsc))
+                    if not packet.bit:
+                        ip = run_steps[-1] + 1
+                    elif detail is not None:
+                        ip = detail
+                    else:
+                        ip = program.target_address(program[run_steps[-1]])
+                    continue
+                if packet is None or gap_ranges:
+                    # The trace ended mid-flight (filtered or torn
+                    # stream), or a post-gap desync: degrade to a
+                    # truncated path instead of failing the whole thread.
+                    steps.pop()
+                    complete = False
+                    break
+                raise DecodeError("expected TNT for conditional branch")
+
+            if kind == _RET:
+                if packet is None:
+                    # Thread-exit return (to the bottom-of-stack sentinel).
+                    break
+                anchors.append((len(steps) - 1, packet.tsc))
+                if packet_kind is END:
+                    break
+                if packet_kind is TNT:
+                    if not packet.bit:
+                        if gap_ranges:
+                            complete = False
+                            break
+                        raise DecodeError(
+                            "compressed-ret TNT bit must be taken")
+                    if not shadow_stack:
+                        # Post-gap: the packetizer compressed this return
+                        # against a pre-gap frame the resync discarded.
+                        # The return target is unknowable — resynchronize
+                        # again at the next sample past this point.
+                        if gap_ranges and resync(packet.tsc, packet.tsc):
+                            continue
+                        if gap_ranges:
+                            complete = False
+                            break
+                        raise DecodeError(
+                            "compressed ret with empty call stack")
+                    ip = shadow_stack.pop()
+                    continue
+                if packet_kind is TIP:
+                    ip = packet.target
+                    continue
+                if gap_ranges:
+                    complete = False
+                    break
+                raise DecodeError(f"unexpected packet at ret: {packet_kind}")
+
+            # An indirect jmp.
+            if packet_kind is TIP:
+                anchors.append((len(steps) - 1, packet.tsc))
+                ip = packet.target
+                continue
             if gap_ranges:
+                steps.pop()
                 complete = False
                 break
-            raise DecodeError(f"decoded ip {ip} out of program range")
-        ins = program[ip]
-        steps.append(ip)
-        op = ins.op
+            raise DecodeError("expected TIP for indirect jmp")
 
-        if (
-            config is not None
-            and config.filters
-            and _needs_packet(ins)
-            and not config.in_region(ip)
-        ):
-            # The packetizer never recorded this branch; control flow past
-            # it is unknown.
-            steps.pop()
-            complete = False
-            break
-
-        if op == Op.HALT:
-            packet = next_packet()
-            if packet is not None and packet.kind == PacketKind.OVF:
+        if kind == _HALT:
+            packet = packets[cursor] if cursor < n_packets else None
+            if packet is not None and packet.kind == OVF:
                 # The gap swallowed this thread's END packet; the halt
                 # itself was reached deterministically, so the path is
                 # intact — only the exact end timestamp is lost.
-                count_gap()
+                ovf_gaps += 1
                 gap_end = packet.target if packet.target is not None \
                     else packet.tsc
                 gap_ranges.append((packet.tsc, GAP_OPEN))
                 anchors.append((len(steps) - 1, gap_end))
                 break
-            if packet is not None and packet.kind != PacketKind.END:
+            if packet is not None and packet.kind != END:
                 raise DecodeError(f"expected END at halt, got {packet.kind}")
             if packet is not None:
                 anchors.append((len(steps) - 1, packet.tsc))
             break
 
-        if op in (Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE):
-            packet = next_packet()
-            if packet is not None and packet.kind == PacketKind.OVF:
-                # This branch executed (its TNT bit is the first lost
-                # packet) but its outcome is gone: anchor it at the gap
-                # start and resynchronize past the lost span.
-                count_gap()
-                anchors.append((len(steps) - 1, packet.tsc))
-                gap_end = packet.target if packet.target is not None \
-                    else packet.tsc
-                if resync(packet.tsc, gap_end):
-                    continue
+        if kind == _FILTERED:
+            complete = False
+            break
+        if kind == _OFF:
+            if gap_ranges:
+                complete = False
                 break
-            if packet is None or packet.kind != PacketKind.TNT:
-                if complete and packet is None:
-                    # Trace ended mid-flight (filtered or torn stream).
-                    steps.pop()
-                    complete = False
-                    break
-                if gap_ranges:
-                    # Post-gap desync: degrade to a truncated path
-                    # instead of failing the whole thread.
-                    steps.pop()
-                    complete = False
-                    break
-                raise DecodeError("expected TNT for conditional branch")
-            anchors.append((len(steps) - 1, packet.tsc))
-            ip = program.target_address(ins) if packet.bit else ip + 1
+            raise DecodeError(f"decoded ip {detail} out of program range")
+        if kind == _CALL:
+            # Resolving a call that has no target raises ProgramError.
+            ip = program.target_address(detail)
             continue
-
-        if op == Op.JMP:
-            if ins.target is not None:
-                ip = program.target_address(ins)
-            else:
-                packet = next_packet()
-                if packet is not None and packet.kind == PacketKind.OVF:
-                    count_gap()
-                    anchors.append((len(steps) - 1, packet.tsc))
-                    gap_end = packet.target if packet.target is not None \
-                        else packet.tsc
-                    if resync(packet.tsc, gap_end):
-                        continue
-                    break
-                if packet is None or packet.kind != PacketKind.TIP:
-                    if gap_ranges:
-                        steps.pop()
-                        complete = False
-                        break
-                    raise DecodeError("expected TIP for indirect jmp")
-                anchors.append((len(steps) - 1, packet.tsc))
-                ip = packet.target
-            continue
-
-        if op == Op.CALL:
-            shadow_stack.append(ip + 1)
-            ip = program.target_address(ins)
-            continue
-
-        if op == Op.RET:
-            packet = peek_packet()
-            if packet is None or packet.kind == PacketKind.END:
-                # Thread-exit return (to the bottom-of-stack sentinel).
-                if packet is not None:
-                    next_packet()
-                    anchors.append((len(steps) - 1, packet.tsc))
-                break
-            next_packet()
-            if packet.kind == PacketKind.OVF:
-                count_gap()
-                anchors.append((len(steps) - 1, packet.tsc))
-                gap_end = packet.target if packet.target is not None \
-                    else packet.tsc
-                if resync(packet.tsc, gap_end):
-                    continue
-                break
-            anchors.append((len(steps) - 1, packet.tsc))
-            if packet.kind == PacketKind.TNT:
-                if not packet.bit:
-                    if gap_ranges:
-                        complete = False
-                        break
-                    raise DecodeError("compressed-ret TNT bit must be taken")
-                if not shadow_stack:
-                    # Post-gap: the packetizer compressed this return
-                    # against a pre-gap frame the resync discarded.  The
-                    # return target is unknowable — resynchronize again
-                    # at the next sample past this point.
-                    if gap_ranges and resync(packet.tsc, packet.tsc):
-                        continue
-                    if gap_ranges:
-                        complete = False
-                        break
-                    raise DecodeError("compressed ret with empty call stack")
-                ip = shadow_stack.pop()
-            elif packet.kind == PacketKind.TIP:
-                ip = packet.target
-            else:
-                if gap_ranges:
-                    complete = False
-                    break
-                raise DecodeError(f"unexpected packet at ret: {packet.kind}")
-            continue
-
-        # Every other instruction (data, ALU, system ops) falls through.
-        ip += 1
+        # _CYCLE: no packet can leave the loop, so decode can only run
+        # out of steps (the budget check above raises first for any
+        # finite max_steps).
+        raise DecodeError(f"decode exceeded {max_steps} steps")
 
     path = DecodedPath(
         tid=trace.tid, steps=steps, anchors=anchors, complete=complete,

@@ -1,11 +1,17 @@
-"""Decoder edge cases: window lookup, locate misses, torn tails."""
+"""Decoder edge cases: window lookup, locate misses, torn tails, the
+step budget."""
+
+import time
 
 import pytest
 
-from repro.isa import assemble
-from repro.ptdecode.decoder import DecodedPath
+from repro.isa import Instruction, Op, Program, ProgramError, assemble
+from repro.machine import Machine
+from repro.pmu import PTPacketizer
+from repro.pmu.pt import PTPacket, PTThreadTrace, PacketKind
 from repro.pmu.records import SyncRecord
-from repro.ptdecode import locate_syncs
+from repro.ptdecode import DecodeError, decode_all, decode_thread, locate_syncs
+from repro.ptdecode.decoder import DecodedPath
 from repro.tracing import trace_run
 
 
@@ -117,3 +123,81 @@ class TestLazyLocateIndices:
         )
         assert path.locate(10, 150) is None
         assert path.locate(11, 200) == 1
+
+
+def _stream(start_ip=0, packets=()):
+    return PTThreadTrace(tid=0, start_ip=start_ip, start_tsc=0,
+                         packets=list(packets))
+
+
+class TestStepBudget:
+    """Decode's step budget and its exits, which a run-at-a-time
+    decoder must hit at exactly the step a per-instruction one would."""
+
+    @pytest.mark.parametrize("source", [
+        "main:\n    nop\nl:\n    nop\n    jmp l\n",
+        "main:\n    nop\nl:\n    call l\n",
+    ])
+    def test_direct_transfer_cycle_fails_at_once(self, source):
+        # No packet can leave the loop, so decode can only run out of
+        # budget; it must say so without walking 50M steps first.
+        program = assemble(source)
+        begin = time.perf_counter()
+        with pytest.raises(DecodeError,
+                           match=r"^decode exceeded 50000000 steps$"):
+            decode_thread(program, _stream())
+        assert time.perf_counter() - begin < 1.0
+
+    def test_direct_transfer_cycle_small_budget(self):
+        program = assemble("main:\n    nop\nl:\n    nop\n    jmp l\n")
+        with pytest.raises(DecodeError,
+                           match=r"^decode exceeded 1000 steps$"):
+            decode_thread(program, _stream(), max_steps=1000)
+
+    def test_exact_budget(self):
+        program = assemble(
+            "main:\n    mov $2, %rcx\nl:\n    dec %rcx\n    cmp $0, %rcx\n"
+            "    jne l\n    call f\n    halt\nf:\n    nop\n    ret\n"
+        )
+        machine = Machine(program, seed=0)
+        pt = PTPacketizer()
+        machine.attach(pt)
+        machine.run()
+        trace = pt.traces[0]
+        steps = len(decode_thread(program, trace).steps)
+        assert steps == 11
+        path = decode_thread(program, trace, max_steps=steps)
+        assert len(path.steps) == steps
+        with pytest.raises(DecodeError,
+                           match=rf"^decode exceeded {steps - 1} steps$"):
+            decode_thread(program, trace, max_steps=steps - 1)
+
+    def test_leaving_the_program_at_the_budget(self):
+        # The step after the last instruction is off the program: with
+        # budget to spare that is the error, at the budget the budget is.
+        program = assemble("main:\n    nop\n    nop\n")
+        with pytest.raises(DecodeError,
+                           match=r"^decoded ip 2 out of program range$"):
+            decode_thread(program, _stream(), max_steps=3)
+        with pytest.raises(DecodeError,
+                           match=r"^decode exceeded 2 steps$"):
+            decode_thread(program, _stream(), max_steps=2)
+
+    def test_untargeted_call(self):
+        program = Program([Instruction(Op.NOP), Instruction(Op.CALL)],
+                          labels={"main": 0})
+        trace = _stream(packets=[PTPacket(PacketKind.END, 5)])
+        with pytest.raises(ProgramError, match="has no direct target"):
+            decode_thread(program, trace, max_steps=2)
+        # A budget that runs out before the call wins over the call.
+        with pytest.raises(DecodeError,
+                           match=r"^decode exceeded 1 steps$"):
+            decode_thread(program, trace, max_steps=1)
+
+
+def test_parallel_decode_matches_serial(clean_program):
+    bundle = trace_run(clean_program, period=3, seed=4)
+    assert len(bundle.pt_traces) > 1
+    serial = decode_all(clean_program, bundle.pt_traces, jobs=1)
+    parallel = decode_all(clean_program, bundle.pt_traces, jobs=2)
+    assert parallel == serial
