@@ -1,17 +1,19 @@
-"""Replay-compilation speed: interpreter vs micro-op IR vs warm summaries.
+"""Replay speed: micro-op replay, warm summaries, FastTrack fast paths.
 
-The compiled replay path (``docs/performance.md``) promises three things,
-each measured here and written to ``benchmarks/results/BENCH_replay.json``:
+Three measurements of the replay path (``docs/performance.md``), written
+to ``benchmarks/results/BENCH_replay.json``:
 
-* the micro-op executor beats the instruction interpreter by ≥2x on the
-  forward-replay hot loop (reconstruction phase, decode excluded),
-* a warm summary cache (span summaries + whole-window memos) beats
-  plain micro-op replay when the same trace is replayed repeatedly (the
+* the forward-replay hot loop (reconstruction phase, decode excluded)
+  and end-to-end ``replay_bundle``, in steps per second,
+* a warm summary cache (span summaries + whole-window memos) against
+  plain replay when the same trace is replayed repeatedly (the
   analysis-service scenario), and
-* the FastTrack fast paths sustain a healthy events/sec rate.
+* the FastTrack fast paths' events/sec rate.
 
 Assertions are shape-level with slack for CI-runner noise; the JSON keeps
-the exact measured numbers for the docs.
+the exact measured numbers for the docs.  perfbench's
+``replay.ksteps_per_s`` is the end-to-end replay number that CI gates
+(``benchmarks/perf_smoke.py``).
 """
 
 import json
@@ -47,61 +49,36 @@ def _best(fn, repeats=REPEATS):
 
 def _forward_hot_loop(program, bundle):
     """Reconstruction-phase seconds (decode excluded), forward mode —
-    the micro-op executor's hot loop, interpreter vs compiled."""
-
-    def recon(jit):
-        return OfflinePipeline(program, mode="forward",
-                               jit=jit).analyze(bundle)
-
-    runs_interp = [recon(False) for _ in range(REPEATS)]
-    runs_jit = [recon(True) for _ in range(REPEATS)]
-    s_interp = min(r.timings.reconstruction_seconds for r in runs_interp)
-    s_jit = min(r.timings.reconstruction_seconds for r in runs_jit)
-    steps = runs_interp[0].replay.stats.executed_steps
-    return {
-        "total_steps": steps,
-        "interpreter": {
-            "seconds": s_interp,
-            "steps_per_sec": steps / s_interp,
-        },
-        "microop": {
-            "seconds": s_jit,
-            "steps_per_sec": steps / s_jit,
-            "speedup_vs_interpreter": s_interp / s_jit,
-        },
-    }
+    the micro-op executor's hot loop."""
+    runs = [OfflinePipeline(program, mode="forward").analyze(bundle)
+            for _ in range(REPEATS)]
+    seconds = min(r.timings.reconstruction_seconds for r in runs)
+    steps = runs[0].replay.stats.executed_steps
+    return {"total_steps": steps, "seconds": seconds,
+            "steps_per_sec": steps / seconds}
 
 
 def _bundle_replay(program, bundle):
     """End-to-end ``replay_bundle`` (decode + full fixed-point replay)."""
-    t_interp, r = _best(
-        lambda: ReplayEngine(program, jit=False).replay_bundle(bundle))
-    t_jit, _ = _best(
-        lambda: ReplayEngine(program, jit=True).replay_bundle(bundle))
-    steps = r.stats.executed_steps
-    return {
-        "total_steps": steps,
-        "interpreter": {"seconds": t_interp,
-                        "steps_per_sec": steps / t_interp},
-        "microop": {"seconds": t_jit,
-                    "steps_per_sec": steps / t_jit,
-                    "speedup_vs_interpreter": t_interp / t_jit},
-    }
+    seconds, result = _best(
+        lambda: ReplayEngine(program).replay_bundle(bundle))
+    steps = result.stats.executed_steps
+    return {"total_steps": steps, "seconds": seconds,
+            "steps_per_sec": steps / seconds}
 
 
 def _multi_round(program, bundle):
-    """Replay the same bundle ROUNDS times: plain micro-op vs a shared
+    """Replay the same bundle ROUNDS times: plain replay vs a shared
     summary cache (round 1 cold + recording, later rounds warm)."""
 
     def plain():
         for _ in range(ROUNDS):
-            ReplayEngine(program, jit=True).replay_bundle(bundle)
+            ReplayEngine(program).replay_bundle(bundle)
 
     def cached():
         cache = BlockSummaryCache()
         for _ in range(ROUNDS):
-            ReplayEngine(program, jit=True,
-                         summary_cache=cache).replay_bundle(bundle)
+            ReplayEngine(program, summary_cache=cache).replay_bundle(bundle)
         return cache
 
     t_plain, _ = _best(plain)
@@ -166,15 +143,16 @@ def test_replay_speed(benchmark, profile, results_dir):
     (results_dir / "BENCH_replay.json").write_text(
         json.dumps(results, indent=2) + "\n")
 
-    header = (f"{'Workload':14s}{'hot-loop x':>11s}{'bundle x':>10s}"
+    header = (f"{'Workload':14s}{'hot-loop k/s':>13s}{'bundle k/s':>12s}"
               f"{'multi-round x':>15s}{'window hits':>13s}")
-    lines = [f"(period {PERIOD}, {ROUNDS} rounds, min of {REPEATS})",
+    lines = [f"(period {PERIOD}, {ROUNDS} rounds, min of {REPEATS}; "
+             f"k/s = thousand replay steps per second)",
              header, "-" * len(header)]
     for name, row in results["workloads"].items():
         lines.append(
             f"{name:14s}"
-            f"{row['forward_hot_loop']['microop']['speedup_vs_interpreter']:11.2f}"
-            f"{row['bundle_replay']['microop']['speedup_vs_interpreter']:10.2f}"
+            f"{row['forward_hot_loop']['steps_per_sec'] / 1e3:13.0f}"
+            f"{row['bundle_replay']['steps_per_sec'] / 1e3:12.0f}"
             f"{row['multi_round']['speedup_vs_plain']:15.2f}"
             f"{row['multi_round']['cache']['window_hits']:13d}"
         )
@@ -184,12 +162,7 @@ def test_replay_speed(benchmark, profile, results_dir):
                  f"({ft['events']} events)")
     write_table(results_dir, "BENCH_replay", lines)
 
-    hot = [row["forward_hot_loop"]["microop"]["speedup_vs_interpreter"]
-           for row in results["workloads"].values()]
-    # ~2.1-2.3x measured; 1.5 leaves room for noisy CI runners.
-    assert min(hot) > 1.5
     for row in results["workloads"].values():
-        assert row["bundle_replay"]["microop"]["speedup_vs_interpreter"] > 1.2
         multi = row["multi_round"]
         assert multi["cached_seconds"] < multi["plain_seconds"]
         assert multi["cache"]["window_hits"] > 0

@@ -135,9 +135,6 @@ class AnalysisContext:
         round_cache: when False, every :meth:`replay` call recomputes all
             threads from scratch (the reference behaviour the incremental
             path is property-tested against).
-        jit: replay windows through the pre-lowered micro-op executor
-            with the shared block effect-summary cache; False falls back
-            to the instruction interpreter (bit-identical results).
         clock: a reconciled :class:`~repro.clock.model.ClockModel` for
             *bundle* (whose timestamps must already be corrected, see
             :func:`~repro.clock.repair.apply_clock_correction`).  Event
@@ -159,7 +156,6 @@ class AnalysisContext:
         executor: str = "thread",
         max_iterations: int = 4,
         round_cache: bool = True,
-        jit: bool = True,
         supervisor=None,
         clock=None,
     ) -> None:
@@ -171,7 +167,6 @@ class AnalysisContext:
         self.executor = executor
         self.max_iterations = max_iterations
         self.round_cache = round_cache
-        self.jit = jit
         #: Optional :class:`~repro.supervise.SupervisorConfig` for the
         #: replay fan-outs; :attr:`run_ledger` then accumulates one
         #: merged ledger across all regeneration rounds.
@@ -185,9 +180,7 @@ class AnalysisContext:
         #: iterations, the per-thread replay fan-out and every §5.1
         #: regeneration round of this context (poison-set changes select
         #: a fresh scope inside the cache rather than clearing it).
-        self.summary_cache: Optional[BlockSummaryCache] = (
-            BlockSummaryCache() if jit else None
-        )
+        self.summary_cache = BlockSummaryCache()
         self.stats = ContextStats()
         #: Wall-clock accumulators for the Figure 12 breakdown.  Timeline
         #: construction is attributed to reconstruction — always, in both
@@ -529,7 +522,7 @@ class AnalysisContext:
             self.program, mode=self.replay_mode,
             max_iterations=self.max_iterations, poisoned=poisoned,
             jobs=self.jobs, executor=self.executor,
-            jit=self.jit, summary_cache=self.summary_cache,
+            summary_cache=self.summary_cache,
             supervisor=self.supervisor,
         )
         changed = False
@@ -548,8 +541,8 @@ class AnalysisContext:
             # Compare the reconstructed access streams, not the whole
             # ThreadReplay: stats vary with summary-cache warmth while
             # the output stays bit-identical, and a spurious "changed"
-            # here would cost an extra regeneration round (and make
-            # --no-jit converge differently).
+            # here would cost an extra regeneration round (and make the
+            # round count depend on how warm the cache is).
             if old is None or old.accesses != replay.accesses:
                 changed = True
                 self._access_events.pop(replay.tid, None)
@@ -789,7 +782,7 @@ class AnalysisContext:
         """Identity of the (bundle, analysis parameters) pair a snapshot
         belongs to.  Deliberately *excludes* the round-invariant caches —
         those are recomputed deterministically on restore — and the
-        execution knobs (jobs/executor/jit), which never change results."""
+        execution knobs (jobs/executor), which never change results."""
         return "|".join(str(part) for part in (
             self.program.name, self.mode, self.max_iterations,
             len(self.bundle.samples), len(self.bundle.sync_records),

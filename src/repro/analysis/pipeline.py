@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..detector.base import DetectionFindings, DetectorBackend
 from ..detector.batch import BATCH_SYNC
-from ..detector.events import RaceReport, SyncOp
+from ..detector.events import RaceReport
 from ..detector.fasttrack import FastTrack
 from ..detector.registry import DEFAULT_DETECTOR, create_backend, \
     resolve_detectors
@@ -35,6 +35,11 @@ from ..replay.engine import ReplayResult
 from ..supervise import RunLedger
 from ..tracing.bundle import TraceBundle, TraceDefects
 from .context import AnalysisContext
+
+
+#: Cap on the §5.1 invalidate-and-regenerate rounds when races land on
+#: emulated memory locations.
+MAX_REGENERATIONS = 3
 
 
 @dataclass
@@ -231,8 +236,6 @@ class OfflinePipeline:
         mode: replay mode — ``"full"`` (ProRace), ``"forward"``,
             ``"basicblock"`` (RaceZ), or ``"sampled"`` (no reconstruction:
             detection over PEBS samples only).
-        max_regenerations: cap on the §5.1 invalidate-and-regenerate
-            rounds when races land on emulated memory locations.
         jobs: worker count for the per-thread decode/replay fan-outs.
             The paper notes these phases "can be easily parallelized"
             (§7.6); here the parallelism is across the traced program's
@@ -243,10 +246,6 @@ class OfflinePipeline:
         round_cache: when False, regeneration rounds recompute every
             thread from scratch (the reference behaviour the incremental
             context is property-tested against).
-        jit: replay through the pre-lowered micro-op executor with the
-            block effect-summary cache; False (the ``--no-jit`` escape
-            hatch) uses the instruction interpreter.  Results are
-            bit-identical either way.
         detectors: registry names of the detector backends to run over
             the merged event stream — all of them side-by-side in one
             decode/replay pass.  The first name is the *primary*
@@ -254,18 +253,12 @@ class OfflinePipeline:
             drive the §5.1 regeneration loop, and head the report.
             Unknown names raise
             :class:`~repro.errors.UnknownDetectorError` immediately.
-        batch: feed detection from the columnar batch merge
-            (:meth:`AnalysisContext.merged_batches`) — the default.
-            False (the ``--no-batch`` escape hatch) feeds the scalar
-            per-event merge instead.  Verdicts are bit-identical either
-            way (differentially tested); the batch path is several times
-            faster.
         detect_shards: address-shard the detection stage across this
             many parallel FastTrack workers (sync events broadcast,
             accesses partitioned by address hash, findings merged back
             into exact serial order).  Takes effect only on the
-            batched single-``fasttrack`` configuration; anything else
-            falls back to the serial batched pass.
+            single-``fasttrack`` configuration; anything else falls
+            back to the serial pass.
         detect_executor: executor for the shard fan-out (default: picks
             ``"process"`` where fork inheritance makes the event plan
             free to share, ``"thread"`` elsewhere).
@@ -284,31 +277,25 @@ class OfflinePipeline:
         self,
         program: Program,
         mode: str = "full",
-        max_regenerations: int = 3,
         jobs: int = 1,
         executor: str = "thread",
         round_cache: bool = True,
-        jit: bool = True,
         supervisor=None,
         detectors: Sequence[str] = (DEFAULT_DETECTOR,),
-        batch: bool = True,
         detect_shards: int = 1,
         detect_executor: Optional[str] = None,
         reconcile_clock: bool = False,
     ) -> None:
         self.program = program
         self.mode = mode
-        self.max_regenerations = max_regenerations
         self.jobs = max(1, jobs)
         self.executor = executor
         self.round_cache = round_cache
-        self.jit = jit
         #: Optional :class:`~repro.supervise.SupervisorConfig`: replay
         #: fan-outs then run under the supervised runtime and every
         #: :class:`DetectionResult` carries a merged ``ledger``.
         self.supervisor = supervisor
         self.detectors = resolve_detectors(detectors)
-        self.batch = batch
         self.detect_shards = max(1, detect_shards)
         self.detect_executor = detect_executor
         self.reconcile_clock = reconcile_clock
@@ -337,18 +324,13 @@ class OfflinePipeline:
         context = AnalysisContext(
             self.program, bundle, mode=self.mode, jobs=self.jobs,
             executor=self.executor, round_cache=self.round_cache,
-            jit=self.jit, supervisor=self.supervisor, clock=clock_model,
+            supervisor=self.supervisor, clock=clock_model,
         )
         # Estimation/correction cost is reconstruction work (Figure 12).
         context.reconstruction_seconds += reconcile_seconds
         context.clock_model = clock_model
         context.clock_repair = clock_repair
         return context
-
-    def decode(self, bundle: TraceBundle):
-        """Decode paths and locate sync/alloc records on them."""
-        context = self.context_for(bundle)
-        return context.paths, context.located_syncs, context.located_allocs
 
     def events_for(self, bundle: TraceBundle,
                    poisoned: Optional[FrozenSet[int]] = None):
@@ -391,45 +373,15 @@ class OfflinePipeline:
         """One detection pass over *context*'s merged stream with fresh
         backends; returns ``(backends, events_processed)``.
 
-        Three strategies, all producing bit-identical verdicts (the
-        differential tests pin this):
-
-        * **scalar** (``batch=False``) — the per-event ``heapq.merge``
-          reference path;
-        * **batched serial** (the default) — the splice merge feeds
-          whole columnar runs to :meth:`DetectorBackend.feed_batch`
-          (single backend) or materializes each event once for N
-          backends side-by-side;
-        * **sharded** (``detect_shards > 1``, batched, single
-          ``fasttrack``) — address-sharded parallel FastTrack with a
-          deterministic findings merge.
+        The splice merge (:meth:`AnalysisContext.merged_batches`) feeds
+        whole columnar runs to :meth:`DetectorBackend.feed_batch` when
+        one backend runs, and materializes each event once for N
+        backends side-by-side.  With ``detect_shards > 1`` and a single
+        ``fasttrack`` backend, detection runs address-sharded in
+        parallel with a deterministic findings merge instead (verdicts
+        bit-identical, tested).
         """
         backends = tuple(create_backend(name) for name in self.detectors)
-        if not self.batch:
-            events_processed = 0
-            if len(backends) == 1:
-                # Single-backend fast path: pre-bound methods, same loop
-                # shape as the historical FastTrack-only pipeline (the
-                # registry indirection perf gate measures this path).
-                d_sync = backends[0].sync
-                d_access = backends[0].access
-                for _, event in context.merged_events():
-                    if isinstance(event, SyncOp):
-                        d_sync(event)
-                    else:
-                        d_access(event)
-                    events_processed += 1
-            else:
-                # N backends side-by-side over the one merged pass.
-                for _, event in context.merged_events():
-                    if isinstance(event, SyncOp):
-                        for backend in backends:
-                            backend.sync(event)
-                    else:
-                        for backend in backends:
-                            backend.access(event)
-                    events_processed += 1
-            return backends, events_processed
         if (self.detect_shards > 1 and len(backends) == 1
                 and type(backends[0]) is FastTrack):
             sharded = run_sharded_fasttrack(
@@ -547,7 +499,7 @@ class OfflinePipeline:
             if (
                 not poison_hits
                 or poison_hits <= poisoned
-                or rounds > self.max_regenerations
+                or rounds > MAX_REGENERATIONS
             ):
                 break
             poisoned = poisoned | frozenset(poison_hits)

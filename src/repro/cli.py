@@ -29,6 +29,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Dict, Optional
 
@@ -418,30 +419,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
-                               jit=not args.no_jit,
-                               batch=not args.no_batch,
                                supervisor=_supervisor_from(args),
                                detectors=_detectors_from(args),
                                reconcile_clock=args.reconcile_clock)
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            result = pipeline.analyze(bundle,
-                                      checkpoint_dir=args.checkpoint_dir,
-                                      resume=args.resume)
-        finally:
-            profiler.disable()
-            profiler.dump_stats(args.profile)
-        print(f"wrote offline-stage profile to {args.profile} "
-              f"(see docs/performance.md for how to read it)",
-              file=sys.stderr)
-    else:
-        result = pipeline.analyze(bundle,
-                                  checkpoint_dir=args.checkpoint_dir,
-                                  resume=args.resume)
+    result = _analyze_profiled(pipeline, bundle, args)
     if args.json:
         print(to_json(program, result))
     else:
@@ -476,15 +457,35 @@ def cmd_confirm(args: argparse.Namespace) -> int:
     return confirmation.exit_code()
 
 
+def _analyze_profiled(pipeline, bundle, args):
+    """``pipeline.analyze(bundle)`` with the command's checkpoint
+    options, under cProfile when ``--profile PATH`` asks for a dump."""
+    analyze = functools.partial(pipeline.analyze, bundle,
+                                checkpoint_dir=args.checkpoint_dir,
+                                resume=args.resume)
+    if not args.profile:
+        return analyze()
+    import cProfile
+
+    profiler = cProfile.Profile()
+    try:
+        result = profiler.runcall(analyze)
+    finally:
+        profiler.dump_stats(args.profile)
+    print(f"wrote offline-stage profile to {args.profile} "
+          f"(see docs/performance.md for how to read it)",
+          file=sys.stderr)
+    return result
+
+
 def _detect_one(work: tuple):
     """Module-level detect worker (picklable for the process executor):
     one seeded trace + analysis."""
     program, mode, period, driver, seed, governor, load_bursts, \
-        detectors, batch, reconcile_clock = work
+        detectors, reconcile_clock = work
     bundle = trace_run(program, period=period, driver=driver, seed=seed,
                        governor=governor, load_bursts=load_bursts)
-    return OfflinePipeline(program, mode=mode, batch=batch,
-                           detectors=detectors,
+    return OfflinePipeline(program, mode=mode, detectors=detectors,
                            reconcile_clock=reconcile_clock).analyze(bundle)
 
 
@@ -495,36 +496,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     detectors = _detectors_from(args)
     summary = FleetSummary()
     if args.runs == 1:
-        # One run: spend the job budget inside the pipeline (per-thread
-        # decode/replay fan-out plus address-sharded detection).
+        # One run: spend the job budget on the pipeline's per-thread
+        # decode/replay fan-out.
         bundle = trace_run(program, period=args.period,
                            driver=_DRIVERS[args.driver], seed=args.seed,
                            governor=governor)
         pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
-                                   batch=not args.no_batch,
-                                   detect_shards=args.jobs,
                                    supervisor=supervisor,
                                    detectors=detectors,
                                    reconcile_clock=args.reconcile_clock)
-        if args.profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                result = pipeline.analyze(bundle,
-                                          checkpoint_dir=args.checkpoint_dir,
-                                          resume=args.resume)
-            finally:
-                profiler.disable()
-                profiler.dump_stats(args.profile)
-            print(f"wrote offline-stage profile to {args.profile} "
-                  f"(see docs/performance.md for how to read it)",
-                  file=sys.stderr)
-        else:
-            result = pipeline.analyze(bundle,
-                                      checkpoint_dir=args.checkpoint_dir,
-                                      resume=args.resume)
+        result = _analyze_profiled(pipeline, bundle, args)
         summary.add(result)
         print(render_report(program, result))
         if args.confirm:
@@ -545,7 +526,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     work = [
         (program, args.mode, args.period, _DRIVERS[args.driver],
          args.seed + run_index, governor, None, detectors,
-         not args.no_batch, args.reconcile_clock)
+         args.reconcile_clock)
         for run_index in range(args.runs)
     ]
     if supervisor is not None or args.checkpoint_dir is not None:
@@ -1213,18 +1194,8 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of failing on the checksum",
     )
     analyze_parser.add_argument(
-        "--no-jit", action="store_true",
-        help="replay with the instruction interpreter instead of the "
-             "pre-lowered micro-op executor (bit-identical, slower)",
-    )
-    analyze_parser.add_argument(
         "--profile", metavar="PATH",
         help="dump a cProfile pstats file for the offline stage to PATH",
-    )
-    analyze_parser.add_argument(
-        "--no-batch", action="store_true",
-        help="feed detectors one scalar event at a time instead of "
-             "columnar batches (bit-identical, slower)",
     )
     _add_detector_args(analyze_parser)
     _add_clock_args(analyze_parser)
@@ -1242,13 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="seeded runs to aggregate")
     detect_parser.add_argument("--jobs", type=int, default=1,
                                help="workers: across runs when --runs > 1; "
-                                    "otherwise pipeline fan-out plus "
-                                    "address-sharded parallel FastTrack")
-    detect_parser.add_argument(
-        "--no-batch", action="store_true",
-        help="feed detectors one scalar event at a time instead of "
-             "columnar batches (bit-identical, slower)",
-    )
+                                    "otherwise per-thread decode/replay")
     detect_parser.add_argument(
         "--profile", metavar="PATH",
         help="dump a cProfile pstats file for the offline stage to PATH",

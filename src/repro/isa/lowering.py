@@ -1,10 +1,10 @@
 """Replay compilation: lowering programs to a flat micro-op IR.
 
-The window replayer's hot loop originally re-interpreted every
-:class:`~repro.isa.instructions.Instruction` dataclass on every forward
-pass of every fixed-point round — ``isinstance`` chains over operands,
-register-name hashing, enum dispatch.  This module performs that work
-exactly once per program: each instruction is *lowered* to a flat tuple
+Interpreting :class:`~repro.isa.instructions.Instruction` dataclasses
+would cost the window replayer ``isinstance`` chains over operands,
+register-name hashing and enum dispatch on every step of every forward
+pass of every fixed-point round.  This module does that work exactly
+once per program: each instruction is *lowered* to a flat tuple
 micro-op whose
 
 * operands are resolved to dense register **slot indices**
@@ -234,9 +234,11 @@ def lower_instruction(ins: Instruction, ip: int) -> tuple:
 def lower_reverse(ins: Instruction, ip: int) -> tuple:
     """Lower one instruction to its reverse micro-op.
 
-    Mirrors ``WindowReplayer._reverse_step`` exactly: what the forward
-    semantics can invert is encoded as a recovery op, everything else
-    degrades to forgetting the written register(s).
+    What the forward semantics can invert — a register copy, ADD/SUB/XOR
+    with an immediate or another register, INC/DEC/NEG/NOT, LEA with one
+    address register unknown, and stack-pointer adjustments — is encoded
+    as a recovery op; everything else degrades to forgetting the written
+    register(s).
     """
     op = ins.op
     if op == Op.MOV:
@@ -287,9 +289,9 @@ def lower_reverse(ins: Instruction, ip: int) -> tuple:
 def lower_retry(ins: Instruction, ip: int):
     """Lower one instruction to its blocked-step retry descriptor.
 
-    Mirrors ``WindowReplayer._retry_access``: the explicit memory operand
-    of a load/store (as an address formula), the implicit stack slot of
-    push/pop, or None when the step's access cannot be recomputed.
+    The explicit memory operand of a load/store (as an address formula),
+    the implicit stack slot of push/pop, or None when the step has no
+    access the backward pass could recompute.
     """
     mem = None
     for operand in ins.operands:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..isa.lowering import lowered
 from ..isa.program import Program
 from ..parallel import parallel_map
 from ..ptdecode.decoder import AlignedSample, DecodedPath, align_samples, decode_all
@@ -166,7 +165,6 @@ class ReplayEngine:
         poisoned: Optional[FrozenSet[int]] = None,
         jobs: int = 1,
         executor: str = "thread",
-        jit: bool = True,
         summary_cache: Optional[BlockSummaryCache] = None,
         supervisor=None,
     ) -> None:
@@ -180,14 +178,9 @@ class ReplayEngine:
         #: replays are independent (§7.6).
         self.jobs = max(1, jobs)
         self.executor = executor
-        #: Replay windows through the pre-lowered micro-op executor.  The
-        #: compiled form itself is never stored here: engines are pickled
-        #: into process-executor workers and the bound ALU callables
-        #: don't pickle, so workers re-derive it via ``lowered()`` (a
-        #: per-process memoized lookup).
-        self.jit = jit
-        #: Shared block effect-summary cache (micro-op path only).
-        self.summary_cache = summary_cache if jit else None
+        #: Shared block effect-summary cache, or None to replay every
+        #: window in full.
+        self.summary_cache = summary_cache
         #: Optional :class:`~repro.supervise.SupervisorConfig`: the
         #: per-thread fan-out then runs under the supervised runtime
         #: (retries, timeouts, crash isolation) instead of the plain
@@ -298,18 +291,6 @@ class ReplayEngine:
             touched=frozenset(touched),
         )
 
-    def replay_thread(
-        self,
-        path: DecodedPath,
-        aligned: Sequence[AlignedSample],
-        stats: Optional[ReplayStats] = None,
-    ) -> List[RecoveredAccess]:
-        """Compatibility wrapper around :meth:`replay_thread_full`."""
-        replay = self.replay_thread_full(path, aligned)
-        if stats is not None:
-            stats.merge(replay.stats)
-        return replay.accesses
-
     # ------------------------------------------------------------------
 
     def _fold_window(self, stats: Optional[ReplayStats],
@@ -373,7 +354,6 @@ class ReplayEngine:
         contexts = [a.sample.registers for a in aligned]
         memory: Dict[int, Known] = {}
         backward = self.mode == "full"
-        compiled = lowered(self.program) if self.jit else None
         cache = self.summary_cache
 
         # Head window: segment start up to the first sample — backward-
@@ -385,7 +365,7 @@ class ReplayEngine:
                 exit_registers=contexts[0] if backward else None,
                 poisoned=self.poisoned,
                 max_iterations=self.max_iterations if backward else 1,
-                compiled=compiled, summary_cache=cache,
+                summary_cache=cache,
             )
             accesses.extend(replayer.run())
             touched |= replayer.touched
@@ -397,7 +377,7 @@ class ReplayEngine:
                 self.program, path.steps, seg_lo, seg_hi, path.tid,
                 entry_registers=None, exit_registers=None,
                 poisoned=self.poisoned, max_iterations=1,
-                compiled=compiled, summary_cache=cache,
+                summary_cache=cache,
             )
             accesses = replayer.run()
             self._fold_window(stats, replayer)
@@ -420,7 +400,7 @@ class ReplayEngine:
                 entry_memory=memory,
                 poisoned=self.poisoned,
                 max_iterations=self.max_iterations if backward else 1,
-                compiled=compiled, summary_cache=cache,
+                summary_cache=cache,
             )
             accesses.extend(replayer.run())
             touched |= replayer.touched
@@ -439,7 +419,6 @@ class ReplayEngine:
         """RaceZ baseline: recovery confined to each sample's basic block."""
         accesses: List[RecoveredAccess] = []
         touched: set = set()
-        compiled = lowered(self.program) if self.jit else None
         cache = self.summary_cache
         for item in aligned:
             lo, hi = self._block_bounds(path, item.step_index)
@@ -449,7 +428,7 @@ class ReplayEngine:
                 entry_registers=item.sample.registers,
                 exit_registers=None,
                 poisoned=self.poisoned, max_iterations=1,
-                compiled=compiled, summary_cache=cache,
+                summary_cache=cache,
             )
             accesses.extend(fwd.run())
             touched |= fwd.touched
@@ -461,7 +440,7 @@ class ReplayEngine:
                     entry_registers=None,
                     exit_registers=item.sample.registers,
                     poisoned=self.poisoned, max_iterations=2,
-                    compiled=compiled, summary_cache=cache,
+                    summary_cache=cache,
                 )
                 accesses.extend(bwd.run())
                 touched |= bwd.touched

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
-from ..isa.registers import MASK64, NUM_SLOTS, REG_SLOT, SLOT_NAMES
+from ..isa.registers import MASK64, NUM_SLOTS, REG_SLOT
 
 #: Taint: emulated-memory addresses a value depends on (None = clean).
 Taint = Optional[FrozenSet[int]]
@@ -44,13 +44,15 @@ class ProgramMap:
     file available (what a PEBS sample's context provides).  Memory starts
     empty ("unavailable in the first place") and gains entries only when
     an available value is stored through a known address — the *memory
-    emulation* of §5.1, which :meth:`invalidate_memory` conservatively
-    clears at system calls or unknown-address stores.
+    emulation* of §5.1, which system calls and stores through unknown
+    addresses conservatively clear.
 
     Registers are stored in a flat list indexed by the dense slot indices
-    of :data:`~repro.isa.registers.REG_SLOT` (None = unavailable).  The
-    micro-op replay loop reads ``_slots`` directly; the name-keyed methods
-    below remain the public API.
+    of :data:`~repro.isa.registers.REG_SLOT` (None = unavailable), memory
+    in a dict of address → :class:`Known`.  The window replayer's
+    micro-op executor reads and writes ``_slots`` and ``_memory``
+    directly and applies the emulation rules itself (see
+    :meth:`~repro.replay.window.WindowReplayer._exec_uops`).
     """
 
     __slots__ = ("_slots", "_memory", "memory_invalidations", "poisoned",
@@ -72,77 +74,12 @@ class ProgramMap:
         #: skip re-replaying unaffected threads.
         self.emulated_touched: set = set()
 
-    # -- registers -------------------------------------------------------
-
     def restore_registers(self, snapshot: Mapping[str, int]) -> None:
         """Make the whole register file available (a PEBS context)."""
         slots = [None] * NUM_SLOTS
         for name, value in snapshot.items():
             slots[REG_SLOT[name]] = Known(value & MASK64)
         self._slots = slots
-
-    def get_register(self, name: str) -> Optional[Known]:
-        return self._slots[REG_SLOT[name]]
-
-    def set_register(self, name: str, known: Optional[Known]) -> None:
-        """Set a register value; None marks it unavailable."""
-        if known is None:
-            self._slots[REG_SLOT[name]] = None
-        else:
-            self._slots[REG_SLOT[name]] = Known(known.value & MASK64,
-                                                known.taint)
-
-    def registers_view(self) -> Dict[str, int]:
-        """Plain name->value mapping of available registers (for
-        :func:`~repro.isa.semantics.effective_address`)."""
-        return {
-            SLOT_NAMES[i]: k.value
-            for i, k in enumerate(self._slots) if k is not None
-        }
-
-    def available_registers(self) -> FrozenSet[str]:
-        return frozenset(
-            SLOT_NAMES[i] for i, k in enumerate(self._slots)
-            if k is not None
-        )
-
-    def all_registers_known(self, names: Iterable[str]) -> bool:
-        slots = self._slots
-        return all(slots[REG_SLOT[name]] is not None for name in names)
-
-    # -- memory ------------------------------------------------------------
-
-    def load_memory(self, address: int) -> Optional[Known]:
-        """Read emulated memory; the result's taint includes the address
-        itself (the loaded value is only as trustworthy as the emulation
-        of that location)."""
-        known = self._memory.get(address & MASK64)
-        if known is None:
-            return None
-        return Known(known.value, merge_taint(known.taint,
-                                              frozenset({address & MASK64})))
-
-    def store_memory(self, address: int, known: Optional[Known]) -> None:
-        """Write emulated memory; an unavailable value evicts the entry."""
-        address &= MASK64
-        if known is None:
-            self._memory.pop(address, None)
-            return
-        self.emulated_touched.add(address)
-        if address in self.poisoned:
-            self._memory.pop(address, None)
-        else:
-            self._memory[address] = known
-
-    def invalidate_memory(self) -> None:
-        """Conservatively drop all emulated memory (system call, or a
-        store through an unknown address that could alias anything)."""
-        if self._memory:
-            self._memory.clear()
-        self.memory_invalidations += 1
-
-    def emulated_addresses(self) -> FrozenSet[int]:
-        return frozenset(self._memory)
 
     def memory_copy(self) -> Dict[int, Known]:
         return dict(self._memory)

@@ -26,23 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from ..isa.instructions import (
-    ALU_BINARY,
-    ALU_UNARY,
-    Instruction,
-    Op,
-    REVERSIBLE_ALU,
-)
 from ..isa.lowering import (
     A_BASE,
     A_BI,
     A_CONST,
-    CompiledProgram,
     R_ALU_IR,
     R_ALU_RR,
     R_ALU_UN,
     R_LEA_BASE,
-    R_LEA_BI,
     R_MOV_RR,
     R_NOP,
     R_POP,
@@ -73,11 +64,11 @@ from ..isa.lowering import (
     U_STORE_R,
     U_SYS,
     eval_addr,
+    lowered,
 )
-from ..isa.operands import Imm, Mem, Operand, Reg
 from ..isa.program import Program
 from ..isa.registers import MASK64, REG_SLOT
-from ..isa.semantics import alu, alu_unary, reverse_alu
+from ..isa.semantics import alu_unary, reverse_alu
 from .program_map import Known, ProgramMap, Taint, merge_taint
 from .summary import (
     MIN_SPAN,
@@ -98,11 +89,6 @@ PROV_BASICBLOCK = "basicblock"
 #: provenance strings against this table so the hot path carries one
 #: byte per access instead of a string reference.
 PROVENANCES = (PROV_SAMPLED, PROV_FORWARD, PROV_BACKWARD, PROV_BASICBLOCK)
-
-_UNARY_INVERSE = {Op.INC: Op.DEC, Op.DEC: Op.INC, Op.NEG: Op.NEG,
-                  Op.NOT: Op.NOT}
-
-_COND = frozenset({Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE})
 
 
 @dataclass(frozen=True)
@@ -130,8 +116,8 @@ class WindowStats:
     missed: int = 0
     iterations: int = 0
     memory_invalidations: int = 0
-    #: Steps actually stepped by forward passes (interpreter or micro-op);
-    #: a cached-summary hit skips its span's steps entirely.
+    #: Steps actually stepped by forward passes; a cached-summary hit
+    #: skips its span's steps entirely.
     steps_executed: int = 0
     #: Effect-summary cache hits and the steps those hits skipped.
     summary_hits: int = 0
@@ -162,11 +148,8 @@ class WindowReplayer:
             window of the same thread.
         poisoned: emulated addresses barred by race regeneration (§5.1).
         max_iterations: fixed-point iteration cap.
-        compiled: the program's micro-op form; when given, forward passes
-            run the micro-op executor instead of the instruction
-            interpreter (bit-identical results, see docs/performance.md).
-        summary_cache: shared block effect-summary cache; only consulted
-            when *compiled* is also given.
+        summary_cache: shared block effect-summary cache, or None to
+            step every window in full.
     """
 
     def __init__(
@@ -181,7 +164,6 @@ class WindowReplayer:
         entry_memory: Optional[Dict[int, Known]] = None,
         poisoned: Optional[FrozenSet[int]] = None,
         max_iterations: int = 4,
-        compiled: Optional[CompiledProgram] = None,
         summary_cache: Optional[BlockSummaryCache] = None,
     ) -> None:
         self.program = program
@@ -199,8 +181,8 @@ class WindowReplayer:
         #: Union of the program maps' emulated-store address sets across
         #: all forward passes (see ProgramMap.emulated_touched).
         self.touched: set = set()
-        self._compiled = compiled
-        self._summary_cache = summary_cache if compiled is not None else None
+        self._compiled = lowered(program)
+        self._summary_cache = summary_cache
         self._scope = (
             summary_cache.scope(self.poisoned)
             if self._summary_cache is not None
@@ -211,7 +193,7 @@ class WindowReplayer:
             if self._summary_cache is not None
             else None
         )
-        #: Lazily computed per-window span lengths (micro-op path only).
+        #: Lazily computed per-window span lengths.
         self._span_len: Optional[List[int]] = None
         #: Companion jump table: next window offset whose uncapped span
         #: reaches MIN_SPAN (sentinel: window length).
@@ -277,23 +259,17 @@ class WindowReplayer:
     def _run_fixed_point(self) -> List[RecoveredAccess]:
         """The §5.2.2 forward/backward iteration (uncached)."""
         recovered: Dict[int, RecoveredAccess] = {}
-        facts: Dict[int, Dict[str, Known]] = {}
-        if self._compiled is not None:
-            forward = self._forward_pass_fast
-            backward = self._backward_pass_fast
-        else:
-            forward = self._forward_pass
-            backward = self._backward_pass
+        facts: Dict[int, Dict[int, Known]] = {}
 
         for iteration in range(self.max_iterations):
             self.stats.iterations = iteration + 1
             first = iteration == 0
-            fwd_accesses, blocked = forward(facts, first)
+            fwd_accesses, blocked = self._forward_pass(facts, first)
             for access in fwd_accesses:
                 recovered.setdefault(access.step_index, access)
             if self.exit_registers is None:
                 break  # tail window: nothing to propagate backward
-            bwd_accesses, new_facts = backward(blocked)
+            bwd_accesses, new_facts = self._backward_pass(blocked)
             for access in bwd_accesses:
                 recovered.setdefault(access.step_index, access)
             if new_facts == facts:
@@ -315,52 +291,16 @@ class WindowReplayer:
     # ------------------------------------------------------------------
 
     def _forward_pass(
-        self, facts: Dict[int, Dict[str, Known]], first: bool
+        self, facts: Dict[int, Dict[int, Known]], first: bool
     ) -> Tuple[List[RecoveredAccess], FrozenSet[int]]:
         """One forward replay over the window.
 
-        *facts* are backward-derived before-step register values applied
-        as they are reached.  Returns recovered accesses and the step
+        Steps the pre-lowered micro-ops and — when a summary cache is
+        attached — applies memoized span effects wherever the inputs
+        match a prior execution.  *facts* are the backward pass's
+        before-step register values, keyed by register slot, applied as
+        they are reached.  Returns recovered accesses and the step
         indices where an unavailable input blocked reconstruction.
-        """
-        pm = ProgramMap(self.poisoned)
-        if self.entry_registers is not None:
-            pm.restore_registers(self.entry_registers)
-        pm.set_memory_map(self.entry_memory)
-        provenance = PROV_FORWARD if first else PROV_BACKWARD
-        accesses: List[RecoveredAccess] = []
-        blocked: set[int] = set()
-
-        for j in range(self.start, self.end):
-            ip = self.steps[j]
-            ins = self.program[ip]
-            for name, known in facts.get(j, {}).items():
-                if pm.get_register(name) is None:
-                    pm.set_register(name, known)
-            access = self._execute(pm, j, ip, ins, provenance, blocked)
-            if access is not None:
-                accesses.append(access)
-        self.stats.steps = self.end - self.start
-        self.stats.steps_executed += self.end - self.start
-        self.stats.memory_invalidations = pm.memory_invalidations
-        self.exit_memory = pm.memory_copy()
-        self.touched |= pm.emulated_touched
-        return accesses, frozenset(blocked)
-
-    # ------------------------------------------------------------------
-    # Forward pass, micro-op executor
-    # ------------------------------------------------------------------
-
-    def _forward_pass_fast(
-        self, facts: Dict[int, Dict[int, Known]], first: bool
-    ) -> Tuple[List[RecoveredAccess], FrozenSet[int]]:
-        """Micro-op twin of :meth:`_forward_pass` (bit-identical output).
-
-        Steps pre-lowered micro-ops instead of interpreting instruction
-        dataclasses, and — when a summary cache is attached — applies
-        memoized span effects wherever the inputs match a prior execution.
-        *facts* come from :meth:`_backward_pass_fast` and are keyed by
-        register slot, not name.
         """
         pm = ProgramMap(self.poisoned)
         if self.entry_registers is not None:
@@ -440,10 +380,8 @@ class WindowReplayer:
         """
         if self._span_len is not None:
             return self._span_len
-        compiled = self._compiled
-        assert compiled is not None
         steps = self.steps
-        summarizable = compiled.summarizable
+        summarizable = self._compiled.summarizable
         lo, hi = self.start, self.end
         n = hi - lo
         span = [0] * n
@@ -506,10 +444,9 @@ class WindowReplayer:
                         address=address, is_store=is_store,
                         provenance=provenance, taint=taint,
                     ))
-                # Inline replay of the recorded memory events (the
-                # method-call form, ProgramMap.store_memory, is
-                # semantically the same but costs more than the span
-                # saves on store-dense code).
+                # Replay the recorded memory events under the same
+                # rules as the executor's stores: a clear, an eviction,
+                # or an emulated value unless the address is poisoned.
                 touched = pm.emulated_touched
                 poisoned = pm.poisoned
                 for address, known in summary.writes:
@@ -569,12 +506,15 @@ class WindowReplayer:
     ) -> None:
         """Step micro-ops for window steps ``[lo, hi)``.
 
-        The hot loop of the compiled replayer.  Mirrors :meth:`_execute`
-        exactly — every blocked/missed/invalidate side effect, taint
-        merge, and at-most-one-recovered-access-per-step rule — but
-        against pre-lowered tuples and the flat register slot file.  When
-        *record* is given, memory reads/writes are captured for the
-        effect-summary cache (see :mod:`repro.replay.summary`).
+        The replayer's hot loop, over pre-lowered tuples and the flat
+        register slot file.  A step whose input is unavailable is marked
+        blocked; a memory operand whose address does not compute counts
+        as missed; a write to an unknown address, a system op or a
+        kernel clobber invalidates all emulated memory; a value loaded
+        from emulated memory is tainted by its address; and a step
+        recovers at most one access.  When *record* is given, memory
+        reads/writes are captured for the effect-summary cache (see
+        :mod:`repro.replay.summary`).
         """
         slots = pm._slots
         memory = pm._memory
@@ -767,9 +707,10 @@ class WindowReplayer:
                             blocked.add(j)
                             stats.missed += 1
                         elif not emitted:
-                            # The interpreter surfaces at most one access
-                            # per step (local[0]); the loaded value is
-                            # discarded, so no read needs recording.
+                            # A step recovers at most one access: the
+                            # first operand whose address computes.  The
+                            # loaded value is discarded, so no read needs
+                            # recording.
                             accesses.append(RecoveredAccess(
                                 tid=tid, step_index=j, ip=ip,
                                 address=address.value, is_store=False,
@@ -792,10 +733,10 @@ class WindowReplayer:
                         stats.missed += 1
                         value = None
                     else:
-                        # The interpreter discards a pushed memory
-                        # source's load access (the push's own store is
-                        # the step's one access), but the loaded value —
-                        # and therefore the read — still matters.
+                        # The push's own store is the step's one
+                        # access, so the source's load is not recovered;
+                        # the loaded value — and therefore the read —
+                        # still matters.
                         av = address.value
                         entry = memory.get(av)
                         if record is not None \
@@ -870,7 +811,7 @@ class WindowReplayer:
                     is_store=False, provenance=provenance, taint=rsp.taint,
                 ))
                 # rsp advances after the destination write: `pop %rsp`
-                # must end with the adjusted pointer, as in _execute.
+                # ends with the adjusted pointer, as on the machine.
                 slots[RSP_SLOT] = Known((av + 8) & MASK64, rsp.taint)
                 continue
 
@@ -923,287 +864,23 @@ class WindowReplayer:
                     record.cleared = True
                 continue
 
-    # -- operand helpers ---------------------------------------------------
-
-    def _address_of(self, pm: ProgramMap, ip: int,
-                    mem: Mem) -> Optional[Known]:
-        """Effective address as a Known (value + taint), if computable."""
-        if mem.rip_relative:
-            return Known((ip + mem.disp) & MASK64)
-        value = mem.disp
-        taint: Taint = None
-        if mem.base:
-            base = pm.get_register(mem.base)
-            if base is None:
-                return None
-            value += base.value
-            taint = merge_taint(taint, base.taint)
-        if mem.index:
-            index = pm.get_register(mem.index)
-            if index is None:
-                return None
-            value += index.value * mem.scale
-            taint = merge_taint(taint, index.taint)
-        return Known(value & MASK64, taint)
-
-    def _eval_source(
-        self,
-        pm: ProgramMap,
-        j: int,
-        ip: int,
-        operand: Operand,
-        provenance: str,
-        blocked: set[int],
-        accesses: List[RecoveredAccess],
-    ) -> Optional[Known]:
-        """Evaluate a source operand; memory sources emit an access when
-        their address computes (the *address* is the race-detection
-        payload, even when the loaded *value* stays unavailable)."""
-        if isinstance(operand, Imm):
-            return Known(operand.value & MASK64)
-        if isinstance(operand, Reg):
-            known = pm.get_register(operand.name)
-            if known is None:
-                blocked.add(j)
-            return known
-        address = self._address_of(pm, ip, operand)
-        if address is None:
-            blocked.add(j)
-            self.stats.missed += 1
-            return None
-        accesses.append(
-            RecoveredAccess(
-                tid=self.tid,
-                step_index=j,
-                ip=ip,
-                address=address.value,
-                is_store=False,
-                provenance=provenance,
-                taint=address.taint,
-            )
-        )
-        loaded = pm.load_memory(address.value)
-        if loaded is None:
-            return None
-        return Known(loaded.value, merge_taint(loaded.taint, address.taint))
-
-    # -- single instruction -------------------------------------------------
-
-    def _execute(
-        self,
-        pm: ProgramMap,
-        j: int,
-        ip: int,
-        ins: Instruction,
-        provenance: str,
-        blocked: set[int],
-    ) -> Optional[RecoveredAccess]:
-        """Replay one instruction; returns its recovered access, if any."""
-        local: List[RecoveredAccess] = []
-        op = ins.op
-
-        if op == Op.MOV:
-            src, dst = ins.operands
-            if isinstance(dst, Mem):
-                address = self._address_of(pm, ip, dst)
-                value = self._eval_source(
-                    pm, j, ip, src, provenance, blocked, local
-                )
-                if address is None:
-                    blocked.add(j)
-                    self.stats.missed += 1
-                    # A store through an unknown address may alias any
-                    # emulated location (§5.1's conservative invalidation).
-                    pm.invalidate_memory()
-                    return None
-                pm.store_memory(address.value, value)
-                return RecoveredAccess(
-                    tid=self.tid, step_index=j, ip=ip,
-                    address=address.value, is_store=True,
-                    provenance=provenance, taint=address.taint,
-                )
-            value = self._eval_source(
-                pm, j, ip, src, provenance, blocked, local
-            )
-            assert isinstance(dst, Reg)
-            pm.set_register(dst.name, value)
-            return local[0] if local else None
-
-        if op == Op.LEA:
-            mem, dst = ins.operands
-            assert isinstance(mem, Mem) and isinstance(dst, Reg)
-            address = self._address_of(pm, ip, mem)
-            if address is None:
-                blocked.add(j)
-            pm.set_register(dst.name, address)
-            return None
-
-        if op in ALU_BINARY:
-            src, dst = ins.operands
-            assert isinstance(dst, Reg)
-            value = self._eval_source(
-                pm, j, ip, src, provenance, blocked, local
-            )
-            current = pm.get_register(dst.name)
-            if value is None or current is None:
-                if current is None:
-                    blocked.add(j)
-                pm.set_register(dst.name, None)
-            else:
-                pm.set_register(
-                    dst.name,
-                    Known(alu(op, value.value, current.value),
-                          merge_taint(value.taint, current.taint)),
-                )
-            return local[0] if local else None
-
-        if op in ALU_UNARY:
-            (dst,) = ins.operands
-            assert isinstance(dst, Reg)
-            current = pm.get_register(dst.name)
-            if current is None:
-                blocked.add(j)
-                pm.set_register(dst.name, None)
-            else:
-                pm.set_register(
-                    dst.name,
-                    Known(alu_unary(op, current.value), current.taint),
-                )
-            return None
-
-        if op in (Op.CMP, Op.TEST):
-            for operand in ins.operands:
-                self._eval_source(
-                    pm, j, ip, operand, provenance, blocked, local
-                )
-            return local[0] if local else None
-
-        if op == Op.PUSH:
-            value = (
-                self._eval_source(
-                    pm, j, ip, ins.operands[0], provenance, blocked, local
-                )
-                if ins.operands
-                else Known(0)
-            )
-            rsp = pm.get_register("rsp")
-            if rsp is None:
-                blocked.add(j)
-                self.stats.missed += 1
-                pm.invalidate_memory()
-                return None
-            address = (rsp.value - 8) & MASK64
-            pm.store_memory(address, value)
-            pm.set_register("rsp", Known(address, rsp.taint))
-            return RecoveredAccess(
-                tid=self.tid, step_index=j, ip=ip, address=address,
-                is_store=True, provenance=provenance, taint=rsp.taint,
-            )
-
-        if op == Op.POP:
-            (dst,) = ins.operands
-            assert isinstance(dst, Reg)
-            rsp = pm.get_register("rsp")
-            if rsp is None:
-                blocked.add(j)
-                self.stats.missed += 1
-                pm.set_register(dst.name, None)
-                return None
-            loaded = pm.load_memory(rsp.value)
-            pm.set_register(dst.name, loaded)
-            access = RecoveredAccess(
-                tid=self.tid, step_index=j, ip=ip, address=rsp.value,
-                is_store=False, provenance=provenance, taint=rsp.taint,
-            )
-            pm.set_register("rsp", Known((rsp.value + 8) & MASK64, rsp.taint))
-            return access
-
-        if op == Op.CALL:
-            rsp = pm.get_register("rsp")
-            if rsp is None:
-                pm.invalidate_memory()
-                return None
-            address = (rsp.value - 8) & MASK64
-            pm.store_memory(address, Known(ip + 1))
-            pm.set_register("rsp", Known(address, rsp.taint))
-            return None
-
-        if op == Op.RET:
-            rsp = pm.get_register("rsp")
-            if rsp is not None:
-                pm.set_register(
-                    "rsp", Known((rsp.value + 8) & MASK64, rsp.taint)
-                )
-            return None
-
-        if op in (Op.JMP,) or op in _COND:
-            return None  # control flow comes from the PT path
-
-        if op in (Op.SPAWN, Op.MALLOC):
-            # Kernel/allocator results are unknowable offline.
-            dst = ins.operands[0] if op == Op.SPAWN else ins.operands[1]
-            assert isinstance(dst, Reg)
-            pm.set_register(dst.name, None)
-            pm.invalidate_memory()
-            return None
-
-        if ins.is_system():
-            # Lock/unlock/sem/join/free/io: opaque effects (§5.1: hitting
-            # a system call conservatively invalidates emulated memory).
-            pm.invalidate_memory()
-            return None
-
-        return None  # HALT / NOP
-
     # ------------------------------------------------------------------
     # Backward pass
     # ------------------------------------------------------------------
 
     def _backward_pass(
         self, blocked: FrozenSet[int]
-    ) -> Tuple[List[RecoveredAccess], Dict[int, Dict[str, Known]]]:
+    ) -> Tuple[List[RecoveredAccess], Dict[int, Dict[int, Known]]]:
         """Back-propagate the exit sample's registers through the window.
 
-        Maintains ``kb``: register values valid *after* the step being
-        visited.  Per step, written registers leave ``kb`` unless reverse
-        execution can invert the instruction; everything else passes
-        through (the back-propagation of §5.2.1).  At each step the
-        forward pass reported blocked, the before-state is recorded as a
-        fact and any missed memory operand re-tried.
-        """
-        assert self.exit_registers is not None
-        kb: Dict[str, Known] = {
-            name: Known(value & MASK64)
-            for name, value in self.exit_registers.items()
-        }
-        accesses: List[RecoveredAccess] = []
-        facts: Dict[int, Dict[str, Known]] = {}
-
-        for j in range(self.end - 1, self.start - 1, -1):
-            ip = self.steps[j]
-            ins = self.program[ip]
-            self._reverse_step(kb, ip, ins)
-            # kb now holds the before-state of step j.
-            if j in blocked:
-                if kb:
-                    facts[j] = dict(kb)
-                access = self._retry_access(kb, j, ip, ins)
-                if access is not None:
-                    accesses.append(access)
-            if not kb:
-                # Nothing left to propagate; older steps gain nothing.
-                break
-        return accesses, facts
-
-    def _backward_pass_fast(
-        self, blocked: FrozenSet[int]
-    ) -> Tuple[List[RecoveredAccess], Dict[int, Dict[int, Known]]]:
-        """Reverse micro-op twin of :meth:`_backward_pass`.
-
-        Walks the pre-lowered reverse micro-ops instead of interpreting
-        instruction dataclasses; ``kb`` and the returned facts are keyed
-        by register slot (consumed by :meth:`_forward_pass_fast`).
-        Bit-identical recovered accesses.
+        Walks the pre-lowered reverse micro-ops, maintaining ``kb``:
+        register values valid *after* the step being visited, keyed by
+        register slot.  Per step, written registers leave ``kb`` unless
+        reverse execution can invert the instruction; everything else
+        passes through (the back-propagation of §5.2.1).  At each step
+        the forward pass reported blocked, the before-state is recorded
+        as a fact for the next forward pass and any missed memory
+        operand re-tried.
         """
         assert self.exit_registers is not None
         kb: Dict[int, Known] = {
@@ -1355,175 +1032,3 @@ class WindowReplayer:
             if not kb:
                 break
         return accesses, facts
-
-    def _retry_access(
-        self, kb: Dict[str, Known], j: int, ip: int, ins: Instruction
-    ) -> Optional[RecoveredAccess]:
-        """Recompute a missed memory operand from backward state."""
-        mem = None
-        for operand in ins.operands:
-            if isinstance(operand, Mem):
-                mem = operand
-        if mem is None:
-            if ins.op in (Op.PUSH, Op.POP):
-                rsp = kb.get("rsp")
-                if rsp is None:
-                    return None
-                address = (
-                    (rsp.value - 8) & MASK64
-                    if ins.op == Op.PUSH
-                    else rsp.value
-                )
-                return RecoveredAccess(
-                    tid=self.tid, step_index=j, ip=ip, address=address,
-                    is_store=ins.op == Op.PUSH, provenance=PROV_BACKWARD,
-                    taint=rsp.taint,
-                )
-            return None
-        if not (ins.is_load() or ins.is_store()):
-            return None
-        value = mem.disp
-        taint: Taint = None
-        if mem.rip_relative:
-            value = (ip + mem.disp) & MASK64
-        else:
-            if mem.base:
-                base = kb.get(mem.base)
-                if base is None:
-                    return None
-                value += base.value
-                taint = merge_taint(taint, base.taint)
-            if mem.index:
-                index = kb.get(mem.index)
-                if index is None:
-                    return None
-                value += index.value * mem.scale
-                taint = merge_taint(taint, index.taint)
-            value &= MASK64
-        return RecoveredAccess(
-            tid=self.tid, step_index=j, ip=ip, address=value,
-            is_store=ins.is_store(), provenance=PROV_BACKWARD, taint=taint,
-        )
-
-    def _reverse_step(self, kb: Dict[str, Known], ip: int,
-                      ins: Instruction) -> None:
-        """Transform after-state *kb* into the before-state of *ins*."""
-        op = ins.op
-
-        if op == Op.MOV:
-            src, dst = ins.operands
-            if isinstance(dst, Reg):
-                after_dst = kb.pop(dst.name, None)
-                if (
-                    isinstance(src, Reg)
-                    and src.name != dst.name
-                    and after_dst is not None
-                    and src.name not in kb
-                ):
-                    # reg-to-reg copy: the source held the same value.
-                    kb[src.name] = after_dst
-            return
-
-        if op == Op.LEA:
-            mem, dst = ins.operands
-            assert isinstance(mem, Mem) and isinstance(dst, Reg)
-            after_dst = kb.pop(dst.name, None)
-            if after_dst is None or mem.rip_relative:
-                return
-            # dst = base + index*scale + disp: recover whichever single
-            # address register is missing.
-            if mem.base and not mem.index:
-                if mem.base not in kb and mem.base != dst.name:
-                    kb[mem.base] = Known(
-                        (after_dst.value - mem.disp) & MASK64, after_dst.taint
-                    )
-            elif mem.base and mem.index:
-                base, index = kb.get(mem.base), kb.get(mem.index)
-                if base is not None and index is None and \
-                        mem.index != dst.name:
-                    kb[mem.index] = Known(
-                        ((after_dst.value - mem.disp - base.value)
-                         // mem.scale) & MASK64,
-                        merge_taint(after_dst.taint, base.taint),
-                    )
-                elif index is not None and base is None and \
-                        mem.base != dst.name:
-                    kb[mem.base] = Known(
-                        (after_dst.value - mem.disp
-                         - index.value * mem.scale) & MASK64,
-                        merge_taint(after_dst.taint, index.taint),
-                    )
-            return
-
-        if op in ALU_BINARY:
-            src, dst = ins.operands
-            assert isinstance(dst, Reg)
-            after_dst = kb.pop(dst.name, None)
-            if after_dst is None or op not in REVERSIBLE_ALU:
-                return
-            if isinstance(src, Imm):
-                kb[dst.name] = Known(
-                    reverse_alu(op, src.value & MASK64, after_dst.value),
-                    after_dst.taint,
-                )
-            elif isinstance(src, Reg) and src.name != dst.name:
-                src_known = kb.get(src.name)
-                if src_known is not None:
-                    kb[dst.name] = Known(
-                        reverse_alu(op, src_known.value, after_dst.value),
-                        merge_taint(after_dst.taint, src_known.taint),
-                    )
-            return
-
-        if op in ALU_UNARY:
-            (dst,) = ins.operands
-            assert isinstance(dst, Reg)
-            after_dst = kb.pop(dst.name, None)
-            if after_dst is not None:
-                inverse = _UNARY_INVERSE[op]
-                kb[dst.name] = Known(
-                    alu_unary(inverse, after_dst.value), after_dst.taint
-                )
-            return
-
-        if op == Op.PUSH:
-            rsp = kb.get("rsp")
-            if rsp is not None:
-                kb["rsp"] = Known((rsp.value + 8) & MASK64, rsp.taint)
-            return
-
-        if op == Op.POP:
-            (dst,) = ins.operands
-            assert isinstance(dst, Reg)
-            kb.pop(dst.name, None)
-            rsp = kb.get("rsp")
-            if rsp is not None and dst.name != "rsp":
-                kb["rsp"] = Known((rsp.value - 8) & MASK64, rsp.taint)
-            return
-
-        if op == Op.CALL:
-            rsp = kb.get("rsp")
-            if rsp is not None:
-                kb["rsp"] = Known((rsp.value + 8) & MASK64, rsp.taint)
-            return
-
-        if op == Op.RET:
-            rsp = kb.get("rsp")
-            if rsp is not None:
-                kb["rsp"] = Known((rsp.value - 8) & MASK64, rsp.taint)
-            return
-
-        if op == Op.SPAWN:
-            dst = ins.operands[0]
-            assert isinstance(dst, Reg)
-            kb.pop(dst.name, None)
-            return
-
-        if op == Op.MALLOC:
-            dst = ins.operands[1]
-            assert isinstance(dst, Reg)
-            kb.pop(dst.name, None)
-            return
-
-        # CMP/TEST/branches/sync/HALT/NOP write no registers.
-        return

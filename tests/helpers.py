@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.detector.events import SyncOp
+from repro.detector.registry import create_backend
 from repro.machine import Machine
 
 #: A small two-thread program with a lock-protected counter (no races).
@@ -94,3 +96,22 @@ def record_states(program, seed=0, num_cores=4):
     machine._step = wrapped
     machine.run()
     return machine, states
+
+
+def scalar_findings(pipeline, bundle):
+    """The scalar reference for the batched detection feed.
+
+    Feeds the final stream of ``pipeline.analyze(bundle)`` — which must
+    have run on this very bundle object — through fresh backends'
+    ``sync()``/``access()`` one event at a time, and returns their
+    findings keyed by backend name.
+    """
+    events, _replay = pipeline.events_for(bundle)
+    backends = [create_backend(name) for name in pipeline.detectors]
+    for _key, event in events:
+        for backend in backends:
+            if isinstance(event, SyncOp):
+                backend.sync(event)
+            else:
+                backend.access(event)
+    return {backend.name: backend.finish() for backend in backends}

@@ -272,23 +272,6 @@ class TestJitFlags:
                 "--period", "5", "-o", trace_path, "--seed", "3")
         return trace_path
 
-    def test_no_jit_identical_analysis(self, capsys, racy_source, tmp_path):
-        trace_path = self._trace(capsys, racy_source, tmp_path)
-        code_jit, out_jit = run_cli(
-            capsys, "analyze", "-", "--source", racy_source, trace_path,
-            "--json",
-        )
-        code_nojit, out_nojit = run_cli(
-            capsys, "analyze", "-", "--source", racy_source, trace_path,
-            "--json", "--no-jit",
-        )
-        assert code_jit == code_nojit
-        jit, nojit = json.loads(out_jit), json.loads(out_nojit)
-        assert jit["races"] == nojit["races"]
-        assert jit["stats"] == nojit["stats"]
-        # The interpreter fallback never consults summaries.
-        assert nojit["replay_speed"]["summary_hits"] == 0
-
     def test_profile_writes_pstats(self, capsys, racy_source, tmp_path):
         import pstats
 
@@ -301,6 +284,18 @@ class TestJitFlags:
         assert code == 1  # profiling must not change the verdict
         stats = pstats.Stats(profile_path)
         assert stats.total_calls > 0
+
+    def test_detect_profile_writes_pstats(self, capsys, racy_source,
+                                          tmp_path):
+        import pstats
+
+        profile_path = str(tmp_path / "detect.pstats")
+        code, out = run_cli(
+            capsys, "detect", "-", "--source", racy_source, "--period", "5",
+            "--seed", "3", "--jobs", "2", "--profile", profile_path,
+        )
+        assert code == 1
+        assert pstats.Stats(profile_path).total_calls > 0
 
 
 class TestGovernorFlags:

@@ -4,12 +4,13 @@ Differential evidence for the uncertainty-aware merge keys
 (:func:`repro.detector.events.uncertain_merge_tsc`):
 
 * on clean traces, ``reconcile_clock=True`` snaps to the identity
-  model and every executor — scalar, columnar-batched, address-sharded
-  — returns verdicts bit-identical to the unreconciled run;
-* on clock-damaged traces the three executors still agree with *each
-  other* bit-for-bit: the corrected keys reach every backend the same
-  way, so reconciliation changes what is detected, never which
-  executor detects it.
+  model and both executors — columnar-batched and address-sharded —
+  return verdicts bit-identical to the unreconciled run;
+* on clock-damaged traces the two executors and the scalar reference
+  (:func:`tests.helpers.scalar_findings`, the final stream fed one
+  event at a time) still agree with *each other* bit-for-bit: the
+  corrected keys reach every backend the same way, so reconciliation
+  changes what is detected, never which executor detects it.
 """
 
 import pytest
@@ -18,6 +19,8 @@ from repro.analysis import OfflinePipeline
 from repro.faults import FaultPlan, clock_plans
 from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
+
+from tests.helpers import scalar_findings
 
 SCALE = WorkloadScale(iterations=8, threads=4)
 CORPUS = ("pfscan", "mysql-791", "apache-25520")
@@ -52,7 +55,6 @@ def test_reconcile_flag_invisible_on_clean_traces(name, seed):
     plain = OfflinePipeline(program).analyze(bundle)
     for kwargs in (
         {},
-        {"batch": False},
         {"detect_shards": 4, "detect_executor": "thread"},
     ):
         reconciled = OfflinePipeline(program, reconcile_clock=True,
@@ -70,14 +72,18 @@ def test_executors_agree_under_clock_damage(name, plan_name):
     clock-damaged traces: uncertainty-clamped keys are executor-blind."""
     plan = clock_plans(0.4, seed=7)[plan_name]
     program, bundle = _bundle(name, 7, plan)
-    scalar = OfflinePipeline(program, reconcile_clock=True,
-                             batch=False).analyze(bundle)
-    batched = OfflinePipeline(program, reconcile_clock=True).analyze(bundle)
+    pipeline = OfflinePipeline(program, reconcile_clock=True)
+    batched = pipeline.analyze(bundle)
+    scalar = scalar_findings(pipeline, bundle)["fasttrack"]
     sharded = OfflinePipeline(program, reconcile_clock=True,
                               detect_shards=4,
                               detect_executor="thread").analyze(bundle)
-    _assert_identical(scalar, batched)
-    _assert_identical(scalar, sharded)
+    fb = batched.findings["fasttrack"]
+    assert scalar.races == fb.races
+    assert scalar.sorted_addresses() == fb.sorted_addresses()
+    assert scalar.accesses_processed == fb.accesses_processed
+    assert scalar.sync_processed == fb.sync_processed
+    _assert_identical(batched, sharded)
 
 
 def test_reconciled_never_exceeds_clean_findings():

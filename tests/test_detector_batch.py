@@ -2,11 +2,13 @@
 
 Three layers of differential evidence:
 
-* **pipeline-level**: ``batch=True`` (default), ``batch=False`` and
-  address-sharded ``detect_shards > 1`` produce bit-identical findings
-  over the Table 2 corpus, pristine and degraded — including
-  crash-truncated bundles, where suppression is baked into the batch
-  columns instead of filtered per event;
+* **pipeline-level**: the batched feed, address-sharded
+  ``detect_shards > 1`` and the scalar reference
+  (:func:`tests.helpers.scalar_findings`, the final stream fed one
+  event at a time) produce bit-identical findings over the Table 2
+  corpus, pristine and degraded — including crash-truncated bundles,
+  where suppression is baked into the batch columns instead of
+  filtered per event;
 * **stream-level**: the spliced batch merge enumerates exactly the
   events (and keys, and global indices) the scalar heap merge does;
 * **detector-level** (hypothesis): on random multi-thread access/sync
@@ -31,6 +33,8 @@ from repro.faults import builtin_plans
 from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
 
+from tests.helpers import scalar_findings
+
 SCALE = WorkloadScale(iterations=8, threads=4)
 CORPUS = ("pfscan", "mysql-791", "apache-25520")
 PLANS = ("pebs-overflow", "pt-gap", "crash-truncation", "tsc-jitter")
@@ -42,6 +46,23 @@ def _bundle(name, seed, plan_name=None):
     if plan_name is not None:
         bundle, _ = builtin_plans(0.2, seed=seed)[plan_name].apply(bundle)
     return program, bundle
+
+
+def _assert_matches_scalar(result, scalar, name="fasttrack"):
+    """*result*'s findings equal the scalar reference's."""
+    fb = result.findings[name]
+    fs = scalar[name]
+    assert fs.races == fb.races
+    assert fs.sorted_addresses() == fb.sorted_addresses()
+    assert fs.accesses_processed == fb.accesses_processed
+    assert fs.sync_processed == fb.sync_processed
+
+
+def _analyzed_against_scalar(program, bundle, **kwargs):
+    pipeline = OfflinePipeline(program, **kwargs)
+    result = pipeline.analyze(bundle)
+    _assert_matches_scalar(result, scalar_findings(pipeline, bundle))
+    return result
 
 
 def _assert_identical(scalar, batched):
@@ -57,26 +78,20 @@ def _assert_identical(scalar, batched):
 
 
 # ----------------------------------------------------------------------
-# Pipeline-level differential: batched vs scalar vs sharded
+# Pipeline-level differential: batched vs scalar reference vs sharded
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", CORPUS)
 @pytest.mark.parametrize("seed", [0, 3])
 def test_batched_matches_scalar_pristine(name, seed):
-    program, bundle = _bundle(name, seed)
-    scalar = OfflinePipeline(program, batch=False).analyze(bundle)
-    batched = OfflinePipeline(program, batch=True).analyze(bundle)
-    _assert_identical(scalar, batched)
+    _analyzed_against_scalar(*_bundle(name, seed))
 
 
 @pytest.mark.parametrize("name", CORPUS)
 @pytest.mark.parametrize("plan_name", PLANS)
 def test_batched_matches_scalar_degraded(name, plan_name):
-    program, bundle = _bundle(name, 0, plan_name)
-    scalar = OfflinePipeline(program, batch=False).analyze(bundle)
-    batched = OfflinePipeline(program, batch=True).analyze(bundle)
-    _assert_identical(scalar, batched)
+    _analyzed_against_scalar(*_bundle(name, 0, plan_name))
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -103,10 +118,9 @@ def test_sharded_thread_executor_matches():
 
 def test_sharded_matches_serial_on_truncated_bundle():
     program, bundle = _bundle("apache-25520", 0, "crash-truncation")
-    serial = OfflinePipeline(program, batch=False).analyze(bundle)
-    sharded = OfflinePipeline(
-        program, detect_shards=3, detect_executor="thread").analyze(bundle)
-    _assert_identical(serial, sharded)
+    sharded = _analyzed_against_scalar(program, bundle, detect_shards=3,
+                                       detect_executor="thread")
+    assert sharded.findings["fasttrack"].details["shards"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -152,11 +166,10 @@ def test_default_feed_batch_fallback_is_scalar():
     """A backend without a columnar fast path gets the default
     materialize-and-delegate feed_batch — same verdicts either way."""
     program, bundle = _bundle("mysql-791", 0)
-    scalar = OfflinePipeline(
-        program, detectors=("lockset",), batch=False).analyze(bundle)
-    batched = OfflinePipeline(
-        program, detectors=("lockset",), batch=True).analyze(bundle)
-    ls, lb = scalar.findings["lockset"], batched.findings["lockset"]
+    pipeline = OfflinePipeline(program, detectors=("lockset",))
+    batched = pipeline.analyze(bundle)
+    ls = scalar_findings(pipeline, bundle)["lockset"]
+    lb = batched.findings["lockset"]
     assert ls.races == lb.races
     assert ls.accesses_processed == lb.accesses_processed
 

@@ -1,10 +1,13 @@
-"""Differential tests for the compiled replay path.
+"""Tests for the compiled replay path's block effect-summary cache.
 
-The micro-op executor and the block effect-summary cache are pure
-performance work: they must be *invisible* — bit-identical
+The micro-op executor itself is pinned by ``tests/test_replay_golden.py``
+(goldens recorded against the instruction interpreter it replaced) and
+checked against machine ground truth by
+``tests/test_property_soundness.py``.  The summary cache on top of it is
+pure performance work: it must be *invisible* — bit-identical
 ``RecoveredAccess`` streams (position, ip, address, kind, provenance,
-taint) against the interpreter on every workload, every replay mode,
-every fault plan, cold or warm cache.  These tests are the contract.
+taint) with and without a cache on every workload, every replay mode,
+every fault plan, cold or warm.  These tests are the contract.
 """
 
 import gc
@@ -25,9 +28,21 @@ from repro.workloads import GeneratorConfig, generate_racy_program
 CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
 
 
-def replay(program, bundle, mode="full", jit=True, cache=None):
-    engine = ReplayEngine(program, mode=mode, jit=jit, summary_cache=cache)
+def replay(program, bundle, mode="full", cache=None, poisoned=None):
+    engine = ReplayEngine(program, mode=mode, summary_cache=cache,
+                          poisoned=poisoned)
     return engine.replay_bundle(bundle)
+
+
+def assert_cache_invisible(program, bundle, mode="full"):
+    """A replay without a cache, a cold one and a warm one through the
+    same cache all recover the same accesses."""
+    plain = replay(program, bundle, mode=mode)
+    cache = BlockSummaryCache()
+    cold = replay(program, bundle, mode=mode, cache=cache)
+    warm = replay(program, bundle, mode=mode, cache=cache)
+    assert cold.per_thread == plain.per_thread
+    assert warm.per_thread == plain.per_thread
 
 
 class TestDifferential:
@@ -37,13 +52,7 @@ class TestDifferential:
                                             racy_program, mode, period):
         for program in (clean_program, racy_program):
             bundle = trace_run(program, period=period, seed=3)
-            interp = replay(program, bundle, mode=mode, jit=False)
-            jit = replay(program, bundle, mode=mode, jit=True)
-            cache = BlockSummaryCache()
-            replay(program, bundle, mode=mode, cache=cache)
-            warm = replay(program, bundle, mode=mode, cache=cache)
-            assert jit.per_thread == interp.per_thread
-            assert warm.per_thread == interp.per_thread
+            assert_cache_invisible(program, bundle, mode)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            period=st.sampled_from([1, 3, 7, 23]))
@@ -51,9 +60,7 @@ class TestDifferential:
     def test_random_programs_bit_identical(self, seed, period):
         program, _ = generate_racy_program(seed, CONFIG)
         bundle = trace_run(program, period=period, seed=seed)
-        interp = replay(program, bundle, jit=False)
-        jit = replay(program, bundle, jit=True)
-        assert jit.per_thread == interp.per_thread
+        assert_cache_invisible(program, bundle)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            plan=st.builds(
@@ -67,29 +74,27 @@ class TestDifferential:
     @settings(max_examples=10, deadline=None, derandomize=True)
     def test_faulted_bundles_bit_identical(self, seed, plan):
         """Degraded traces (gaps, dropped samples, torn logs) exercise
-        segment boundaries and window aborts; the JIT must track the
-        interpreter through all of them."""
+        segment boundaries and window aborts; cached spans and windows
+        must not carry state across any of them."""
         program, _ = generate_racy_program(seed, CONFIG)
         bundle = trace_run(program, period=5, seed=seed)
         degraded, _ = plan.apply(bundle)
-        interp = replay(program, degraded, jit=False)
-        jit = replay(program, degraded, jit=True)
-        assert jit.per_thread == interp.per_thread
+        assert_cache_invisible(program, degraded)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)
     def test_pipeline_jit_is_invisible(self, seed):
-        """End to end: identical races, addresses, regeneration rounds
-        and access streams with and without the JIT (the `--no-jit`
-        contract)."""
+        """End to end: the analysis context shares one cache across
+        every §5.1 regeneration round; its final round still recovers
+        exactly what a cache-free replay under the same poison set
+        does."""
         program, _ = generate_racy_program(seed, CONFIG)
         bundle = trace_run(program, period=5, seed=seed)
-        jit = OfflinePipeline(program, jit=True).analyze(bundle)
-        nojit = OfflinePipeline(program, jit=False).analyze(bundle)
-        assert {r.pair for r in jit.races} == {r.pair for r in nojit.races}
-        assert jit.racy_addresses == nojit.racy_addresses
-        assert jit.regeneration_rounds == nojit.regeneration_rounds
-        assert jit.replay.per_thread == nojit.replay.per_thread
+        pipeline = OfflinePipeline(program)
+        result = pipeline.analyze(bundle)
+        _bundle, context, _replay = pipeline._analyzed
+        plain = replay(program, bundle, poisoned=context._last_poisoned)
+        assert result.replay.per_thread == plain.per_thread
 
 
 class TestSummaryCacheEffectiveness:
@@ -122,18 +127,6 @@ class TestSummaryCacheEffectiveness:
         assert cache.hits > 0
         assert cold.stats.summary_hits > 0
         assert cold.stats.summary_steps > 0
-
-    def test_no_jit_never_touches_summaries(self, racy_program):
-        bundle = trace_run(racy_program, period=4, seed=2)
-        cache = BlockSummaryCache()
-        result = replay(racy_program, bundle, jit=False, cache=cache)
-        assert len(cache) == 0
-        assert cache.window_entries() == 0
-        assert cache.hits == cache.misses == cache.stores == 0
-        assert cache.window_hits == cache.window_stores == 0
-        assert result.stats.summary_hits == 0
-        assert result.stats.summary_steps == 0
-        assert result.stats.window_hits == 0
 
 
 class TestSummaryCacheInvalidation:
@@ -204,12 +197,7 @@ class TestSummaryCacheInvalidation:
         bundle = trace_run(program, period=4, seed=7)
         degraded, defects = FaultPlan(seed=3, pt_gap=0.4).apply(bundle)
         assert defects.pt_gaps > 0
-        interp = replay(program, degraded, jit=False)
-        cache = BlockSummaryCache()
-        cold = replay(program, degraded, cache=cache)
-        warm = replay(program, degraded, cache=cache)
-        assert cold.per_thread == interp.per_thread
-        assert warm.per_thread == interp.per_thread
+        assert_cache_invisible(program, degraded)
 
 
 class TestLoweringCache:
