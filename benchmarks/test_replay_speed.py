@@ -1,13 +1,10 @@
-"""Replay speed: micro-op replay, warm summaries, FastTrack fast paths.
+"""Replay speed: micro-op replay and FastTrack fast paths.
 
-Three measurements of the replay path (``docs/performance.md``), written
+Two measurements of the replay path (``docs/performance.md``), written
 to ``benchmarks/results/BENCH_replay.json``:
 
 * the forward-replay hot loop (reconstruction phase, decode excluded)
-  and end-to-end ``replay_bundle``, in steps per second,
-* a warm summary cache (span summaries + whole-window memos) against
-  plain replay when the same trace is replayed repeatedly (the
-  analysis-service scenario), and
+  and end-to-end ``replay_bundle``, in steps per second, and
 * the FastTrack fast paths' events/sec rate.
 
 Assertions are shape-level with slack for CI-runner noise; the JSON keeps
@@ -22,7 +19,7 @@ import time
 from repro.analysis import OfflinePipeline
 from repro.detector.events import Access, AccessKind
 from repro.detector.fasttrack import FastTrack
-from repro.replay import BlockSummaryCache, ReplayEngine
+from repro.replay import ReplayEngine
 from repro.tracing import trace_run
 from repro.workloads import PARSEC_WORKLOADS
 
@@ -30,7 +27,6 @@ from conftest import write_table
 
 WORKLOAD_NAMES = ("blackscholes", "swaptions")
 PERIOD = 50
-ROUNDS = 3
 REPEATS = 3
 
 
@@ -65,31 +61,6 @@ def _bundle_replay(program, bundle):
     steps = result.stats.executed_steps
     return {"total_steps": steps, "seconds": seconds,
             "steps_per_sec": steps / seconds}
-
-
-def _multi_round(program, bundle):
-    """Replay the same bundle ROUNDS times: plain replay vs a shared
-    summary cache (round 1 cold + recording, later rounds warm)."""
-
-    def plain():
-        for _ in range(ROUNDS):
-            ReplayEngine(program).replay_bundle(bundle)
-
-    def cached():
-        cache = BlockSummaryCache()
-        for _ in range(ROUNDS):
-            ReplayEngine(program, summary_cache=cache).replay_bundle(bundle)
-        return cache
-
-    t_plain, _ = _best(plain)
-    t_cached, cache = _best(cached)
-    return {
-        "rounds": ROUNDS,
-        "plain_seconds": t_plain,
-        "cached_seconds": t_cached,
-        "speedup_vs_plain": t_plain / t_cached,
-        "cache": cache.stats_dict(),
-    }
 
 
 def _fasttrack_events():
@@ -130,7 +101,6 @@ def measure(profile):
         results["workloads"][name] = {
             "forward_hot_loop": _forward_hot_loop(program, bundle),
             "bundle_replay": _bundle_replay(program, bundle),
-            "multi_round": _multi_round(program, bundle),
         }
     results["fasttrack"] = _fasttrack_events()
     return results
@@ -143,9 +113,8 @@ def test_replay_speed(benchmark, profile, results_dir):
     (results_dir / "BENCH_replay.json").write_text(
         json.dumps(results, indent=2) + "\n")
 
-    header = (f"{'Workload':14s}{'hot-loop k/s':>13s}{'bundle k/s':>12s}"
-              f"{'multi-round x':>15s}{'window hits':>13s}")
-    lines = [f"(period {PERIOD}, {ROUNDS} rounds, min of {REPEATS}; "
+    header = f"{'Workload':14s}{'hot-loop k/s':>13s}{'bundle k/s':>12s}"
+    lines = [f"(period {PERIOD}, min of {REPEATS}; "
              f"k/s = thousand replay steps per second)",
              header, "-" * len(header)]
     for name, row in results["workloads"].items():
@@ -153,8 +122,6 @@ def test_replay_speed(benchmark, profile, results_dir):
             f"{name:14s}"
             f"{row['forward_hot_loop']['steps_per_sec'] / 1e3:13.0f}"
             f"{row['bundle_replay']['steps_per_sec'] / 1e3:12.0f}"
-            f"{row['multi_round']['speedup_vs_plain']:15.2f}"
-            f"{row['multi_round']['cache']['window_hits']:13d}"
         )
     ft = results["fasttrack"]
     lines.append("")
@@ -162,9 +129,5 @@ def test_replay_speed(benchmark, profile, results_dir):
                  f"({ft['events']} events)")
     write_table(results_dir, "BENCH_replay", lines)
 
-    for row in results["workloads"].values():
-        multi = row["multi_round"]
-        assert multi["cached_seconds"] < multi["plain_seconds"]
-        assert multi["cache"]["window_hits"] > 0
     assert ft["events_per_sec"] > 100_000
     assert ft["races_found"] > 0

@@ -95,7 +95,6 @@ from ..replay.engine import (
     ReplayStats,
     ThreadReplay,
 )
-from ..replay.summary import BlockSummaryCache
 from ..replay.window import PROV_SAMPLED, RecoveredAccess
 from ..tracing.bundle import TraceBundle
 from .generations import AllocationIndex
@@ -176,11 +175,6 @@ class AnalysisContext:
             from ..supervise import RunLedger
 
             self.run_ledger = RunLedger()
-        #: Block effect-summary cache, shared by the §5.2.2 fixed-point
-        #: iterations, the per-thread replay fan-out and every §5.1
-        #: regeneration round of this context (poison-set changes select
-        #: a fresh scope inside the cache rather than clearing it).
-        self.summary_cache = BlockSummaryCache()
         self.stats = ContextStats()
         #: Wall-clock accumulators for the Figure 12 breakdown.  Timeline
         #: construction is attributed to reconstruction — always, in both
@@ -522,7 +516,6 @@ class AnalysisContext:
             self.program, mode=self.replay_mode,
             max_iterations=self.max_iterations, poisoned=poisoned,
             jobs=self.jobs, executor=self.executor,
-            summary_cache=self.summary_cache,
             supervisor=self.supervisor,
         )
         changed = False
@@ -539,10 +532,10 @@ class AnalysisContext:
                 continue
             old = self._threads.get(replay.tid)
             # Compare the reconstructed access streams, not the whole
-            # ThreadReplay: stats vary with summary-cache warmth while
-            # the output stays bit-identical, and a spurious "changed"
-            # here would cost an extra regeneration round (and make the
-            # round count depend on how warm the cache is).
+            # ThreadReplay: a replay under a larger poison set can step
+            # a different number of fixed-point iterations while its
+            # accesses stay identical, and a spurious "changed" here
+            # would cost an extra regeneration round.
             if old is None or old.accesses != replay.accesses:
                 changed = True
                 self._access_events.pop(replay.tid, None)

@@ -111,49 +111,3 @@ def trace_rate_mb_per_s(bundle: TraceBundle) -> float:
     if seconds == 0:
         return 0.0
     return bundle.pmu_trace_bytes / (1024 * 1024) / seconds
-
-
-@dataclass(frozen=True)
-class ReplaySpeed:
-    """Offline replay throughput of one analysis (the §5/Fig. 12 cost
-    side: replay speed bounds the sampling density a fixed analysis
-    budget can afford — the motivation for the micro-op executor and the
-    effect-summary cache, see docs/performance.md)."""
-
-    #: Steps actually stepped by forward passes.
-    executed_steps: int
-    #: Steps skipped by effect-summary cache hits.
-    summary_steps: int
-    #: Wall-clock seconds of the reconstruction phase.
-    reconstruction_seconds: float
-
-    @property
-    def replayed_steps(self) -> int:
-        """Total steps covered, stepped or summarized."""
-        return self.executed_steps + self.summary_steps
-
-    @property
-    def steps_per_second(self) -> float:
-        """Covered steps per wall-clock second of reconstruction."""
-        if self.reconstruction_seconds <= 0:
-            return 0.0
-        return self.replayed_steps / self.reconstruction_seconds
-
-    @property
-    def summary_fraction(self) -> float:
-        """Share of covered steps served from cached summaries."""
-        total = self.replayed_steps
-        if total == 0:
-            return 0.0
-        return self.summary_steps / total
-
-
-def replay_speed(result) -> ReplaySpeed:
-    """Replay throughput of a
-    :class:`~repro.analysis.pipeline.DetectionResult`."""
-    stats = result.replay.stats
-    return ReplaySpeed(
-        executed_steps=stats.executed_steps,
-        summary_steps=stats.summary_steps,
-        reconstruction_seconds=result.timings.reconstruction_seconds,
-    )

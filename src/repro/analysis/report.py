@@ -293,9 +293,7 @@ def render_report(program: Program, result: DetectionResult) -> str:
         f"events analyzed: {result.events_processed}   "
         f"regeneration rounds: {result.regeneration_rounds}",
         f"replay: {stats.executed_steps} steps executed over "
-        f"{stats.windows} windows ({stats.summary_hits} summary hits "
-        f"skipped {stats.summary_steps} steps, "
-        f"{stats.window_hits} whole-window memo hits)",
+        f"{stats.windows} windows",
     ]
     if not default_only:
         header.append(
@@ -403,9 +401,6 @@ def to_json(program: Program, result: DetectionResult) -> str:
             "replay_speed": {
                 "windows": stats.windows,
                 "executed_steps": stats.executed_steps,
-                "summary_hits": stats.summary_hits,
-                "summary_steps": stats.summary_steps,
-                "window_hits": stats.window_hits,
                 "steps_per_second": (
                     stats.executed_steps
                     / result.timings.reconstruction_seconds

@@ -16,11 +16,6 @@ micro-op whose
   :class:`~repro.replay.program_map.Known` since the instruction pointer
   is known at lowering time.
 
-The compiled form also carries the per-address basic-block index and a
-per-address *summarizable* flag, which the block effect-summary cache
-(:mod:`repro.replay.summary`) uses to bound memoizable straight-line
-spans.
-
 Compiled programs are cached in a module-level
 :class:`weakref.WeakKeyDictionary` keyed by the program object: the ALU
 callables are lambdas and therefore unpicklable, so the replay engine
@@ -32,7 +27,7 @@ which is a cache hit for every window after the first.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Tuple
+from typing import List
 
 from .instructions import (
     ALU_BINARY,
@@ -107,11 +102,6 @@ _UNARY_INVERSE = {Op.INC: Op.DEC, Op.DEC: Op.INC, Op.NEG: Op.NEG,
 
 #: Slot of the stack pointer (PUSH/POP/CALL/RET hot path).
 RSP_SLOT = REG_SLOT["rsp"]
-
-#: Micro-op kinds excluded from effect summaries: they conservatively
-#: invalidate all emulated memory and clobber kernel-produced registers,
-#: so a span containing one has no replayable effect template.
-_UNSUMMARIZABLE = frozenset({U_CLOBBER, U_SYS})
 
 
 def lower_mem(mem: Mem, ip: int) -> tuple:
@@ -309,28 +299,21 @@ def lower_retry(ins: Instruction, ip: int):
 
 
 class CompiledProgram:
-    """A program lowered to micro-ops, plus span metadata.
+    """A program lowered to micro-ops.
+
+    The program itself is not kept: it is this object's key in the
+    weak-keyed :data:`_COMPILED` cache, and a strong reference here would
+    keep every lowered program alive.
 
     Attributes:
-        instructions: the source program's instructions.  The program
-            itself is not kept: it is this object's key in the
-            weak-keyed :data:`_COMPILED` cache, and a strong reference
-            here would keep every lowered program alive.
         uops: one micro-op tuple per code address.
         rev: one reverse micro-op tuple per code address (backward pass).
         retry: one blocked-step retry descriptor (or None) per address.
-        block_id: per-address basic-block index (summary spans carry
-            their recorded path, so they may cross block boundaries; the
-            table remains for diagnostics and analyses).
-        summarizable: per-address flag — False for micro-ops whose
-            effects cannot be captured in a replayable summary.
     """
 
-    __slots__ = ("instructions", "uops", "rev", "retry", "block_id",
-                 "summarizable", "_interfaces", "__weakref__")
+    __slots__ = ("uops", "rev", "retry", "__weakref__")
 
     def __init__(self, program: Program) -> None:
-        self.instructions = program.instructions
         self.uops: List[tuple] = [
             lower_instruction(ins, ip)
             for ip, ins in enumerate(program.instructions)
@@ -343,47 +326,6 @@ class CompiledProgram:
             lower_retry(ins, ip)
             for ip, ins in enumerate(program.instructions)
         ]
-        self.block_id: List[int] = list(program.block_table())
-        self.summarizable: List[bool] = [
-            u[0] not in _UNSUMMARIZABLE for u in self.uops
-        ]
-        #: path (instruction-address tuple) -> (live_in_slots,
-        #: def_slots); lazy.  Paths repeat heavily (loop bodies), so the
-        #: table stays small relative to the summary cache itself.
-        self._interfaces: Dict[Tuple[int, ...],
-                               Tuple[tuple, tuple]] = {}
-
-    def path_interface(self,
-                       path: Tuple[int, ...]) -> Tuple[tuple, tuple]:
-        """Live-in and defined register slots along a recorded path.
-
-        *Live-in* slots are registers some instruction on *path* reads
-        before any earlier instruction on it writes them: together with
-        the validated memory reads, they fully determine the path's
-        effects, so their exact contents form the summary-cache
-        signature.  *Def* slots are every register the path may write; a
-        summary snapshots their final values.  The path need not be
-        straight-line — span keys carry the path itself, so a summary
-        can follow control flow across block boundaries.
-        """
-        cached = self._interfaces.get(path)
-        if cached is not None:
-            return cached
-        instructions = self.instructions
-        reads: set = set()
-        written: set = set()
-        for ip in path:
-            ins = instructions[ip]
-            for name in ins.reads_registers():
-                if name not in written:
-                    reads.add(name)
-            written |= ins.writes_registers()
-        interface = (
-            tuple(sorted(REG_SLOT[name] for name in reads)),
-            tuple(sorted(REG_SLOT[name] for name in written)),
-        )
-        self._interfaces[path] = interface
-        return interface
 
 
 #: Program -> CompiledProgram.  Module-level (never stored on a pickled

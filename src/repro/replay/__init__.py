@@ -2,7 +2,6 @@
 
 from .engine import ReplayEngine, ReplayResult, ReplayStats, ThreadReplay
 from .program_map import Known, ProgramMap, Taint, merge_taint
-from .summary import BlockSummaryCache, SpanSummary
 from .window import (
     PROV_BACKWARD,
     PROV_BASICBLOCK,
@@ -14,7 +13,6 @@ from .window import (
 )
 
 __all__ = [
-    "BlockSummaryCache",
     "Known",
     "PROV_BACKWARD",
     "PROV_BASICBLOCK",
@@ -25,7 +23,6 @@ __all__ = [
     "ReplayEngine",
     "ReplayResult",
     "ReplayStats",
-    "SpanSummary",
     "Taint",
     "ThreadReplay",
     "WindowReplayer",

@@ -26,7 +26,6 @@ from ..parallel import parallel_map
 from ..ptdecode.decoder import AlignedSample, DecodedPath, align_samples, decode_all
 from ..tracing.bundle import TraceBundle
 from .program_map import Known
-from .summary import BlockSummaryCache
 from .window import (
     PROV_BACKWARD,
     PROV_BASICBLOCK,
@@ -79,14 +78,12 @@ class ReplayStats:
     #: Replay windows cut short at PT gap boundaries: state must not be
     #: carried across a resynchronization point (degradation metric).
     windows_aborted: int = 0
-    #: Steps actually stepped across all forward passes (summary-cache
-    #: hits skip their spans, so this measures real replay work).
+    #: Steps stepped across all forward passes of every window.
     executed_steps: int = 0
-    #: Effect-summary cache hits and the steps those hits skipped.
-    summary_hits: int = 0
+    #: Always 0: every step is executed since the span-summary cache
+    #: was removed.  Kept because the benchmark harness
+    #: (``perfbench/spans.py``) still reads it in every traced pass.
     summary_steps: int = 0
-    #: Whole windows served from the window memo (no passes run).
-    window_hits: int = 0
 
     def merge(self, other: "ReplayStats") -> None:
         """Fold another (per-thread) tally into this one."""
@@ -98,9 +95,6 @@ class ReplayStats:
         self.iterations += other.iterations
         self.windows_aborted += other.windows_aborted
         self.executed_steps += other.executed_steps
-        self.summary_hits += other.summary_hits
-        self.summary_steps += other.summary_steps
-        self.window_hits += other.window_hits
 
     @property
     def recovered(self) -> int:
@@ -165,7 +159,6 @@ class ReplayEngine:
         poisoned: Optional[FrozenSet[int]] = None,
         jobs: int = 1,
         executor: str = "thread",
-        summary_cache: Optional[BlockSummaryCache] = None,
         supervisor=None,
     ) -> None:
         if mode not in _MODES:
@@ -178,9 +171,6 @@ class ReplayEngine:
         #: replays are independent (§7.6).
         self.jobs = max(1, jobs)
         self.executor = executor
-        #: Shared block effect-summary cache, or None to replay every
-        #: window in full.
-        self.summary_cache = summary_cache
         #: Optional :class:`~repro.supervise.SupervisorConfig`: the
         #: per-thread fan-out then runs under the supervised runtime
         #: (retries, timeouts, crash isolation) instead of the plain
@@ -301,9 +291,6 @@ class ReplayEngine:
         stats.windows += 1
         stats.iterations += replayer.stats.iterations
         stats.executed_steps += replayer.stats.steps_executed
-        stats.summary_hits += replayer.stats.summary_hits
-        stats.summary_steps += replayer.stats.summary_steps
-        stats.window_hits += replayer.stats.window_hit
 
     def _replay_windows(
         self,
@@ -354,7 +341,6 @@ class ReplayEngine:
         contexts = [a.sample.registers for a in aligned]
         memory: Dict[int, Known] = {}
         backward = self.mode == "full"
-        cache = self.summary_cache
 
         # Head window: segment start up to the first sample — backward-
         # replay territory (plus PC-relative forward recovery).
@@ -365,7 +351,6 @@ class ReplayEngine:
                 exit_registers=contexts[0] if backward else None,
                 poisoned=self.poisoned,
                 max_iterations=self.max_iterations if backward else 1,
-                summary_cache=cache,
             )
             accesses.extend(replayer.run())
             touched |= replayer.touched
@@ -377,7 +362,6 @@ class ReplayEngine:
                 self.program, path.steps, seg_lo, seg_hi, path.tid,
                 entry_registers=None, exit_registers=None,
                 poisoned=self.poisoned, max_iterations=1,
-                summary_cache=cache,
             )
             accesses = replayer.run()
             self._fold_window(stats, replayer)
@@ -400,7 +384,6 @@ class ReplayEngine:
                 entry_memory=memory,
                 poisoned=self.poisoned,
                 max_iterations=self.max_iterations if backward else 1,
-                summary_cache=cache,
             )
             accesses.extend(replayer.run())
             touched |= replayer.touched
@@ -419,7 +402,6 @@ class ReplayEngine:
         """RaceZ baseline: recovery confined to each sample's basic block."""
         accesses: List[RecoveredAccess] = []
         touched: set = set()
-        cache = self.summary_cache
         for item in aligned:
             lo, hi = self._block_bounds(path, item.step_index)
             # Forward within the block, from the sample.
@@ -428,7 +410,6 @@ class ReplayEngine:
                 entry_registers=item.sample.registers,
                 exit_registers=None,
                 poisoned=self.poisoned, max_iterations=1,
-                summary_cache=cache,
             )
             accesses.extend(fwd.run())
             touched |= fwd.touched
@@ -440,7 +421,6 @@ class ReplayEngine:
                     entry_registers=None,
                     exit_registers=item.sample.registers,
                     poisoned=self.poisoned, max_iterations=2,
-                    summary_cache=cache,
                 )
                 accesses.extend(bwd.run())
                 touched |= bwd.touched

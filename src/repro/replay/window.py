@@ -23,7 +23,7 @@ only the backward pass runs; after the last sample only the forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..isa.lowering import (
@@ -70,13 +70,6 @@ from ..isa.program import Program
 from ..isa.registers import MASK64, REG_SLOT
 from ..isa.semantics import alu_unary, reverse_alu
 from .program_map import Known, ProgramMap, Taint, merge_taint
-from .summary import (
-    MIN_SPAN,
-    BlockSummaryCache,
-    SpanRecord,
-    SpanSummary,
-    WindowSummary,
-)
 
 #: How a recovered access was obtained.
 PROV_SAMPLED = "sampled"
@@ -116,15 +109,8 @@ class WindowStats:
     missed: int = 0
     iterations: int = 0
     memory_invalidations: int = 0
-    #: Steps actually stepped by forward passes; a cached-summary hit
-    #: skips its span's steps entirely.
+    #: Steps stepped by forward passes, summed over every iteration.
     steps_executed: int = 0
-    #: Effect-summary cache hits and the steps those hits skipped.
-    summary_hits: int = 0
-    summary_steps: int = 0
-    #: 1 when this window's whole fixed point was served from the
-    #: window memo (steps_executed is 0 in that case).
-    window_hit: int = 0
 
 
 class WindowReplayer:
@@ -148,8 +134,6 @@ class WindowReplayer:
             window of the same thread.
         poisoned: emulated addresses barred by race regeneration (§5.1).
         max_iterations: fixed-point iteration cap.
-        summary_cache: shared block effect-summary cache, or None to
-            step every window in full.
     """
 
     def __init__(
@@ -164,7 +148,6 @@ class WindowReplayer:
         entry_memory: Optional[Dict[int, Known]] = None,
         poisoned: Optional[FrozenSet[int]] = None,
         max_iterations: int = 4,
-        summary_cache: Optional[BlockSummaryCache] = None,
     ) -> None:
         self.program = program
         self.steps = steps
@@ -182,82 +165,12 @@ class WindowReplayer:
         #: all forward passes (see ProgramMap.emulated_touched).
         self.touched: set = set()
         self._compiled = lowered(program)
-        self._summary_cache = summary_cache
-        self._scope = (
-            summary_cache.scope(self.poisoned)
-            if self._summary_cache is not None
-            else None
-        )
-        self._window_scope = (
-            summary_cache.window_scope(self.poisoned)
-            if self._summary_cache is not None
-            else None
-        )
-        #: Lazily computed per-window span lengths.
-        self._span_len: Optional[List[int]] = None
-        #: Companion jump table: next window offset whose uncapped span
-        #: reaches MIN_SPAN (sentinel: window length).
-        self._next_span: Optional[List[int]] = None
-        #: (j, length) -> (path, live_in, defs): span key material reused
-        #: across the fixed-point iterations of this window.
-        self._span_meta: Dict[Tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
 
     def run(self) -> List[RecoveredAccess]:
-        """Run the fixed-point replay; returns accesses sorted by step.
-
-        With a summary cache attached, the whole window result is
-        memoized: every input that determines the fixed point — thread,
-        position, decoded path, entry/exit register contexts, entry
-        memory and the iteration budget — is part of the key, so a
-        repeat replay of the same bundle skips the forward *and*
-        backward passes outright and replays the recorded outcome.
-        """
-        scope = self._window_scope
-        if scope is None:
-            return self._run_fixed_point()
-        cache = self._summary_cache
-        key = (
-            self.tid, self.start,
-            tuple(self.steps[self.start:self.end]),
-            None if self.entry_registers is None
-            else tuple(sorted(self.entry_registers.items())),
-            None if self.exit_registers is None
-            else tuple(sorted(self.exit_registers.items())),
-            tuple(sorted((a, k.value, k.taint)
-                         for a, k in self.entry_memory.items())),
-            self.max_iterations,
-        )
-        summary = scope.get(key)
-        if summary is not None:
-            cache.window_hits += 1
-            st = summary.stats
-            cache.steps_saved += st.steps_executed + st.summary_steps
-            s = self.stats
-            s.steps = st.steps
-            s.recovered_forward = st.recovered_forward
-            s.recovered_backward = st.recovered_backward
-            s.missed = st.missed
-            s.iterations = st.iterations
-            s.memory_invalidations = st.memory_invalidations
-            s.window_hit = 1
-            self.exit_memory = dict(summary.exit_memory)
-            self.touched |= summary.touched
-            return list(summary.accesses)
-        cache.window_misses += 1
-        result = self._run_fixed_point()
-        scope[key] = WindowSummary(
-            accesses=tuple(result),
-            exit_memory=dict(self.exit_memory),
-            touched=frozenset(self.touched),
-            stats=replace(self.stats),
-        )
-        cache.window_stores += 1
-        return result
-
-    def _run_fixed_point(self) -> List[RecoveredAccess]:
-        """The §5.2.2 forward/backward iteration (uncached)."""
+        """Run the §5.2.2 fixed-point replay; returns accesses sorted by
+        step."""
         recovered: Dict[int, RecoveredAccess] = {}
         facts: Dict[int, Dict[int, Known]] = {}
 
@@ -295,12 +208,11 @@ class WindowReplayer:
     ) -> Tuple[List[RecoveredAccess], FrozenSet[int]]:
         """One forward replay over the window.
 
-        Steps the pre-lowered micro-ops and — when a summary cache is
-        attached — applies memoized span effects wherever the inputs
-        match a prior execution.  *facts* are the backward pass's
-        before-step register values, keyed by register slot, applied as
-        they are reached.  Returns recovered accesses and the step
-        indices where an unavailable input blocked reconstruction.
+        Steps the pre-lowered micro-ops from the entry state.  *facts*
+        are the backward pass's before-step register values, keyed by
+        register slot, applied as they are reached.  Returns recovered
+        accesses and the step indices where an unavailable input blocked
+        reconstruction.
         """
         pm = ProgramMap(self.poisoned)
         if self.entry_registers is not None:
@@ -313,186 +225,20 @@ class WindowReplayer:
 
         fact_steps = sorted(step for step, named in facts.items() if named)
 
-        if self._scope is None:
-            prev = self.start
-            for step in fact_steps:
-                self._exec_uops(pm, prev, step, provenance, blocked,
-                                accesses)
-                for slot, known in facts[step].items():
-                    if slots[slot] is None:
-                        slots[slot] = known
-                prev = step
-            self._exec_uops(pm, prev, self.end, provenance, blocked,
-                            accesses)
-        else:
-            span_len = self._span_lengths()
-            next_span = self._next_span
-            lo, hi = self.start, self.end
-            n_facts = len(fact_steps)
-            fp = 0
-            j = lo
-            while j < hi:
-                while fp < n_facts and fact_steps[fp] < j:
-                    fp += 1
-                if fp < n_facts and fact_steps[fp] == j:
-                    for slot, known in facts[j].items():
-                        if slots[slot] is None:
-                            slots[slot] = known
-                    fp += 1
-                length = span_len[j - lo]
-                if fp < n_facts:
-                    cap = fact_steps[fp] - j
-                    if length > cap:
-                        length = cap
-                if length >= MIN_SPAN:
-                    j += self._try_span(pm, j, length, provenance,
-                                        blocked, accesses)
-                else:
-                    # Batch the whole stretch up to the next usable span
-                    # (precomputed jump table) or the next fact step into
-                    # one executor call — per-step scanning would
-                    # otherwise eat the span savings in branchy code.
-                    stop = fact_steps[fp] if fp < n_facts else hi
-                    if stop > hi:
-                        stop = hi
-                    k = lo + next_span[j - lo + 1]
-                    if k > stop:
-                        k = stop
-                    self._exec_uops(pm, j, k, provenance, blocked,
-                                    accesses)
-                    j = k
+        prev = self.start
+        for step in fact_steps:
+            self._exec_uops(pm, prev, step, provenance, blocked, accesses)
+            for slot, known in facts[step].items():
+                if slots[slot] is None:
+                    slots[slot] = known
+            prev = step
+        self._exec_uops(pm, prev, self.end, provenance, blocked, accesses)
 
         self.stats.steps = self.end - self.start
         self.stats.memory_invalidations = pm.memory_invalidations
         self.exit_memory = pm.memory_copy()
         self.touched |= pm.emulated_touched
         return accesses, frozenset(blocked)
-
-    def _span_lengths(self) -> List[int]:
-        """Per-step maximal summarizable span length for this window.
-
-        ``span[k]`` is the longest run of steps starting at window offset
-        ``k`` containing no system op or kernel clobber.  Spans follow
-        the recorded path — the path itself is part of the summary key,
-        so a span may freely cross basic-block boundaries.  Computed once
-        per window by a reverse scan; the forward passes then cap it at
-        the next backward-fact step at runtime.
-        """
-        if self._span_len is not None:
-            return self._span_len
-        steps = self.steps
-        summarizable = self._compiled.summarizable
-        lo, hi = self.start, self.end
-        n = hi - lo
-        span = [0] * n
-        nxt = [n] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            if summarizable[steps[lo + k]]:
-                span[k] = span[k + 1] + 1 if k + 1 < n else 1
-            nxt[k] = k if span[k] >= MIN_SPAN else nxt[k + 1]
-        self._span_len = span
-        self._next_span = nxt
-        return span
-
-    def _try_span(
-        self,
-        pm: ProgramMap,
-        j: int,
-        length: int,
-        provenance: str,
-        blocked: set,
-        accesses: List[RecoveredAccess],
-    ) -> int:
-        """Apply a cached span summary at step *j*, or record one.
-
-        Returns the number of steps consumed (always *length*; a cache
-        miss or validation failure falls back to recording execution).
-        """
-        cache = self._summary_cache
-        scope = self._scope
-        slots = pm._slots
-        memory = pm._memory
-        meta = self._span_meta.get((j, length))
-        if meta is None:
-            path = tuple(self.steps[j:j + length])
-            live_in, defs = self._compiled.path_interface(path)
-            meta = (path, live_in, defs)
-            self._span_meta[(j, length)] = meta
-        path, live_in, defs = meta
-        # The signature is flattened to (value, taint) pairs: plain
-        # tuples hash/compare in C, where Known's generated dunders are
-        # Python-level calls on the hot path.
-        key = (path, tuple(
-            None if (k := slots[slot]) is None else (k.value, k.taint)
-            for slot in live_in))
-
-        summary = scope.get(key)
-        if summary is not None:
-            valid = True
-            for address, entry in summary.reads:
-                if memory.get(address) != entry:
-                    valid = False
-                    break
-            if valid:
-                tid = self.tid
-                for offset in summary.blocked:
-                    blocked.add(j + offset)
-                self.stats.missed += summary.missed
-                for offset, ip, address, is_store, taint in summary.accesses:
-                    accesses.append(RecoveredAccess(
-                        tid=tid, step_index=j + offset, ip=ip,
-                        address=address, is_store=is_store,
-                        provenance=provenance, taint=taint,
-                    ))
-                # Replay the recorded memory events under the same
-                # rules as the executor's stores: a clear, an eviction,
-                # or an emulated value unless the address is poisoned.
-                touched = pm.emulated_touched
-                poisoned = pm.poisoned
-                for address, known in summary.writes:
-                    if address is None:
-                        if memory:
-                            memory.clear()
-                        pm.memory_invalidations += 1
-                    elif known is None:
-                        memory.pop(address, None)
-                    else:
-                        touched.add(address)
-                        if address in poisoned:
-                            memory.pop(address, None)
-                        else:
-                            memory[address] = known
-                for slot, known in summary.reg_out:
-                    slots[slot] = known
-                cache.hits += 1
-                cache.steps_saved += length
-                self.stats.summary_hits += 1
-                self.stats.summary_steps += length
-                return length
-            cache.validation_failures += 1
-        else:
-            cache.misses += 1
-
-        record = SpanRecord()
-        span_blocked: set = set()
-        missed_before = self.stats.missed
-        access_start = len(accesses)
-        self._exec_uops(pm, j, j + length, provenance, span_blocked,
-                        accesses, record)
-        blocked |= span_blocked
-        scope[key] = SpanSummary(
-            reads=tuple(record.reads),
-            writes=tuple(record.writes),
-            reg_out=tuple((slot, slots[slot]) for slot in defs),
-            accesses=tuple(
-                (a.step_index - j, a.ip, a.address, a.is_store, a.taint)
-                for a in accesses[access_start:]
-            ),
-            blocked=tuple(sorted(step - j for step in span_blocked)),
-            missed=self.stats.missed - missed_before,
-        )
-        cache.stores += 1
-        return length
 
     def _exec_uops(
         self,
@@ -502,7 +248,6 @@ class WindowReplayer:
         provenance: str,
         blocked: set,
         accesses: List[RecoveredAccess],
-        record: Optional[SpanRecord] = None,
     ) -> None:
         """Step micro-ops for window steps ``[lo, hi)``.
 
@@ -512,9 +257,7 @@ class WindowReplayer:
         as missed; a write to an unknown address, a system op or a
         kernel clobber invalidates all emulated memory; a value loaded
         from emulated memory is tainted by its address; and a step
-        recovers at most one access.  When *record* is given, memory
-        reads/writes are captured for the effect-summary cache (see
-        :mod:`repro.replay.summary`).
+        recovers at most one access.
         """
         slots = pm._slots
         memory = pm._memory
@@ -559,12 +302,6 @@ class WindowReplayer:
                     taint=address.taint,
                 ))
                 entry = memory.get(av)
-                if record is not None and not record.cleared \
-                        and av not in record.written:
-                    # A load of an address this span already stored is
-                    # deterministic given the signature (the stored value
-                    # derives from validated inputs): no validation read.
-                    record.reads.append((av, entry))
                 if entry is None:
                     slots[u[2]] = None
                 else:
@@ -591,9 +328,6 @@ class WindowReplayer:
                     if memory:
                         memory.clear()
                     pm.memory_invalidations += 1
-                    if record is not None:
-                        record.writes.append((None, None))
-                        record.cleared = True
                     continue
                 av = address.value
                 if value is None:
@@ -604,9 +338,6 @@ class WindowReplayer:
                         memory.pop(av, None)
                     else:
                         memory[av] = value
-                if record is not None:
-                    record.writes.append((av, value))
-                    record.written.add(av)
                 accesses.append(RecoveredAccess(
                     tid=tid, step_index=j, ip=ip, address=av,
                     is_store=True, provenance=provenance,
@@ -670,9 +401,6 @@ class WindowReplayer:
                         taint=address.taint,
                     ))
                     entry = memory.get(av)
-                    if record is not None and not record.cleared \
-                            and av not in record.written:
-                        record.reads.append((av, entry))
                     if entry is None:
                         value = None
                     else:
@@ -708,9 +436,7 @@ class WindowReplayer:
                             stats.missed += 1
                         elif not emitted:
                             # A step recovers at most one access: the
-                            # first operand whose address computes.  The
-                            # loaded value is discarded, so no read needs
-                            # recording.
+                            # first operand whose address computes.
                             accesses.append(RecoveredAccess(
                                 tid=tid, step_index=j, ip=ip,
                                 address=address.value, is_store=False,
@@ -735,14 +461,9 @@ class WindowReplayer:
                     else:
                         # The push's own store is the step's one
                         # access, so the source's load is not recovered;
-                        # the loaded value — and therefore the read —
-                        # still matters.
+                        # the loaded value still matters.
                         av = address.value
                         entry = memory.get(av)
-                        if record is not None \
-                                and not record.cleared \
-                                and av not in record.written:
-                            record.reads.append((av, entry))
                         if entry is None:
                             value = None
                         else:
@@ -761,9 +482,6 @@ class WindowReplayer:
                     if memory:
                         memory.clear()
                     pm.memory_invalidations += 1
-                    if record is not None:
-                        record.writes.append((None, None))
-                        record.cleared = True
                     continue
                 av = (rsp.value - 8) & MASK64
                 if value is None:
@@ -774,9 +492,6 @@ class WindowReplayer:
                         memory.pop(av, None)
                     else:
                         memory[av] = value
-                if record is not None:
-                    record.writes.append((av, value))
-                    record.written.add(av)
                 slots[RSP_SLOT] = Known(av, rsp.taint)
                 accesses.append(RecoveredAccess(
                     tid=tid, step_index=j, ip=ip, address=av,
@@ -793,12 +508,6 @@ class WindowReplayer:
                     continue
                 av = rsp.value
                 entry = memory.get(av)
-                if record is not None and not record.cleared \
-                        and av not in record.written:
-                    # A load of an address this span already stored is
-                    # deterministic given the signature (the stored value
-                    # derives from validated inputs): no validation read.
-                    record.reads.append((av, entry))
                 if entry is None:
                     slots[u[1]] = None
                 else:
@@ -821,9 +530,6 @@ class WindowReplayer:
                     if memory:
                         memory.clear()
                     pm.memory_invalidations += 1
-                    if record is not None:
-                        record.writes.append((None, None))
-                        record.cleared = True
                     continue
                 av = (rsp.value - 8) & MASK64
                 value = u[1]
@@ -832,9 +538,6 @@ class WindowReplayer:
                     memory.pop(av, None)
                 else:
                     memory[av] = value
-                if record is not None:
-                    record.writes.append((av, value))
-                    record.written.add(av)
                 slots[RSP_SLOT] = Known(av, rsp.taint)
                 continue
 
@@ -850,18 +553,12 @@ class WindowReplayer:
                 if memory:
                     memory.clear()
                 pm.memory_invalidations += 1
-                if record is not None:
-                    record.writes.append((None, None))
-                    record.cleared = True
                 continue
 
             if kind == U_SYS:
                 if memory:
                     memory.clear()
                 pm.memory_invalidations += 1
-                if record is not None:
-                    record.writes.append((None, None))
-                    record.cleared = True
                 continue
 
     # ------------------------------------------------------------------

@@ -20,11 +20,9 @@ every :func:`~repro.faults.builtin_plans` plan; the conftest fixture
 programs at several periods; seeded random racy programs, clean and
 under a seeded :class:`~repro.faults.FaultPlan`; and :data:`REPLAY_ASM`,
 written to reach the executor branches the rest never does.  Every case
-replays in ``full``, ``forward`` and ``basicblock`` mode, cold and then
-warm through one :class:`~repro.replay.BlockSummaryCache`, and the clean
-traces also without a cache: all of them must match the one golden
-entry.  Each clean trace is also replayed in ``full`` mode under a
-poison set, as a §5.1 regeneration round would.
+replays once in each of ``full``, ``forward`` and ``basicblock`` mode
+and must match its golden entry.  Each clean trace is also replayed in
+``full`` mode under a poison set, as a §5.1 regeneration round would.
 
 Recording the goldens (only ever on a commit whose replay is trusted)::
 
@@ -44,7 +42,7 @@ import pytest
 from repro.faults import FaultPlan, builtin_plans
 from repro.isa import assemble
 from repro.ptdecode import decode_all
-from repro.replay import BlockSummaryCache, ReplayEngine
+from repro.replay import ReplayEngine
 from repro.tracing import trace_run
 from repro.workloads import GeneratorConfig, generate_racy_program
 
@@ -75,10 +73,9 @@ STATS = ("recovered", "forward", "backward", "basicblock", "sampled",
 #: reverse execution then recovers from the sums, so the loads before
 #: them that the forward pass missed are recovered backward.  The two
 #: workers run the same head: their first samples land at the same
-#: step, so before it both replay with every register unknown, and the
-#: second worker's replay reuses the span summary the first one stored.
-#: That span stores through an unknown address and calls with an
-#: unknown stack pointer while emulated memory holds entries.
+#: step, so before it both replay with every register unknown, storing
+#: through an unknown address and calling with an unknown stack pointer
+#: while emulated memory holds entries.
 REPLAY_ASM = """
 .global cell 0
 .global sink 0
@@ -162,12 +159,9 @@ def _entry(result) -> dict:
     }
 
 
-def _replays(key, program, bundle, poisoned=frozenset(), uncached=False,
-             modes=MODES):
-    """Replay one case in every mode of *modes*: a cold and a warm
-    replay through one summary cache per mode and, with *uncached*, a
-    replay without any cache.  Returns ``{f"{key}/{mode}": [(run name,
-    entry), ...]}`` and the union of the cold full-mode replay's
+def _replays(key, program, bundle, poisoned=frozenset(), modes=MODES):
+    """Replay one case once in every mode of *modes*.  Returns
+    ``{f"{key}/{mode}": entry}`` and the union of the full-mode replay's
     emulated addresses."""
     paths = decode_all(
         program, bundle.pt_traces, config=bundle.pt_config,
@@ -176,18 +170,11 @@ def _replays(key, program, bundle, poisoned=frozenset(), uncached=False,
     runs = {}
     touched = set()
     for mode in modes:
-        cached = ReplayEngine(program, mode=mode, poisoned=poisoned,
-                              summary_cache=BlockSummaryCache())
-        cold = cached.replay_bundle(bundle, paths)
-        entries = [("cold", _entry(cold)),
-                   ("warm", _entry(cached.replay_bundle(bundle, paths)))]
-        if uncached:
-            plain = ReplayEngine(program, mode=mode, poisoned=poisoned)
-            entries.append(
-                ("uncached", _entry(plain.replay_bundle(bundle, paths))))
-        runs[f"{key}/{mode}"] = entries
+        result = ReplayEngine(program, mode=mode,
+                              poisoned=poisoned).replay_bundle(bundle, paths)
+        runs[f"{key}/{mode}"] = _entry(result)
         if mode == "full":
-            for addresses in cold.emulated_touched.values():
+            for addresses in result.emulated_touched.values():
                 touched |= addresses
     return runs, touched
 
@@ -226,14 +213,13 @@ def _inputs():
 
 @lru_cache(maxsize=None)
 def observed():
-    """Replay every golden case once: ``{key: [(run name, entry)]}``
-    with one key per case and mode.  Each clean trace is also replayed
+    """Replay every golden case once: ``{key: entry}`` with one key per
+    case and mode.  Each clean trace is also replayed
     in full mode under every other address its clean replay emulated,
     so emulating stores meet both poisoned and unpoisoned slots."""
     runs = {}
     for prefix, program, clean, degraded in _inputs():
-        clean_runs, touched = _replays(f"{prefix}/clean", program, clean,
-                                       uncached=True)
+        clean_runs, touched = _replays(f"{prefix}/clean", program, clean)
         runs.update(clean_runs)
         for case, bundle in degraded.items():
             runs.update(_replays(f"{prefix}/{case}", program, bundle)[0])
@@ -268,8 +254,7 @@ def test_replay_output_unchanged(name):
     assert keys, f"no golden replays for {name}"
     assert keys == _keys_of(golden(), name)
     for key in keys:
-        for run, entry in runs[key]:
-            assert entry == golden()[key], f"{key} ({run} replay)"
+        assert runs[key] == golden()[key], key
 
 
 def test_golden_cases_recover_through_every_path():
@@ -282,12 +267,7 @@ def test_golden_cases_recover_through_every_path():
 
 
 if __name__ == "__main__":
-    recorded = {}
-    for key, entries in observed().items():
-        (_run, first), *others = entries
-        for run, entry in others:
-            assert entry == first, f"{key}: {run} replay disagrees"
-        recorded[key] = first
+    recorded = observed()
     lines = [f" {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
              for key, value in sorted(recorded.items())]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
