@@ -8,9 +8,11 @@ plays both roles:
 
 1. *Production*: N seeded runs of the cherokee server bug, each traced
    at a production-budget period and serialized to a ``.prtr`` file.
-2. *Analysis fleet*: each trace file is loaded, analyzed (in parallel
-   across the traced program's threads), reported, and deleted; a fleet
-   summary aggregates what the period's batch found.
+2. *Analysis fleet*: each trace file is loaded, analyzed, reported, and
+   deleted; a fleet summary aggregates what the period's batch found.
+   One analysis runs serially; a real fleet spreads the trace files
+   over its machines (``repro fleet`` runs that flow with worker
+   processes).
 
 Run:  python examples/datacenter_fleet.py
 """
@@ -43,7 +45,7 @@ def main() -> None:
           f"({total_bytes // RUNS} per run)\n")
 
     # --- analysis machines: drain the spool.
-    pipeline = OfflinePipeline(program, jobs=4)
+    pipeline = OfflinePipeline(program)
     summary = FleetSummary()
     for trace_file in sorted(spool.glob("*.prtr")):
         bundle = read_trace(trace_file, program=program)

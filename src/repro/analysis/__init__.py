@@ -37,7 +37,6 @@ from .report import (
     backend_to_dict,
     render_backend_section,
     render_degradation,
-    render_ledger,
     render_race,
     render_confirmation,
     render_report,
@@ -96,7 +95,6 @@ __all__ = [
     "geometric_mean",
     "measure_detection_probability",
     "render_degradation",
-    "render_ledger",
     "render_race",
     "render_report",
     "to_json",

@@ -2,12 +2,10 @@
 stage.
 
 §5.1's race-triggered regeneration re-runs reconstruction with a grown
-poison set, and §7.6 notes the offline phases "can be easily
-parallelized".  The seed implementation contradicted both: every
-regeneration round re-decoded nothing but re-replayed *all* threads,
-rebuilt every timeline, re-materialized the full event list and re-sorted
-it globally.  :class:`AnalysisContext` splits the offline state into what
-a round can and cannot change:
+poison set.  Done naively, every regeneration round re-replays *all*
+threads, rebuilds every timeline, re-materializes the full event list
+and re-sorts it globally.  :class:`AnalysisContext` splits the offline
+state into what a round can and cannot change:
 
 **Round-invariant** (computed once per bundle, cached here):
 
@@ -128,12 +126,8 @@ class AnalysisContext:
         bundle: the trace bundle under analysis.
         mode: replay mode (``"full"``, ``"forward"``, ``"basicblock"``,
             or ``"sampled"``).
-        jobs: worker count for per-thread fan-outs (decode, replay).
-        executor: execution strategy for the replay fan-out (``"thread"``
-            or ``"process"``; see :mod:`repro.parallel`).
-        round_cache: when False, every :meth:`replay` call recomputes all
-            threads from scratch (the reference behaviour the incremental
-            path is property-tested against).
+        max_iterations: cap on each window's forward/backward fixed-point
+            iterations.
         clock: a reconciled :class:`~repro.clock.model.ClockModel` for
             *bundle* (whose timestamps must already be corrected, see
             :func:`~repro.clock.repair.apply_clock_correction`).  Event
@@ -151,30 +145,14 @@ class AnalysisContext:
         program: Program,
         bundle: TraceBundle,
         mode: str = "full",
-        jobs: int = 1,
-        executor: str = "thread",
         max_iterations: int = 4,
-        round_cache: bool = True,
-        supervisor=None,
         clock=None,
     ) -> None:
         self.program = program
         self.bundle = bundle
         self.mode = mode
         self.replay_mode = "full" if mode == "sampled" else mode
-        self.jobs = max(1, jobs)
-        self.executor = executor
         self.max_iterations = max_iterations
-        self.round_cache = round_cache
-        #: Optional :class:`~repro.supervise.SupervisorConfig` for the
-        #: replay fan-outs; :attr:`run_ledger` then accumulates one
-        #: merged ledger across all regeneration rounds.
-        self.supervisor = supervisor
-        self.run_ledger = None
-        if supervisor is not None:
-            from ..supervise import RunLedger
-
-            self.run_ledger = RunLedger()
         self.stats = ContextStats()
         #: Wall-clock accumulators for the Figure 12 breakdown.  Timeline
         #: construction is attributed to reconstruction — always, in both
@@ -234,8 +212,7 @@ class AnalysisContext:
             }
             self._paths, self.decode_failures = decode_all_tolerant(
                 self.program, self.bundle.pt_traces,
-                config=self.bundle.pt_config,
-                jobs=self.jobs, samples=sample_map,
+                config=self.bundle.pt_config, samples=sample_map,
             )
             self.decode_seconds += time.perf_counter() - begin
             self.stats.decode_calls += 1
@@ -497,8 +474,7 @@ class AnalysisContext:
         aligned = self.aligned
         begin = time.perf_counter()
         incremental = (
-            self.round_cache
-            and self._last_poisoned is not None
+            self._last_poisoned is not None
             and poisoned >= self._last_poisoned
         )
         if incremental:
@@ -515,8 +491,6 @@ class AnalysisContext:
         engine = ReplayEngine(
             self.program, mode=self.replay_mode,
             max_iterations=self.max_iterations, poisoned=poisoned,
-            jobs=self.jobs, executor=self.executor,
-            supervisor=self.supervisor,
         )
         changed = False
         for replay in engine.replay_threads(paths, aligned, tids,
@@ -541,8 +515,6 @@ class AnalysisContext:
                 self._access_events.pop(replay.tid, None)
                 self._access_batches.pop(replay.tid, None)
             self._threads[replay.tid] = replay
-        if self.run_ledger is not None and engine.last_ledger is not None:
-            self.run_ledger.merge(engine.last_ledger)
         self.stats.threads_replayed += len(tids)
         self.stats.threads_reused += len(paths) - len(tids)
         self._last_poisoned = poisoned
@@ -773,9 +745,8 @@ class AnalysisContext:
 
     def _snapshot_key(self) -> str:
         """Identity of the (bundle, analysis parameters) pair a snapshot
-        belongs to.  Deliberately *excludes* the round-invariant caches —
-        those are recomputed deterministically on restore — and the
-        execution knobs (jobs/executor), which never change results."""
+        belongs to.  Deliberately *excludes* the round-invariant caches:
+        those are recomputed deterministically on restore."""
         return "|".join(str(part) for part in (
             self.program.name, self.mode, self.max_iterations,
             len(self.bundle.samples), len(self.bundle.sync_records),
@@ -791,7 +762,7 @@ class AnalysisContext:
 
         Only the round-variant state travels: cached
         :class:`~repro.replay.engine.ThreadReplay` objects, the poison
-        set, the fixed-point round counter, and the failure/ledger
+        set, the fixed-point round counter, and the replay-failure
         bookkeeping.  The write is atomic (tmp + ``os.replace``) so a
         crash mid-checkpoint leaves the previous snapshot intact.
         """

@@ -97,8 +97,8 @@ def _run_probability_trial(work: tuple) -> DetectionTrial:
     """Module-level trial worker (picklable for the process executor).
 
     Each trial is fully independent: its own seeded trace and its own
-    pipeline run.  Workers keep pipeline ``jobs=1`` — the parallelism
-    budget is spent at the trial level, not nested inside it.
+    pipeline run.  The parallelism budget is spent at the trial level;
+    each trial's analysis runs serially inside its worker.
     """
     (program, targets, period, mode, driver, seed, num_cores, entry,
      governor, load_bursts) = work

@@ -32,7 +32,6 @@ from ..detector.registry import DEFAULT_DETECTOR, create_backend, \
 from ..detector.sharded import run_sharded_fasttrack
 from ..isa.program import Program
 from ..replay.engine import ReplayResult
-from ..supervise import RunLedger
 from ..tracing.bundle import TraceBundle, TraceDefects
 from .context import AnalysisContext
 
@@ -209,9 +208,6 @@ class DetectionResult:
     timings: OfflineTimings
     events_processed: int
     degradation: DegradationReport = field(default_factory=DegradationReport)
-    #: Supervised-runtime accounting (None when the analysis ran
-    #: unsupervised); rendered in reports next to the degradation.
-    ledger: Optional[RunLedger] = None
     #: The backends that ran, in request order (first = primary).
     detectors: Tuple[str, ...] = (DEFAULT_DETECTOR,)
     #: Per-backend findings, keyed by backend name in request order.
@@ -236,16 +232,6 @@ class OfflinePipeline:
         mode: replay mode — ``"full"`` (ProRace), ``"forward"``,
             ``"basicblock"`` (RaceZ), or ``"sampled"`` (no reconstruction:
             detection over PEBS samples only).
-        jobs: worker count for the per-thread decode/replay fan-outs.
-            The paper notes these phases "can be easily parallelized"
-            (§7.6); here the parallelism is across the traced program's
-            threads, whose replays are independent.
-        executor: execution strategy for the replay fan-out (``"thread"``
-            default; ``"process"`` for GIL-free workers, every work item
-            is picklable).
-        round_cache: when False, regeneration rounds recompute every
-            thread from scratch (the reference behaviour the incremental
-            context is property-tested against).
         detectors: registry names of the detector backends to run over
             the merged event stream — all of them side-by-side in one
             decode/replay pass.  The first name is the *primary*
@@ -277,10 +263,6 @@ class OfflinePipeline:
         self,
         program: Program,
         mode: str = "full",
-        jobs: int = 1,
-        executor: str = "thread",
-        round_cache: bool = True,
-        supervisor=None,
         detectors: Sequence[str] = (DEFAULT_DETECTOR,),
         detect_shards: int = 1,
         detect_executor: Optional[str] = None,
@@ -288,13 +270,6 @@ class OfflinePipeline:
     ) -> None:
         self.program = program
         self.mode = mode
-        self.jobs = max(1, jobs)
-        self.executor = executor
-        self.round_cache = round_cache
-        #: Optional :class:`~repro.supervise.SupervisorConfig`: replay
-        #: fan-outs then run under the supervised runtime and every
-        #: :class:`DetectionResult` carries a merged ``ledger``.
-        self.supervisor = supervisor
         self.detectors = resolve_detectors(detectors)
         self.detect_shards = max(1, detect_shards)
         self.detect_executor = detect_executor
@@ -321,11 +296,8 @@ class OfflinePipeline:
                 bundle
             )
             reconcile_seconds = time.perf_counter() - begin
-        context = AnalysisContext(
-            self.program, bundle, mode=self.mode, jobs=self.jobs,
-            executor=self.executor, round_cache=self.round_cache,
-            supervisor=self.supervisor, clock=clock_model,
-        )
+        context = AnalysisContext(self.program, bundle, mode=self.mode,
+                                  clock=clock_model)
         # Estimation/correction cost is reconstruction work (Figure 12).
         context.reconstruction_seconds += reconcile_seconds
         context.clock_model = clock_model
@@ -547,7 +519,6 @@ class OfflinePipeline:
             degradation=self.degradation_report(
                 bundle, context, replay_result
             ),
-            ledger=context.run_ledger,
             detectors=self.detectors,
             findings=findings,
             clock=clock_report,

@@ -237,14 +237,6 @@ def render_clock_health(result: DetectionResult) -> List[str]:
     return lines
 
 
-def render_ledger(result: DetectionResult) -> List[str]:
-    """Supervised-runtime summary lines (empty when the analysis ran
-    unsupervised or nothing eventful happened)."""
-    if result.ledger is None or not result.ledger.eventful:
-        return []
-    return result.ledger.render().splitlines()
-
-
 def render_backend_section(program: Program,
                            findings: DetectionFindings) -> List[str]:
     """One non-primary backend's findings as a compact report section,
@@ -304,7 +296,6 @@ def render_report(program: Program, result: DetectionResult) -> str:
     header.extend(render_degradation(result))
     header.extend(render_governor(result))
     header.extend(render_clock_health(result))
-    header.extend(render_ledger(result))
     header.append("")
     body = []
     for index, race in enumerate(result.races, start=1):
@@ -426,10 +417,6 @@ def to_json(program: Program, result: DetectionResult) -> str:
                 "corrupted_sections":
                     list(result.degradation.corrupted_sections),
             },
-            "run_ledger": (
-                result.ledger.to_dict() if result.ledger is not None
-                else None
-            ),
     }
     if tuple(result.detectors) != _DEFAULT_SELECTION:
         # Present only for non-default detector selections, so default

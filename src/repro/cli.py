@@ -183,6 +183,12 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
         help="whole-command wall-clock budget; exceeding it exits "
              "with code 3 (enables supervision)",
     )
+    _add_checkpoint_args(parser)
+
+
+def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
+    """``--checkpoint-dir``/``--resume``: journals for the supervised
+    commands, §5.1 round snapshots for ``analyze``."""
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="journal completed work to DIR so an interrupted command "
@@ -194,11 +200,17 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_resume(args: argparse.Namespace) -> None:
+    """Exit with a usage message when ``--resume`` has no
+    ``--checkpoint-dir`` to resume from."""
+    if args.resume and not args.checkpoint_dir:
+        raise SystemExit("repro: --resume requires --checkpoint-dir")
+
+
 def _supervisor_from(args: argparse.Namespace) -> Optional[SupervisorConfig]:
     """A SupervisorConfig when any supervision flag was given, else None
     (the command then runs on the plain executor, exactly as before)."""
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("repro: --resume requires --checkpoint-dir")
+    _check_resume(args)
     if (args.retries is None and args.task_timeout is None
             and args.deadline is None):
         return None
@@ -406,6 +418,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_resume(args)
     program = _resolve_program(args.program, _scale_from(args), args.source)
     try:
         bundle = read_trace(args.trace, program=program,
@@ -418,8 +431,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"repro analyze: unreadable trace {args.trace}: {error}",
               file=sys.stderr)
         return 2
-    pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
-                               supervisor=_supervisor_from(args),
+    pipeline = OfflinePipeline(program, mode=args.mode,
                                detectors=_detectors_from(args),
                                reconcile_clock=args.reconcile_clock)
     result = _analyze_profiled(pipeline, bundle, args)
@@ -434,8 +446,7 @@ def cmd_confirm(args: argparse.Namespace) -> int:
     program = _resolve_program(args.program, _scale_from(args), args.source)
     bundle = trace_run(program, period=args.period,
                        driver=_DRIVERS[args.driver], seed=args.seed)
-    pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
-                               supervisor=_supervisor_from(args),
+    pipeline = OfflinePipeline(program, mode=args.mode,
                                detectors=_detectors_from(args))
     result = pipeline.analyze(bundle)
     confirmation = _confirmation_for(program, pipeline, bundle, result,
@@ -496,13 +507,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     detectors = _detectors_from(args)
     summary = FleetSummary()
     if args.runs == 1:
-        # One run: spend the job budget on the pipeline's per-thread
-        # decode/replay fan-out.
+        # One run analyzes in this process; --jobs and the supervision
+        # flags reach only the --confirm replays.
+        if supervisor is not None and not args.confirm:
+            print("repro detect: --retries/--task-timeout/--deadline "
+                  "apply to --runs > 1 and --confirm; ignoring them for "
+                  "one run", file=sys.stderr)
         bundle = trace_run(program, period=args.period,
                            driver=_DRIVERS[args.driver], seed=args.seed,
                            governor=governor)
-        pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
-                                   supervisor=supervisor,
+        pipeline = OfflinePipeline(program, mode=args.mode,
                                    detectors=detectors,
                                    reconcile_clock=args.reconcile_clock)
         result = _analyze_profiled(pipeline, bundle, args)
@@ -1186,8 +1200,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 choices=("full", "forward", "basicblock",
                                          "sampled"))
     analyze_parser.add_argument("--json", action="store_true")
-    analyze_parser.add_argument("--jobs", type=int, default=1,
-                                help="workers for per-thread decode/replay")
     analyze_parser.add_argument(
         "--allow-partial", action="store_true",
         help="salvage intact sections of a corrupted v2 trace file "
@@ -1199,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_detector_args(analyze_parser)
     _add_clock_args(analyze_parser)
-    _add_supervision_args(analyze_parser)
+    _add_checkpoint_args(analyze_parser)
 
     detect_parser = sub.add_parser("detect", help="trace + analyze")
     _add_program_args(detect_parser)
@@ -1212,8 +1224,8 @@ def build_parser() -> argparse.ArgumentParser:
     detect_parser.add_argument("--runs", type=int, default=1,
                                help="seeded runs to aggregate")
     detect_parser.add_argument("--jobs", type=int, default=1,
-                               help="workers: across runs when --runs > 1; "
-                                    "otherwise per-thread decode/replay")
+                               help="workers for the --runs fan-out and "
+                                    "the --confirm replays")
     detect_parser.add_argument(
         "--profile", metavar="PATH",
         help="dump a cProfile pstats file for the offline stage to PATH",

@@ -2,20 +2,23 @@
 
 §7.6 observes that PT decode and memory reconstruction "can be easily
 parallelized" across analysis machines; the whole premise of the offline
-phase is that dedicated machines absorb its cost.  This module is the
-single place that decision lives.  Three layers fan out through it:
+phase is that dedicated machines absorb its cost.  The unit of that
+parallelism is a whole trace: one analysis decodes and replays its
+threads serially in one process, and the fan-outs that go through this
+module run whole units of work side by side:
 
-* :class:`repro.replay.ReplayEngine` — the traced program's threads have
-  independent replays (thread executor: the workers share the program
-  and decoded paths in memory, and each unit of work is small).
-* :class:`repro.analysis.AnalysisContext` — regeneration rounds re-replay
-  only the invalidated threads, again fanned out per thread.
-* :func:`repro.analysis.detection_sweep` and
-  :func:`repro.analysis.measure_detection_probability` — independent
-  seeded runs, the biggest win.  These default to the *process* executor:
-  the work is pure-Python and CPU-bound, so it only scales past the GIL
-  in separate interpreters, and every work item (program, driver model,
-  seed) is picklable by construction.
+* :func:`repro.analysis.detection_sweep`,
+  :func:`repro.analysis.measure_detection_probability` and multi-run
+  ``repro detect`` — independent seeded runs.  These default to the
+  *process* executor: the work is pure-Python and CPU-bound, so it only
+  scales past the GIL in separate interpreters, and every work item
+  (program, driver model, seed) is picklable by construction.
+* :func:`repro.confirm.confirm_races` and the fleet's nodes — one
+  schedule-controlled replay per reported race, one traced node per
+  item.
+
+The address-sharded detection stage (``OfflinePipeline(detect_shards=)``)
+is the one fan-out inside a single analysis.
 
 Every fan-out returns results in input order regardless of completion
 order, so callers are deterministic — ``jobs=4`` is bit-identical to

@@ -484,36 +484,25 @@ def decode_all(
     program: Program,
     traces: Dict[int, PTThreadTrace],
     config: Optional[PTConfig] = None,
-    jobs: int = 1,
     samples: Optional[Dict[int, Sequence[PEBSSample]]] = None,
 ) -> Dict[int, DecodedPath]:
-    """Decode every thread's stream.
-
-    Per-thread packet streams are independent, so decode fans out over
-    the shared executor abstraction when *jobs* > 1 (§7.6: decode "can
-    be easily parallelized").  Decode always uses the thread executor:
-    the work shares the program in memory and the units are small.
+    """Decode every thread's stream, in tid order.
 
     *samples* (per-tid PEBS samples) enables OVF gap resynchronization;
     without it a gapped stream simply truncates at its first gap.
     """
-    from ..parallel import parallel_map
-
-    tids = sorted(traces)
     sample_map = samples or {}
-    paths = parallel_map(
-        lambda tid: decode_thread(program, traces[tid], config=config,
-                                  samples=sample_map.get(tid)),
-        tids, jobs=jobs, executor="thread",
-    )
-    return dict(zip(tids, paths))
+    return {
+        tid: decode_thread(program, traces[tid], config=config,
+                           samples=sample_map.get(tid))
+        for tid in sorted(traces)
+    }
 
 
 def decode_all_tolerant(
     program: Program,
     traces: Dict[int, PTThreadTrace],
     config: Optional[PTConfig] = None,
-    jobs: int = 1,
     samples: Optional[Dict[int, Sequence[PEBSSample]]] = None,
 ) -> Tuple[Dict[int, DecodedPath], Dict[int, str]]:
     """Decode every thread, isolating per-thread failures.
@@ -522,27 +511,15 @@ def decode_all_tolerant(
     entry in *failures* (tid → reason) and a skipped thread, not a dead
     analysis.  Gap resynchronization still applies via *samples*.
     """
-    from ..parallel import parallel_map
-
-    tids = sorted(traces)
     sample_map = samples or {}
-
-    def _one(tid: int):
-        try:
-            return decode_thread(program, traces[tid], config=config,
-                                 samples=sample_map.get(tid))
-        except Exception as error:
-            return (tid, f"{type(error).__name__}: {error}")
-
     paths: Dict[int, DecodedPath] = {}
     failures: Dict[int, str] = {}
-    for tid, outcome in zip(
-        tids, parallel_map(_one, tids, jobs=jobs, executor="thread")
-    ):
-        if isinstance(outcome, DecodedPath):
-            paths[tid] = outcome
-        else:
-            failures[tid] = outcome[1]
+    for tid in sorted(traces):
+        try:
+            paths[tid] = decode_thread(program, traces[tid], config=config,
+                                       samples=sample_map.get(tid))
+        except Exception as error:
+            failures[tid] = f"{type(error).__name__}: {error}"
     return paths, failures
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..isa.program import Program
-from ..parallel import parallel_map
 from ..ptdecode.decoder import AlignedSample, DecodedPath, align_samples, decode_all
 from ..tracing.bundle import TraceBundle
 from .program_map import Known
@@ -38,31 +37,14 @@ from .window import (
 _MODES = ("full", "forward", "basicblock")
 
 
-def _replay_one(work: tuple) -> "ThreadReplay":
-    """Module-level worker so the fan-out also runs under the process
-    executor (closures don't pickle; engines and paths do)."""
-    engine, path, aligned = work
-    return engine.replay_thread_full(path, aligned)
-
-
 @dataclass(frozen=True)
 class ReplayFailure:
-    """Picklable failure sentinel from the tolerant replay fan-out."""
+    """A thread whose replay raised under tolerant
+    :meth:`ReplayEngine.replay_threads`: graceful degradation under
+    faulty traces skips it instead of killing the whole analysis."""
 
     tid: int
     error: str
-
-
-def _replay_one_tolerant(work: tuple):
-    """Tolerant worker: one thread's failure becomes a sentinel, not a
-    dead fan-out (graceful degradation under faulty traces)."""
-    engine, path, aligned = work
-    try:
-        return engine.replay_thread_full(path, aligned)
-    except Exception as error:
-        return ReplayFailure(
-            tid=path.tid, error=f"{type(error).__name__}: {error}"
-        )
 
 
 @dataclass
@@ -157,9 +139,6 @@ class ReplayEngine:
         mode: str = "full",
         max_iterations: int = 4,
         poisoned: Optional[FrozenSet[int]] = None,
-        jobs: int = 1,
-        executor: str = "thread",
-        supervisor=None,
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}: {mode!r}")
@@ -167,17 +146,6 @@ class ReplayEngine:
         self.mode = mode
         self.max_iterations = max_iterations
         self.poisoned = poisoned or frozenset()
-        #: Worker count for the per-thread replay fan-out: per-thread
-        #: replays are independent (§7.6).
-        self.jobs = max(1, jobs)
-        self.executor = executor
-        #: Optional :class:`~repro.supervise.SupervisorConfig`: the
-        #: per-thread fan-out then runs under the supervised runtime
-        #: (retries, timeouts, crash isolation) instead of the plain
-        #: pool.  The config pickles with the engine; the resulting
-        #: ledger lands in :attr:`last_ledger` after each fan-out.
-        self.supervisor = supervisor
-        self.last_ledger = None
 
     # ------------------------------------------------------------------
 
@@ -217,26 +185,27 @@ class ReplayEngine:
         tids: Sequence[int],
         tolerant: bool = False,
     ) -> List[ThreadReplay]:
-        """Replay a subset of threads, fanned out over the executor.
+        """Replay a subset of threads, one after another in *tids* order.
 
         This is the unit the analysis context re-runs per regeneration
         round: *tids* names only the threads whose program maps touched
         newly poisoned addresses.  With *tolerant*, a thread whose
-        replay raises yields a :class:`ReplayFailure` sentinel in the
-        result list instead of killing the whole fan-out.
+        replay raises yields a :class:`ReplayFailure` in the result list
+        instead of killing the whole analysis.
         """
-        work = [(self, paths[tid], aligned.get(tid, [])) for tid in tids]
-        worker = _replay_one_tolerant if tolerant else _replay_one
-        if self.supervisor is not None:
-            from ..supervise import supervised_map
-
-            results, self.last_ledger = supervised_map(
-                worker, work, jobs=self.jobs, executor=self.executor,
-                config=self.supervisor,
-            )
-            return results
-        return parallel_map(worker, work, jobs=self.jobs,
-                            executor=self.executor)
+        replays = []
+        for tid in tids:
+            path = paths[tid]
+            try:
+                replays.append(
+                    self.replay_thread_full(path, aligned.get(tid, [])))
+            except Exception as error:
+                if not tolerant:
+                    raise
+                replays.append(ReplayFailure(
+                    tid=path.tid, error=f"{type(error).__name__}: {error}"
+                ))
+        return replays
 
     def replay_thread_full(
         self,

@@ -222,8 +222,7 @@ class RunLedger:
         )
 
     def merge(self, other: "RunLedger") -> None:
-        """Fold another supervised call's ledger into this one (e.g.
-        one ledger per regeneration round of an analysis)."""
+        """Fold another supervised call's ledger into this one."""
         self.items.extend(other.items)
         self.respawns += other.respawns
         self.resumed += other.resumed

@@ -118,8 +118,8 @@ class TraceBundle:
     #: section.  ``None`` means the global-TSC trust assumption holds.
     #: Typed loosely so the tracing layer never imports ``repro.clock``.
     clock: Optional[object] = None
-    #: Lazy per-tid sample index behind :meth:`samples_of_thread` (the
-    #: replay fan-out calls it once per thread; a linear rescan per call
+    #: Lazy per-tid sample index behind :meth:`samples_of_thread` (decode
+    #: and alignment call it once per thread; a linear rescan per call
     #: made that O(threads × samples)).
     _sample_index: Optional[Dict[int, List[PEBSSample]]] = field(
         default=None, repr=False, compare=False

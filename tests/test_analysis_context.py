@@ -8,7 +8,11 @@ The contract under test:
 * a regeneration round re-replays only the threads whose program maps
   emulated a newly poisoned address; everything else is reused;
 * the incremental (cached) pipeline reports exactly the same verdicts,
-  rounds and replay statistics as the from-scratch per-round pipeline;
+  rounds and replay statistics as the from-scratch per-round loop
+  (``tests.helpers.analyze_from_scratch``), also on an input whose
+  regeneration round reuses a thread;
+* a checkpointed analysis resumed from its §5.1 snapshot reproduces the
+  uninterrupted run;
 * the merged event stream is sorted strictly by the global event key and
   is reproducible across fresh contexts;
 * ``events_for()`` after ``analyze()`` on the same bundle object reuses
@@ -25,42 +29,7 @@ from repro.detector.witness import WitnessPlanner
 from repro.errors import UsageError
 from repro.isa import assemble
 from repro.tracing import trace_run
-
-# The pointer-flipper scenario of §5.1: `cell` holds a pointer that one
-# thread races on, and the main thread's reconstructed accesses go
-# *through* the emulated pointer value — detecting the race on `cell`
-# poisons it and forces a regeneration round.
-REGEN_ASM = """
-.global cell 0
-.array a1 1 1 1 1
-.array a2 2 2 2 2
-.reserve workbuf 16
-main:
-    spawn flipper, %rbx
-    mov $10, %rcx
-mloop:
-    mov $a1, %rax
-    mov %rax, cell(%rip)
-    mov %rcx, %r10
-    and $15, %r10
-    mov workbuf(,%r10,8), %r11
-    mov cell(%rip), %rsi
-    mov 8(%rsi), %rdx
-    dec %rcx
-    cmp $0, %rcx
-    jne mloop
-    join %rbx
-    halt
-flipper:
-    mov $10, %rcx
-floop:
-    mov $a2, %rax
-    mov %rax, cell(%rip)
-    dec %rcx
-    cmp $0, %rcx
-    jne floop
-    halt
-"""
+from tests.helpers import REGEN_ASM, REGEN_BYSTANDER_ASM, analyze_from_scratch
 
 
 @pytest.fixture(scope="module")
@@ -233,8 +202,8 @@ class TestSelectiveInvalidation:
         """The headline §5.1 property: the cached incremental context and
         a from-scratch pipeline agree on every verdict and statistic."""
         program, bundle = regen_case
-        cached = OfflinePipeline(program, round_cache=True).analyze(bundle)
-        scratch = OfflinePipeline(program, round_cache=False).analyze(bundle)
+        cached = OfflinePipeline(program).analyze(bundle)
+        scratch = analyze_from_scratch(program, bundle)
         assert {r.pair for r in cached.races} == \
             {r.pair for r in scratch.races}
         assert cached.racy_addresses == scratch.racy_addresses
@@ -242,6 +211,58 @@ class TestSelectiveInvalidation:
         assert cached.replay.stats == scratch.replay.stats
         assert cached.replay.per_thread == scratch.replay.per_thread
         assert cached.events_processed == scratch.events_processed
+
+
+def _assert_same_analysis(result, reference):
+    assert {r.pair for r in result.races} == \
+        {r.pair for r in reference.races}
+    assert result.racy_addresses == reference.racy_addresses
+    assert result.regeneration_rounds == reference.regeneration_rounds
+    assert result.replay.stats == reference.replay.stats
+    assert result.replay.per_thread == reference.replay.per_thread
+    assert result.events_processed == reference.events_processed
+
+
+class TestRoundReuse:
+    """The §5.1 round cache on an input whose regeneration round reuses
+    a thread: poisoning `cell` re-replays main and the flipper, and the
+    bystander's cached replay stands."""
+
+    @pytest.mark.parametrize("period,seed", [(3, 0), (3, 11), (5, 0),
+                                             (5, 7)])
+    def test_reused_thread_matches_from_scratch(self, period, seed):
+        program = assemble(REGEN_BYSTANDER_ASM)
+        bundle = trace_run(program, period=period, seed=seed)
+        pipeline = OfflinePipeline(program)
+        cached = pipeline.analyze(bundle)
+        _bundle, context, _replay = pipeline._analyzed
+        assert cached.regeneration_rounds == 2
+        assert context.stats.threads_reused >= 1
+        _assert_same_analysis(cached, analyze_from_scratch(program, bundle))
+
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
+        """A checkpointed run leaves one §5.1 snapshot; resuming from
+        it re-enters round 2, re-replays the two threads the poison
+        touches, reuses the bystander, and ends where the uninterrupted
+        run did."""
+        program = assemble(REGEN_BYSTANDER_ASM)
+        bundle = trace_run(program, period=4, seed=0)
+        uninterrupted = OfflinePipeline(program).analyze(bundle)
+        assert uninterrupted.regeneration_rounds == 2
+
+        checkpoint = tmp_path / "ck"
+        checkpointed = OfflinePipeline(program).analyze(
+            bundle, checkpoint_dir=checkpoint)
+        assert len(list(checkpoint.glob("analyze-*.ckpt"))) == 1
+        _assert_same_analysis(checkpointed, uninterrupted)
+
+        pipeline = OfflinePipeline(program)
+        resumed = pipeline.analyze(bundle, checkpoint_dir=checkpoint,
+                                   resume=True)
+        _bundle, context, _replay = pipeline._analyzed
+        _assert_same_analysis(resumed, uninterrupted)
+        assert context.stats.threads_replayed == 2
+        assert context.stats.threads_reused == 1
 
 
 class TestMergedStream:

@@ -71,6 +71,7 @@ class TestTraceAnalyze:
         )
         payload = json.loads(out)
         assert payload["races"]
+        assert "run_ledger" not in payload
 
 
 class TestAnalyzeErrors:
@@ -179,6 +180,18 @@ class TestSupervisedExitCodes:
                 "--periods", "100", "--runs", "2", "--iterations", "8",
                 "--resume",
             ])
+        with pytest.raises(SystemExit, match="--checkpoint-dir"):
+            main(["analyze", "aget-bug2", "/no/such/file.prtr", "--resume"])
+
+    def test_analyze_takes_only_checkpoint_flags(self, capsys):
+        """One analysis runs in-process: ``analyze`` keeps the §5.1
+        snapshot flags and none of the supervision or fan-out ones."""
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        out = capsys.readouterr().out
+        assert "--checkpoint-dir" in out and "--resume" in out
+        for flag in ("--jobs", "--retries", "--task-timeout", "--deadline"):
+            assert flag not in out
 
 
 class TestSweepCheckpointResume:
@@ -213,6 +226,18 @@ class TestDetect:
         )
         assert code == 1
         assert "ProRace report" in out
+
+    def test_single_run_ignores_supervision_flags(self, capsys,
+                                                  racy_source):
+        """One analysis is not supervised: a single run says so and
+        finishes instead of honouring an exhausted deadline."""
+        code = main([
+            "detect", "-", "--source", racy_source, "--period", "5",
+            "--seed", "2", "--deadline", "0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "ignoring them for one run" in captured.err
 
     def test_fleet_summary(self, capsys, racy_source):
         code, out = run_cli(

@@ -1,67 +1,10 @@
-"""Parallel offline analysis: jobs>1 must be verdict-identical (§7.6)."""
+"""Parallel offline analysis across traces: jobs>1 must be
+verdict-identical (§7.6)."""
 
 import pytest
 
-from repro.analysis import (
-    OfflinePipeline,
-    detection_sweep,
-    measure_detection_probability,
-)
-from repro.replay import ReplayEngine
-from repro.tracing import trace_run
-from repro.workloads import PARSEC_WORKLOADS, RACE_BUGS, WorkloadScale
-
-
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("name", ["cherokee-0.9.2", "mysql-644",
-                                      "aget-bug2"])
-    def test_same_verdicts(self, name):
-        bug = RACE_BUGS[name]
-        program = bug.build(WorkloadScale(iterations=10))
-        bundle = trace_run(program, period=40, seed=5)
-        serial = OfflinePipeline(program, jobs=1).analyze(bundle)
-        parallel = OfflinePipeline(program, jobs=4).analyze(bundle)
-        assert serial.racy_addresses == parallel.racy_addresses
-        assert {r.pair for r in serial.races} == \
-            {r.pair for r in parallel.races}
-        assert serial.replay.stats.recovered == \
-            parallel.replay.stats.recovered
-
-    def test_same_accesses_per_thread(self, racy_program):
-        bundle = trace_run(racy_program, period=4, seed=2)
-        serial = ReplayEngine(racy_program, jobs=1).replay_bundle(bundle)
-        parallel = ReplayEngine(racy_program, jobs=4).replay_bundle(bundle)
-        assert serial.per_thread.keys() == parallel.per_thread.keys()
-        for tid in serial.per_thread:
-            assert serial.per_thread[tid] == parallel.per_thread[tid]
-
-    def test_many_thread_workload(self):
-        program = PARSEC_WORKLOADS["fluidanimate"].instantiate(
-            WorkloadScale(iterations=8, threads=4)
-        )
-        bundle = trace_run(program, period=6, seed=1)
-        serial = OfflinePipeline(program, jobs=1).analyze(bundle)
-        parallel = OfflinePipeline(program, jobs=8).analyze(bundle)
-        assert serial.racy_addresses == parallel.racy_addresses
-        assert serial.events_processed == parallel.events_processed
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_pipeline_executor_identical(self, executor):
-        """The replay fan-out must be invisible regardless of executor —
-        process workers exercise the pickling path end to end."""
-        bug = RACE_BUGS["aget-bug2"]
-        program = bug.build(WorkloadScale(iterations=10))
-        bundle = trace_run(program, period=40, seed=5)
-        serial = OfflinePipeline(program, jobs=1).analyze(bundle)
-        fanned = OfflinePipeline(program, jobs=4,
-                                 executor=executor).analyze(bundle)
-        assert serial.racy_addresses == fanned.racy_addresses
-        assert {r.pair for r in serial.races} == \
-            {r.pair for r in fanned.races}
-        assert serial.replay.stats == fanned.replay.stats
-        assert serial.replay.per_thread == fanned.replay.per_thread
-        assert serial.regeneration_rounds == fanned.regeneration_rounds
-        assert serial.events_processed == fanned.events_processed
+from repro.analysis import detection_sweep, measure_detection_probability
+from repro.workloads import RACE_BUGS, WorkloadScale
 
 
 class TestParallelSweeps:

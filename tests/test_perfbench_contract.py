@@ -30,12 +30,37 @@ def test_layer_span_boundary_resolves(entry):
     inspect.getattr_static(owner, attribute)
 
 
+@pytest.fixture(scope="module")
+def first_inputs():
+    """Every workload's first input, run once under all the layer spans:
+    ``{workload: (outcome, tracer)}``."""
+    runs = {}
+    for name, workload in sorted(flows.WORKLOADS.items()):
+        item = flows.setup(workload, 0)[0]
+        with spans.installed(spans.Tracer()) as tracer:
+            outcome = flows.run_input(workload, item, tracer.stage)
+        runs[name] = (outcome, tracer)
+    return runs
+
+
 @pytest.mark.parametrize("name", sorted(flows.WORKLOADS))
-def test_first_input_runs_under_spans(name):
-    workload = flows.WORKLOADS[name]
-    item = flows.setup(workload, 0)[0]
-    with spans.installed(spans.Tracer()) as tracer:
-        outcome = flows.run_input(workload, item, tracer.stage)
+def test_first_input_runs_under_spans(name, first_inputs):
+    outcome, tracer = first_inputs[name]
     assert outcome.error is None
     assert outcome.out_of_set == 0
     assert tracer.depth == 0
+
+
+def test_every_span_boundary_fires(first_inputs):
+    """A boundary that resolves but is no longer called through, say a
+    decode or replay the pipeline reaches around its patched name,
+    would silently zero that layer's metrics.  Together the first
+    inputs enter every span, and each decodes and replays steps."""
+    expected = {entry[2] for entry in spans.LAYER_SPANS}
+    expected |= {entry[3] for entry in spans.LAYER_SPANS if entry[3]}
+    entered = {node.name for _outcome, tracer in first_inputs.values()
+               for node, _ancestors in tracer.nodes()}
+    assert expected - entered == set()
+    for name, (_outcome, tracer) in first_inputs.items():
+        assert tracer.counts["decode.steps"] > 0, name
+        assert tracer.counts["replay.stepped"] > 0, name

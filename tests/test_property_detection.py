@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.analysis import OfflinePipeline
 from repro.tracing import trace_run
 from repro.workloads import GeneratorConfig, generate_racy_program
+from tests.helpers import analyze_from_scratch
 
 CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
 
@@ -57,8 +58,8 @@ def test_incremental_context_equals_from_scratch(seed):
     replay statistics to the from-scratch per-round pipeline."""
     program, _ = generate_racy_program(seed, CONFIG)
     bundle = trace_run(program, period=5, seed=seed)
-    cached = OfflinePipeline(program, round_cache=True).analyze(bundle)
-    scratch = OfflinePipeline(program, round_cache=False).analyze(bundle)
+    cached = OfflinePipeline(program).analyze(bundle)
+    scratch = analyze_from_scratch(program, bundle)
     assert _pairs(cached) == _pairs(scratch)
     assert cached.racy_addresses == scratch.racy_addresses
     assert cached.regeneration_rounds == scratch.regeneration_rounds

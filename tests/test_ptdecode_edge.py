@@ -1,10 +1,12 @@
 """Decoder edge cases: window lookup, locate misses, torn tails, the
-step budget."""
+step budget, an undecodable stream."""
 
+import dataclasses
 import time
 
 import pytest
 
+from repro.errors import EXIT_TRACE_ERROR
 from repro.isa import Instruction, Op, Program, ProgramError, assemble
 from repro.machine import Machine
 from repro.pmu import PTPacketizer
@@ -12,6 +14,7 @@ from repro.pmu.pt import PTPacket, PTThreadTrace, PacketKind
 from repro.pmu.records import SyncRecord
 from repro.ptdecode import DecodeError, decode_all, decode_thread, locate_syncs
 from repro.ptdecode.decoder import DecodedPath
+from repro.replay import ReplayEngine
 from repro.tracing import trace_run
 
 
@@ -195,9 +198,16 @@ class TestStepBudget:
             decode_thread(program, trace, max_steps=1)
 
 
-def test_parallel_decode_matches_serial(clean_program):
+def test_undecodable_stream_is_bad_input(clean_program):
+    """A stream no decode can follow is unusable input (exit 2) from
+    both strict decode entry points, not a crashed worker (exit 4)."""
     bundle = trace_run(clean_program, period=3, seed=4)
-    assert len(bundle.pt_traces) > 1
-    serial = decode_all(clean_program, bundle.pt_traces, jobs=1)
-    parallel = decode_all(clean_program, bundle.pt_traces, jobs=2)
-    assert parallel == serial
+    last = max(bundle.pt_traces)
+    bundle.pt_traces[last] = dataclasses.replace(
+        bundle.pt_traces[last], start_ip=10**9)
+    with pytest.raises(DecodeError) as decoded:
+        decode_all(clean_program, bundle.pt_traces)
+    with pytest.raises(DecodeError) as replayed:
+        ReplayEngine(clean_program).replay_bundle(bundle)
+    assert decoded.value.exit_code == replayed.value.exit_code \
+        == EXIT_TRACE_ERROR
