@@ -107,27 +107,30 @@ def test_ablation_ret_compression(benchmark, profile, results_dir):
 def test_ablation_fixpoint_iterations(benchmark, profile, results_dir):
     """Recovery vs the forward/backward fixed-point iteration cap: one
     round already captures most accesses; iteration adds the §5.2.2 tail.
+    Past the fixed point a higher cap runs no further iteration.
     """
     bug = RACE_BUGS["mysql-644"]
     program = bug.build(profile.bug_scale)
     bundle = trace_run(program, period=60, seed=3)
 
     def measure():
-        recovered = {}
-        for max_iterations in (1, 2, 4):
+        stats = {}
+        for max_iterations in (1, 2, 4, 8):
             engine = ReplayEngine(program, mode="full",
                                   max_iterations=max_iterations)
-            result = engine.replay_bundle(bundle)
-            recovered[max_iterations] = result.stats.recovered
-        return recovered
+            stats[max_iterations] = engine.replay_bundle(bundle).stats
+        return stats
 
-    recovered = benchmark.pedantic(measure, rounds=1, iterations=1)
+    stats = benchmark.pedantic(measure, rounds=1, iterations=1)
     lines = [
-        f"recovered accesses with max_iterations={k}: {v}"
-        for k, v in recovered.items()
+        f"max_iterations={k}: {s.recovered} recovered accesses, "
+        f"{s.iterations} iterations"
+        for k, s in stats.items()
     ]
     write_table(results_dir, "ablation_fixpoint", lines)
-    assert recovered[1] <= recovered[2] <= recovered[4]
+    recovered = [stats[k].recovered for k in (1, 2, 4, 8)]
+    assert recovered == sorted(recovered)
+    assert stats[8].iterations == stats[4].iterations
 
 
 def test_ablation_regeneration(benchmark, profile, results_dir):

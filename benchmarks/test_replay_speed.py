@@ -113,15 +113,21 @@ def test_replay_speed(benchmark, profile, results_dir):
     (results_dir / "BENCH_replay.json").write_text(
         json.dumps(results, indent=2) + "\n")
 
-    header = f"{'Workload':14s}{'hot-loop k/s':>13s}{'bundle k/s':>12s}"
+    header = (f"{'Workload':14s}{'hot-loop k/s':>13s}{'bundle k/s':>12s}"
+              f"{'bundle s':>10s}{'bundle steps':>14s}")
     lines = [f"(period {PERIOD}, min of {REPEATS}; "
-             f"k/s = thousand replay steps per second)",
+             f"k/s = thousand replay steps per second; bundle s and "
+             f"steps = full fixed-point replay_bundle seconds and steps "
+             f"executed)",
              header, "-" * len(header)]
     for name, row in results["workloads"].items():
+        bundle = row["bundle_replay"]
         lines.append(
             f"{name:14s}"
             f"{row['forward_hot_loop']['steps_per_sec'] / 1e3:13.0f}"
-            f"{row['bundle_replay']['steps_per_sec'] / 1e3:12.0f}"
+            f"{bundle['steps_per_sec'] / 1e3:12.0f}"
+            f"{bundle['seconds']:10.3f}"
+            f"{bundle['total_steps']:14,d}"
         )
     ft = results["fasttrack"]
     lines.append("")

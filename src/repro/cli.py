@@ -75,6 +75,14 @@ from .workloads import (
 _DRIVERS = {"prorace": PRORACE_DRIVER, "vanilla": VANILLA_DRIVER}
 
 
+def _bad_command_line(message: str) -> SystemExit:
+    """Print *message* to stderr and return the exit to raise: code 2,
+    argparse's own code for an invalid command line (1 means races
+    were reported)."""
+    print(message, file=sys.stderr)
+    return SystemExit(EXIT_TRACE_ERROR)
+
+
 def _resolve_program(name: str, scale: WorkloadScale,
                      source: Optional[str]) -> Program:
     """A program by workload name, bug name, or assembly file path."""
@@ -92,13 +100,13 @@ def _resolve_program(name: str, scale: WorkloadScale,
         try:
             seed = int(name.split(":", 1)[1])
         except ValueError:
-            raise SystemExit(
+            raise _bad_command_line(
                 f"bad generated-server spec {name!r}; expected "
                 "server:SEED with an integer seed"
             )
         program, _pair = generate_server_program(seed)
         return program
-    raise SystemExit(
+    raise _bad_command_line(
         f"unknown program {name!r}; see `repro workloads` "
         "(or pass --source FILE.s, or server:SEED for a generated "
         "server workload)"
@@ -204,7 +212,7 @@ def _check_resume(args: argparse.Namespace) -> None:
     """Exit with a usage message when ``--resume`` has no
     ``--checkpoint-dir`` to resume from."""
     if args.resume and not args.checkpoint_dir:
-        raise SystemExit("repro: --resume requires --checkpoint-dir")
+        raise _bad_command_line("repro: --resume requires --checkpoint-dir")
 
 
 def _supervisor_from(args: argparse.Namespace) -> Optional[SupervisorConfig]:
@@ -613,7 +621,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     workloads = ALL_WORKLOADS
     if args.target:
         if args.target not in ALL_WORKLOADS:
-            raise SystemExit(f"unknown workload {args.target!r}")
+            raise _bad_command_line(f"unknown workload {args.target!r}")
         workloads = {args.target: ALL_WORKLOADS[args.target]}
     sweep = overhead_sweep if args.kind == "overhead" else tracesize_sweep
     print(sweep(workloads, scale, periods=periods,
@@ -641,7 +649,7 @@ def _cmd_chaos_runtime(args: argparse.Namespace) -> int:
     from .analysis import detection_sweep
 
     if args.program not in RACE_BUGS:
-        raise SystemExit(
+        raise _bad_command_line(
             f"repro chaos: worker-fault mode needs a race bug name "
             f"(one of {', '.join(RACE_BUGS)}), got {args.program!r}"
         )
@@ -953,7 +961,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     all_plan_names = BUILTIN_PLAN_NAMES + CLOCK_PLAN_NAMES
     unknown = set(plan_names) - set(all_plan_names)
     if unknown:
-        raise SystemExit(
+        raise _bad_command_line(
             f"unknown fault plans {sorted(unknown)}; "
             f"choose from {', '.join(all_plan_names)}"
         )
@@ -1011,7 +1019,7 @@ def cmd_shootout(args: argparse.Namespace) -> int:
         names = [b.strip() for b in args.bugs.split(",") if b.strip()]
         unknown = [name for name in names if name not in RACE_BUGS]
         if unknown:
-            raise SystemExit(
+            raise _bad_command_line(
                 f"unknown race bugs {unknown}; see `repro workloads`"
             )
         bugs = {name: RACE_BUGS[name] for name in names}

@@ -12,7 +12,6 @@ reconstructed accesses to retract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
 from ..isa.registers import MASK64, NUM_SLOTS, REG_SLOT
@@ -29,12 +28,33 @@ def merge_taint(a: Taint, b: Taint) -> Taint:
     return a | b
 
 
-@dataclass(frozen=True)
 class Known:
-    """An available value with provenance taint."""
+    """An available value with provenance taint.
 
-    value: int
-    taint: Taint = None
+    Immutable by convention: nothing assigns ``value`` or ``taint``
+    after construction, so instances are shared freely between register
+    slots, emulated memory and backward facts.  A slotted class rather
+    than a frozen dataclass because the forward pass builds one for
+    every value it produces, and this one constructs in well under half
+    the time.
+    """
+
+    __slots__ = ("value", "taint")
+
+    def __init__(self, value: int, taint: Taint = None) -> None:
+        self.value = value
+        self.taint = taint
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.taint == other.taint
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.taint))
+
+    def __repr__(self) -> str:
+        return f"Known(value={self.value!r}, taint={self.taint!r})"
 
 
 class ProgramMap:

@@ -170,9 +170,19 @@ class WindowReplayer:
 
     def run(self) -> List[RecoveredAccess]:
         """Run the §5.2.2 fixed-point replay; returns accesses sorted by
-        step."""
+        step.
+
+        Backward facts accumulate across iterations, and each blocked
+        step is handed to the backward pass once: the backward register
+        state never depends on which steps are asked about, so a step
+        asked again would get the same fact and the same retry.  The
+        loop ends when a forward pass blocks on no step not yet asked
+        about, or a backward pass records no new fact (the next forward
+        pass would repeat the last one exactly) — the fixed point.
+        """
         recovered: Dict[int, RecoveredAccess] = {}
         facts: Dict[int, Dict[int, Known]] = {}
+        asked: set = set()
 
         for iteration in range(self.max_iterations):
             self.stats.iterations = iteration + 1
@@ -182,14 +192,16 @@ class WindowReplayer:
                 recovered.setdefault(access.step_index, access)
             if self.exit_registers is None:
                 break  # tail window: nothing to propagate backward
-            bwd_accesses, new_facts = self._backward_pass(blocked)
+            fresh = blocked - asked
+            if not fresh:
+                break
+            asked |= fresh
+            bwd_accesses, new_facts = self._backward_pass(fresh)
             for access in bwd_accesses:
                 recovered.setdefault(access.step_index, access)
-            if new_facts == facts:
-                # Re-running the forward pass without new backward facts
-                # cannot restore anything further: fixed point (§5.2.2).
+            if not new_facts:
                 break
-            facts = new_facts
+            facts.update(new_facts)
 
         self.stats.recovered_forward = sum(
             1 for a in recovered.values() if a.provenance == PROV_FORWARD
@@ -577,7 +589,7 @@ class WindowReplayer:
         passes through (the back-propagation of §5.2.1).  At each step
         the forward pass reported blocked, the before-state is recorded
         as a fact for the next forward pass and any missed memory
-        operand re-tried.
+        operand re-tried; the walk ends at the lowest such step.
         """
         assert self.exit_registers is not None
         kb: Dict[int, Known] = {
@@ -594,7 +606,7 @@ class WindowReplayer:
         get = kb.get
         pop = kb.pop
 
-        for j in range(self.end - 1, self.start - 1, -1):
+        for j in range(self.end - 1, min(blocked) - 1, -1):
             ip = steps[j]
             r = rev[ip]
             kind = r[0]

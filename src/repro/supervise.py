@@ -221,15 +221,6 @@ class RunLedger:
             or self.deadline_hit or self.journal_tail_dropped
         )
 
-    def merge(self, other: "RunLedger") -> None:
-        """Fold another supervised call's ledger into this one."""
-        self.items.extend(other.items)
-        self.respawns += other.respawns
-        self.resumed += other.resumed
-        self.journal_tail_dropped += other.journal_tail_dropped
-        self.wall_seconds += other.wall_seconds
-        self.deadline_hit = self.deadline_hit or other.deadline_hit
-
     def to_dict(self) -> dict:
         return {
             "items": len(self.items),

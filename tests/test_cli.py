@@ -21,6 +21,15 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def assert_bad_command_line(capsys, argv, message):
+    """*argv* is rejected with argparse's exit code 2 (1 means races
+    reported) and *message* on stderr."""
+    with pytest.raises(SystemExit) as raised:
+        main(list(argv))
+    assert raised.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 class TestWorkloads:
     def test_lists_everything(self, capsys):
         code, out = run_cli(capsys, "workloads")
@@ -41,8 +50,8 @@ class TestRun:
         assert code == 0
 
     def test_unknown_program(self, capsys):
-        with pytest.raises(SystemExit, match="unknown program"):
-            main(["run", "nonsense"])
+        assert_bad_command_line(capsys, ["run", "nonsense"],
+                                "unknown program 'nonsense'")
 
 
 class TestTraceAnalyze:
@@ -135,10 +144,11 @@ class TestChaos:
         assert "pt-gap" in out
         assert "pebs-overflow" not in out
 
-    def test_unknown_plan(self, racy_source):
-        with pytest.raises(SystemExit, match="unknown fault plan"):
-            main(["chaos", "-", "--source", racy_source,
-                  "--plans", "nonsense"])
+    def test_unknown_plan(self, capsys, racy_source):
+        assert_bad_command_line(
+            capsys, ["chaos", "-", "--source", racy_source,
+                     "--plans", "nonsense"],
+            "unknown fault plans ['nonsense']")
 
 
 class TestSupervisedExitCodes:
@@ -169,19 +179,21 @@ class TestSupervisedExitCodes:
         assert code == 4
         assert "quarantined" in captured.err
 
-    def test_chaos_needs_known_bug(self):
-        with pytest.raises(SystemExit, match="race bug"):
-            main(["chaos", "swaptions", "--kill-workers", "0.5"])
+    def test_chaos_needs_known_bug(self, capsys):
+        assert_bad_command_line(
+            capsys, ["chaos", "swaptions", "--kill-workers", "0.5"],
+            "repro chaos: worker-fault mode needs a race bug name")
 
-    def test_resume_requires_checkpoint_dir(self):
-        with pytest.raises(SystemExit, match="--checkpoint-dir"):
-            main([
-                "sweep", "detection", "--target", "aget-bug2",
-                "--periods", "100", "--runs", "2", "--iterations", "8",
-                "--resume",
-            ])
-        with pytest.raises(SystemExit, match="--checkpoint-dir"):
-            main(["analyze", "aget-bug2", "/no/such/file.prtr", "--resume"])
+    def test_resume_requires_checkpoint_dir(self, capsys):
+        message = "repro: --resume requires --checkpoint-dir"
+        assert_bad_command_line(capsys, [
+            "sweep", "detection", "--target", "aget-bug2",
+            "--periods", "100", "--runs", "2", "--iterations", "8",
+            "--resume",
+        ], message)
+        assert_bad_command_line(
+            capsys, ["analyze", "aget-bug2", "/no/such/file.prtr",
+                     "--resume"], message)
 
     def test_analyze_takes_only_checkpoint_flags(self, capsys):
         """One analysis runs in-process: ``analyze`` keeps the §5.1
@@ -286,8 +298,9 @@ class TestSweep:
         assert "geomean" in out
 
     def test_unknown_sweep_target(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "overhead", "--target", "nope"])
+        assert_bad_command_line(
+            capsys, ["sweep", "overhead", "--target", "nope"],
+            "unknown workload 'nope'")
 
 
 class TestJitFlags:
@@ -472,9 +485,9 @@ class TestShootout:
         names = {row["name"] for row in payload["ranked"]}
         assert names == {"fasttrack", "o1", "datacollider"}
 
-    def test_unknown_bug_rejected(self):
-        with pytest.raises(SystemExit, match="unknown race bugs"):
-            main(["shootout", "--bugs", "nonsense"])
+    def test_unknown_bug_rejected(self, capsys):
+        assert_bad_command_line(capsys, ["shootout", "--bugs", "nonsense"],
+                                "unknown race bugs ['nonsense']")
 
     def test_unknown_detector_exits_2(self, capsys):
         code = main(["shootout", "--bugs", "pfscan", "--iterations", "5",

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main
 
 from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM
+from tests.test_cli import assert_bad_command_line
 
 
 def run_cli(capsys, *argv):
@@ -68,9 +69,10 @@ class TestConfirmCommand:
         assert code == 0
         assert "confirmed" in out
 
-    def test_bad_server_spec_rejected(self):
-        with pytest.raises(SystemExit, match="server"):
-            main(["confirm", "server:banana"])
+    def test_bad_server_spec_rejected(self, capsys):
+        assert_bad_command_line(
+            capsys, ["confirm", "server:banana"],
+            "bad generated-server spec 'server:banana'")
 
 
 class TestDetectConfirm:

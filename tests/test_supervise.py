@@ -23,7 +23,6 @@ from repro.errors import (
 from repro.faults import WorkerFaultPlan
 from repro.parallel import parallel_map
 from repro.supervise import (
-    RunLedger,
     SupervisorConfig,
     journal_path,
     open_journal,
@@ -302,12 +301,6 @@ class TestJournalPaths:
 
 
 class TestLedger:
-    def test_merge_accumulates(self):
-        a = RunLedger()
-        b = RunLedger(respawns=2, resumed=1, deadline_hit=True)
-        a.merge(b)
-        assert a.respawns == 2 and a.resumed == 1 and a.deadline_hit
-
     def test_to_dict_round_trips_json(self):
         import json
 
@@ -502,8 +495,3 @@ class TestJournalCrashConsistency:
         assert ledger.resumed == 1
         assert "torn tail" in ledger.render()
         assert ledger.to_dict()["journal_tail_dropped"] == dropped
-
-    def test_merge_sums_dropped_tails(self):
-        a = RunLedger(journal_tail_dropped=3)
-        a.merge(RunLedger(journal_tail_dropped=4))
-        assert a.journal_tail_dropped == 7
