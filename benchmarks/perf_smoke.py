@@ -1,10 +1,12 @@
-"""CI perf smoke: replay, detection and race-DB speed floors.
+"""CI perf smoke: replay, planning, detection and race-DB speed floors.
 
 A deliberately small, fast guard (seconds, not minutes) run on every CI
 build; the full measurements live in ``perfbench/``,
 ``benchmarks/test_replay_speed.py`` and ``docs/performance.md``.  Fails
 loudly if window replay on any perfbench workload drops below its floor
-in :data:`MIN_REPLAY_KSTEPS_PER_S` (``replay.ksteps_per_s``), or if the
+in :data:`MIN_REPLAY_KSTEPS_PER_S` (``replay.ksteps_per_s``), if the
+witness planner plans the ``table2-confirm`` streams below
+:data:`MIN_PLAN_KSTEPS_PER_S`, or if the
 detector-backend registry's indirection makes FastTrack's ``access``
 path measurably slower than constructing FastTrack directly (the
 backend refactor's <5% contract against the BENCH_replay.json
@@ -30,6 +32,7 @@ from detect_stream import locality_stream, warm
 from repro.detector.events import Access, AccessKind, WitnessStep
 from repro.detector.fasttrack import FastTrack
 from repro.detector.registry import create_backend
+from repro.detector.witness import WitnessPlanner
 from repro.fleet import RaceDatabase
 from repro.machine import Machine, ScheduleController
 from repro.workloads import PARSEC_WORKLOADS, WorkloadScale
@@ -50,6 +53,16 @@ MIN_REPLAY_KSTEPS_PER_S = {
     "clean-long": 302,
     "lossy-reconcile": 209,
 }
+#: Floor on witness steps planned per second over the
+#: ``table2-confirm`` seed-0 streams (:func:`_planning_rate`: a planner
+#: per stream and a full schedule per reported race, 32,828 steps, as
+#: ``confirm_races`` plans them).  1.15x the median rate of the planner
+#: that rescanned the stream for every race and hashed six tuples per
+#: DFS node (12 runs on a shared 2-vCPU VM: 60-85 ksteps/s, median 70;
+#: the planner that indexes the stream once read 302-558).
+MIN_PLAN_KSTEPS_PER_S = 81
+#: Planning passes per reading; the reading is the fastest of them.
+PLAN_PASSES = 3
 #: Registry indirection budget over direct FastTrack on its per-event
 #: ``access`` path, which the multi-backend detection feed and the
 #: default ``feed_batch`` call (both loops pre-bind the method, so
@@ -114,6 +127,51 @@ def _perfbench_replay_rate(workload):
     result = json.loads(lines[-1])
     assert result["correct"] and result["failed"] == 0, result
     return result["metrics"]["replay.ksteps_per_s"]["value"]
+
+
+def _table2_streams():
+    """The merged event streams and reported races of perfbench's
+    ``table2-confirm`` inputs at seed 0, built as its flow builds them:
+    traced, through the trace container, analyzed, then
+    ``events_for``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import flows
+    from repro.tracing import read_trace_bytes, trace_run, trace_to_bytes
+
+    workload = flows.WORKLOADS["table2-confirm"]
+    streams = []
+    for item in flows.setup(workload, 0):
+        program = item.program
+        traced = trace_run(program, period=workload.period,
+                           seed=flows.SAMPLING_SEED,
+                           machine=Machine(program, seed=item.trace_seed))
+        bundle = read_trace_bytes(trace_to_bytes(traced), program=program)
+        pipeline = flows.pipeline_for(workload, program)
+        races = pipeline.analyze(bundle).races
+        events, _replay = pipeline.events_for(bundle)
+        streams.append(([event for _, event in events], races))
+    return streams
+
+
+def _planning_rate(streams):
+    """Witness steps planned per second over *streams*, in ksteps/s: a
+    full-schedule planner per stream, built and asked for every
+    reported race, timed together; the best of :data:`PLAN_PASSES`
+    passes, and the steps one pass plans."""
+    best = None
+    for _ in range(PLAN_PASSES):
+        steps = 0
+        t0 = time.perf_counter()
+        for events, races in streams:
+            planner = WitnessPlanner(events, tail=None)
+            for report in races:
+                schedule = planner.schedule_for(report)
+                if schedule is not None:
+                    steps += schedule.total_steps
+        elapsed = time.perf_counter() - t0
+        if best is None or elapsed < best:
+            best = elapsed
+    return steps / best / 1e3, steps
 
 
 def _detector_stream(events=40_000):
@@ -338,6 +396,10 @@ def main():
         print(f"perfbench {workload} replay: "
               f"{replay_rates[workload]:,.0f} ksteps/s (floor {floor:,})")
 
+    plan_rate, plan_steps = _planning_rate(_table2_streams())
+    print(f"witness planning on table2-confirm: {plan_steps:,} steps at "
+          f"{plan_rate:,.0f} ksteps/s (floor {MIN_PLAN_KSTEPS_PER_S:,})")
+
     accesses = _detector_stream()
     direct, registered, registry_overhead = _detector_seconds(accesses)
     print(f"fasttrack fast path (median of {REGISTRY_PAIRS} pass pairs): "
@@ -406,6 +468,10 @@ def main():
             f"registry indirection costs {100 * registry_overhead:.1f}% "
             f"on the FastTrack fast path "
             f"(budget {100 * MAX_REGISTRY_OVERHEAD:.0f}%)")
+    if plan_rate < MIN_PLAN_KSTEPS_PER_S:
+        failures.append(
+            f"witness planning only {plan_rate:,.0f} ksteps/s on the "
+            f"table2-confirm streams (floor {MIN_PLAN_KSTEPS_PER_S:,})")
     for workload, floor in MIN_REPLAY_KSTEPS_PER_S.items():
         if replay_rates[workload] < floor:
             failures.append(

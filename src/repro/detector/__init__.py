@@ -36,7 +36,7 @@ from .registry import (
     resolve_detectors,
 )
 from .vectorclock import BOTTOM, Epoch, VectorClock
-from .witness import WITNESS_TAIL, WitnessPlanner, plan_witnesses
+from .witness import WITNESS_TAIL, WitnessPlanner
 
 __all__ = [
     "Access",
@@ -66,7 +66,6 @@ __all__ = [
     "access_sort_key",
     "backend_names",
     "create_backend",
-    "plan_witnesses",
     "register_backend",
     "resolve_detector",
     "resolve_detectors",

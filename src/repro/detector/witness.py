@@ -29,6 +29,7 @@ Everything is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from .events import (
@@ -52,8 +53,36 @@ def step_of(event) -> WitnessStep:
     return WitnessStep(tid=event.tid, op=event.kind.value, detail=event.ip)
 
 
+#: Codes of the flat per-event sync-kind table.  An event coded below
+#: ``_LOCK`` is schedulable as soon as its thread reaches it; accesses,
+#: and sync kinds the search does not model, are ``_FREE`` and change
+#: no state.  A ``rwlock_unlock`` is coded by the mode it releases.
+(_FREE, _UNLOCK, _POST, _FORK, _RD_UNLOCK, _WR_UNLOCK, _ARRIVE,
+ _LOCK, _WAIT, _JOIN, _RD, _WR, _BARRIER) = range(13)
+
+_CODE_OF_KIND = {
+    "unlock": _UNLOCK,
+    "sem_post": _POST,
+    "cond_signal": _POST,
+    "fork": _FORK,
+    "barrier_arrive": _ARRIVE,
+    "lock": _LOCK,
+    "sem_wait": _WAIT,
+    "cond_wake": _WAIT,
+    "join": _JOIN,
+    "rwlock_rd": _RD,
+    "rwlock_wr": _WR,
+    "barrier_wait": _BARRIER,
+}
+
+
 class WitnessPlanner:
     """Plans witness schedules over one buffered event stream.
+
+    The constructor indexes the stream once for every search: each
+    event's thread, sync-kind code and target, each thread's event
+    indices in stream order and its forks.  A search then takes each
+    thread's horizon by bisection.
 
     Args:
         events: the merged event stream (:class:`Access`/:class:`SyncOp`
@@ -74,31 +103,50 @@ class WitnessPlanner:
         self._index_of: Dict[int, int] = {
             id(event): index for index, event in enumerate(self.events)
         }
-        # Static per-event metadata the reordering rules need:
-        # the mode each rwlock_unlock releases (from its matching
-        # acquire in program order) and the arrive quota of each
-        # barrier_wait (the arrivals of its generation — everything
-        # that preceded it in the original stream).
-        self._unlock_mode: Dict[int, str] = {}
-        self._required_arrives: Dict[int, int] = {}
-        held_mode: Dict[Tuple[int, int], str] = {}
+        count = len(self.events)
+        self._tids: List[int] = [0] * count
+        self._codes: List[int] = [_FREE] * count
+        self._targets: List[int] = [0] * count
+        #: barrier_wait index → the arrivals of its generation: every
+        #: ``barrier_arrive`` on its barrier that preceded it.
+        self._quota: Dict[int, int] = {}
+        #: tid → its event indices, threads in order of first appearance.
+        self._thread_events: Dict[int, List[int]] = {}
+        #: tid → indices of the forks it issues.
+        self._forks: Dict[int, List[int]] = {}
+        #: Each event's schedule step, built the first time a schedule
+        #: keeps it.
+        self._steps: List[Optional[WitnessStep]] = [None] * count
+        held_mode: Dict[Tuple[int, int], int] = {}
         arrives: Dict[int, int] = {}
         for index, event in enumerate(self.events):
+            tid = event.tid
+            self._tids[index] = tid
+            indices = self._thread_events.get(tid)
+            if indices is None:
+                indices = self._thread_events[tid] = []
+            indices.append(index)
             if not isinstance(event, SyncOp):
                 continue
-            kind = event.kind
-            if kind == "rwlock_rd":
-                held_mode[(event.tid, event.target)] = "rd"
-            elif kind == "rwlock_wr":
-                held_mode[(event.tid, event.target)] = "wr"
-            elif kind == "rwlock_unlock":
-                self._unlock_mode[index] = held_mode.pop(
-                    (event.tid, event.target), "wr"
-                )
-            elif kind == "barrier_arrive":
-                arrives[event.target] = arrives.get(event.target, 0) + 1
-            elif kind == "barrier_wait":
-                self._required_arrives[index] = arrives.get(event.target, 0)
+            target = event.target
+            self._targets[index] = target
+            if event.kind == "rwlock_unlock":
+                # The mode it releases: its matching acquire's, in
+                # program order.
+                code = (_RD_UNLOCK
+                        if held_mode.pop((tid, target), _WR) == _RD
+                        else _WR_UNLOCK)
+            else:
+                code = _CODE_OF_KIND.get(event.kind, _FREE)
+            if code == _RD or code == _WR:
+                held_mode[(tid, target)] = code
+            elif code == _ARRIVE:
+                arrives[target] = arrives.get(target, 0) + 1
+            elif code == _BARRIER:
+                self._quota[index] = arrives.get(target, 0)
+            elif code == _FORK:
+                self._forks.setdefault(tid, []).append(index)
+            self._codes[index] = code
 
     # -- pair location ---------------------------------------------------
 
@@ -153,261 +201,322 @@ class WitnessPlanner:
     def search(self, first_at: int,
                second_at: int) -> Optional[WitnessSchedule]:
         """Goal-directed DFS for a feasible schedule ending
-        ``…, events[first_at], events[second_at]``."""
-        events = self.events
-        first = events[first_at]
-        second = events[second_at]
-        tid_a, tid_b = first.tid, second.tid
+        ``…, events[first_at], events[second_at]``.
 
-        # Per-thread event sequences over the horizon (arrival ≤ second),
-        # with the pair's threads capped *at* their racy access: events a
-        # thread would execute after its side of the pair can never be
-        # needed, and must never be scheduled before it.
-        sequences: Dict[int, List[int]] = {}
-        for index in range(second_at + 1):
-            event = events[index]
-            tid = event.tid
-            if tid == tid_a and index > first_at:
-                continue
-            sequences.setdefault(tid, []).append(index)
-        #: tid → index of the fork that starts it (threads with no
-        #: schedulable fork are runnable from the start — or, if their
-        #: fork fell outside the horizon, never runnable, which is the
-        #: conservative choice).
-        fork_of: Dict[int, int] = {}
-        for sequence in sequences.values():
-            for index in sequence:
-                event = events[index]
-                if (isinstance(event, SyncOp) and event.kind == "fork"
-                        and event.target in sequences):
-                    fork_of.setdefault(event.target, index)
-
-        tids = sorted(sequences)
-        ptr = {tid: 0 for tid in tids}
-        lock_owner: Dict[int, int] = {}
-        sem_count: Dict[int, int] = {}
-        rw_writer: Dict[int, int] = {}
-        rw_readers: Dict[int, int] = {}
-        arrive_count: Dict[int, int] = {}
-        forked: set = set()
-        schedule: List[int] = []
-        visited: set = set()
-        unlock_mode = self._unlock_mode
-        required_arrives = self._required_arrives
-
-        def state_key():
-            return (
-                tuple(ptr[tid] for tid in tids),
-                tuple(sorted(lock_owner.items())),
-                tuple(sorted(
-                    (t, c) for t, c in sem_count.items() if c
-                )),
-                tuple(sorted(rw_writer.items())),
-                tuple(sorted(
-                    (t, c) for t, c in rw_readers.items() if c
-                )),
-                tuple(sorted(
-                    (t, c) for t, c in arrive_count.items() if c
-                )),
-            )
-
-        def enabled(tid: int) -> Optional[int]:
-            """The thread's next schedulable event index, or None."""
-            at = ptr[tid]
-            if at >= len(sequences[tid]):
-                return None
-            if tid in fork_of and fork_of[tid] not in forked:
-                return None
-            index = sequences[tid][at]
-            event = events[index]
-            if isinstance(event, Access):
-                return index
-            kind = event.kind
-            if kind == "lock":
-                owner = lock_owner.get(event.target)
-                return index if owner is None or owner == tid else None
-            if kind in ("sem_wait", "cond_wake"):
-                return index if sem_count.get(event.target, 0) > 0 \
-                    else None
-            if kind == "join":
-                child = event.target
-                done = (child not in sequences
-                        or ptr[child] >= len(sequences[child]))
-                return index if done else None
-            if kind == "rwlock_rd":
-                return index if rw_writer.get(event.target) is None \
-                    else None
-            if kind == "rwlock_wr":
-                free = (rw_writer.get(event.target) is None
-                        and rw_readers.get(event.target, 0) == 0)
-                return index if free else None
-            if kind == "barrier_wait":
-                quota = required_arrives.get(index, 0)
-                return index if arrive_count.get(event.target, 0) >= quota \
-                    else None
-            # unlock / sem_post / cond_signal / fork / rwlock_unlock /
-            # barrier_arrive: always schedulable once reached.
-            return index
-
-        def apply(index: int) -> None:
-            event = events[index]
-            ptr[event.tid] += 1
-            schedule.append(index)
-            if isinstance(event, SyncOp):
-                kind = event.kind
-                target = event.target
-                if kind == "lock":
-                    lock_owner[target] = event.tid
-                elif kind == "unlock":
-                    lock_owner.pop(target, None)
-                elif kind in ("sem_post", "cond_signal"):
-                    sem_count[target] = sem_count.get(target, 0) + 1
-                elif kind in ("sem_wait", "cond_wake"):
-                    sem_count[target] -= 1
-                elif kind == "fork":
-                    forked.add(index)
-                elif kind == "rwlock_rd":
-                    rw_readers[target] = rw_readers.get(target, 0) + 1
-                elif kind == "rwlock_wr":
-                    rw_writer[target] = event.tid
-                elif kind == "rwlock_unlock":
-                    if unlock_mode.get(index, "wr") == "wr":
-                        rw_writer.pop(target, None)
-                    else:
-                        rw_readers[target] -= 1
-                elif kind == "barrier_arrive":
-                    arrive_count[target] = arrive_count.get(target, 0) + 1
-
-        def undo(index: int) -> None:
-            event = events[index]
-            ptr[event.tid] -= 1
-            schedule.pop()
-            if isinstance(event, SyncOp):
-                kind = event.kind
-                target = event.target
-                if kind == "lock":
-                    lock_owner.pop(target, None)
-                elif kind == "unlock":
-                    lock_owner[target] = event.tid
-                elif kind in ("sem_post", "cond_signal"):
-                    sem_count[target] -= 1
-                elif kind in ("sem_wait", "cond_wake"):
-                    sem_count[target] = sem_count.get(target, 0) + 1
-                elif kind == "fork":
-                    forked.discard(index)
-                elif kind == "rwlock_rd":
-                    rw_readers[target] -= 1
-                elif kind == "rwlock_wr":
-                    rw_writer.pop(target, None)
-                elif kind == "rwlock_unlock":
-                    if unlock_mode.get(index, "wr") == "wr":
-                        rw_writer[target] = event.tid
-                    else:
-                        rw_readers[target] = rw_readers.get(target, 0) + 1
-                elif kind == "barrier_arrive":
-                    arrive_count[target] -= 1
-
-        def at_goal() -> bool:
-            # Both threads parked right before their racy access (and
-            # actually runnable: their forks, if any, are scheduled).
-            return (
-                ptr[tid_a] == len(sequences[tid_a]) - 1
-                and ptr[tid_b] == len(sequences[tid_b]) - 1
-                and all(
-                    tid not in fork_of or fork_of[tid] in forked
-                    for tid in (tid_a, tid_b)
-                )
-            )
-
-        move_order = (tid_b, tid_a,
-                      *(t for t in tids if t not in (tid_a, tid_b)))
-
-        def next_moves() -> List[int]:
-            # Move order: pull the pair's own threads toward the goal
-            # first, then third parties (needed only when a sync
-            # constraint blocks the pair).  The racy accesses themselves
-            # are only ever scheduled by the goal step in the search
-            # loop, so a thread parked at its side of the pair offers
-            # no moves.
-            moves = []
-            for tid in move_order:
-                if (tid in (tid_a, tid_b)
-                        and ptr[tid] == len(sequences[tid]) - 1):
-                    continue
-                index = enabled(tid)
-                if index is not None:
-                    moves.append(index)
-            return moves
-
-        # Iterative DFS (schedules can be far deeper than the Python
-        # recursion limit).  Each stack frame is (move that entered the
-        # state, iterator over the state's moves); popping a frame
-        # undoes its move.
-        found = False
-        nodes = 1
-        if at_goal():
-            apply(first_at)
-            apply(second_at)
-            found = True
-        stack: List[Tuple[Optional[int], object]] = []
+        The DFS takes the first move at every node until it first
+        backtracks, which no search over a traced run's stream has
+        been seen to do.  So the search walks that first descent
+        alone, with no visited set and no move lists, and runs the
+        whole DFS (whose first descent is the same walk) only when the
+        descent reaches a state with no move.
+        """
+        walk = _Search(self, first_at, second_at)
+        found = walk.descend()
+        if found is None:
+            walk = _Search(self, first_at, second_at)
+            found = walk.dfs()
+        self.nodes_total += walk.nodes
         if not found:
-            visited.add(state_key())
-            stack.append((None, iter(next_moves())))
-        while stack and not found:
+            return None
+        schedule = walk.schedule
+        kept = schedule if self.tail is None else schedule[-self.tail:]
+        cache, events = self._steps, self.events
+        steps = []
+        for index in kept:
+            step = cache[index]
+            if step is None:
+                step = cache[index] = step_of(events[index])
+            steps.append(step)
+        return WitnessSchedule(
+            steps=tuple(steps),
+            total_steps=len(schedule),
+            nodes_explored=walk.nodes,
+        )
+
+
+class _Search:
+    """The scheduler state of one witness search over one pair.
+
+    Each thread's horizon is a prefix of its events: those up to the
+    second access, and for the first access's thread those up to the
+    first access (events a thread would execute after its side of the
+    pair can never be needed, and must never be scheduled before it).
+    A thread runs from the start unless a fork inside the horizon
+    starts it; a thread whose fork fell outside the horizon is never
+    runnable, which is the conservative choice.
+
+    The state is a pointer per thread into its horizon plus lock and
+    rwlock-writer owners and semaphore, reader and barrier-arrival
+    counts.  The counts, and which forks have run, are sums over the
+    scheduled prefix of each thread, so they are functions of the
+    pointers: the visited key keeps only the pointers and the owners.
+    """
+
+    __slots__ = (
+        "planner", "first_at", "second_at", "slot_of", "sequences",
+        "lengths", "gates", "park", "move_order", "goal", "ptr",
+        "lock_owner", "sem_count", "rw_writer", "rw_readers",
+        "arrive_count", "schedule", "nodes",
+    )
+
+    def __init__(self, planner: WitnessPlanner, first_at: int,
+                 second_at: int) -> None:
+        self.planner = planner
+        self.first_at = first_at
+        self.second_at = second_at
+        tids_of = planner._tids
+        tid_a, tid_b = tids_of[first_at], tids_of[second_at]
+        lengths: Dict[int, int] = {}
+        for tid, indices in planner._thread_events.items():
+            limit = first_at if tid == tid_a else second_at
+            length = bisect_right(indices, limit)
+            if length:
+                lengths[tid] = length
+        # tid → the fork that starts it: the first inside the horizon,
+        # threads taken in order of first appearance.
+        fork_of: Dict[int, int] = {}
+        targets = planner._targets
+        for tid in lengths:
+            limit = first_at if tid == tid_a else second_at
+            for index in planner._forks.get(tid, ()):
+                if index > limit:
+                    break
+                if targets[index] in lengths:
+                    fork_of.setdefault(targets[index], index)
+        tids = sorted(lengths)
+        self.slot_of = slot_of = {tid: slot for slot, tid in enumerate(tids)}
+        self.sequences = [planner._thread_events[tid] for tid in tids]
+        self.lengths = [lengths[tid] for tid in tids]
+        #: slot → (forking thread's slot, the fork's position in its
+        #: horizon), or None: the thread runs once that slot's pointer
+        #: has passed the fork.
+        self.gates: List[Optional[Tuple[int, int]]] = []
+        for tid in tids:
+            fork = fork_of.get(tid)
+            if fork is None:
+                self.gates.append(None)
+            else:
+                forker = tids_of[fork]
+                self.gates.append((slot_of[forker], bisect_left(
+                    planner._thread_events[forker], fork)))
+        slot_a, slot_b = slot_of[tid_a], slot_of[tid_b]
+        #: slot → the pointer at which the thread is parked right before
+        #: its side of the pair (-1: never parks).  The racy accesses are
+        #: only ever scheduled by the goal step, so a parked thread
+        #: offers no moves.
+        self.park = [-1] * len(tids)
+        for slot in (slot_a, slot_b):
+            self.park[slot] = self.lengths[slot] - 1
+        self.move_order = (slot_b, slot_a, *(
+            slot for slot in range(len(tids)) if slot not in (slot_a, slot_b)
+        ))
+        self.goal = (slot_a, self.park[slot_a], slot_b, self.park[slot_b],
+                     tuple(self.gates[slot] for slot in (slot_a, slot_b)
+                           if self.gates[slot] is not None))
+        self.ptr = [0] * len(tids)
+        self.lock_owner: Dict[int, int] = {}
+        self.sem_count: Dict[int, int] = {}
+        self.rw_writer: Dict[int, int] = {}
+        self.rw_readers: Dict[int, int] = {}
+        self.arrive_count: Dict[int, int] = {}
+        self.schedule: List[int] = []
+        self.nodes = 1
+
+    # -- the two walks ---------------------------------------------------
+
+    def descend(self) -> Optional[bool]:
+        """Walk the DFS's first descent: True at the goal, False when
+        the node budget runs out, None at a state with no move (where
+        the DFS would backtrack)."""
+        if self.at_goal():
+            self.reach_goal()
+            return True
+        ptr, park, move_order = self.ptr, self.park, self.move_order
+        enabled, apply = self.enabled, self.apply
+        max_nodes = self.planner.max_nodes
+        while True:
+            for slot in move_order:
+                if ptr[slot] != park[slot]:
+                    move = enabled(slot)
+                    if move is not None:
+                        break
+            else:
+                return None
+            apply(move)
+            self.nodes += 1
+            if self.nodes > max_nodes:
+                self.undo(move)
+                return False
+            if self.at_goal():
+                self.reach_goal()
+                return True
+
+    def dfs(self) -> bool:
+        """The whole goal-directed DFS; True when it reaches the goal.
+
+        Iterative (schedules can be far deeper than the Python
+        recursion limit).  Each stack frame is (move that entered the
+        state, iterator over the state's moves); popping a frame undoes
+        its move.
+        """
+        if self.at_goal():
+            self.reach_goal()
+            return True
+        max_nodes = self.planner.max_nodes
+        visited = {self.key()}
+        stack: List[Tuple[Optional[int], object]] = [
+            (None, iter(self.moves()))
+        ]
+        while stack:
             move = next(stack[-1][1], None)
             if move is None:
                 entered_by, _ = stack.pop()
                 if entered_by is not None:
-                    undo(entered_by)
+                    self.undo(entered_by)
                 continue
-            apply(move)
-            nodes += 1
-            if nodes > self.max_nodes:
-                undo(move)
-                break
-            if at_goal():
-                apply(first_at)
-                apply(second_at)
-                found = True
-                break
-            key = state_key()
+            self.apply(move)
+            self.nodes += 1
+            if self.nodes > max_nodes:
+                self.undo(move)
+                return False
+            if self.at_goal():
+                self.reach_goal()
+                return True
+            key = self.key()
             if key in visited:
-                undo(move)
+                self.undo(move)
                 continue
             visited.add(key)
-            stack.append((move, iter(next_moves())))
+            stack.append((move, iter(self.moves())))
+        return False
 
-        self.nodes_total += nodes
-        if not found:
-            return None
-        kept = schedule if self.tail is None else schedule[-self.tail:]
-        return WitnessSchedule(
-            steps=tuple(step_of(events[index]) for index in kept),
-            total_steps=len(schedule),
-            nodes_explored=nodes,
+    # -- the state -------------------------------------------------------
+
+    def key(self) -> Tuple:
+        return (
+            tuple(self.ptr),
+            tuple(sorted(self.lock_owner.items())),
+            tuple(sorted(self.rw_writer.items())),
         )
 
+    def at_goal(self) -> bool:
+        """Both threads parked right before their racy access, and
+        actually runnable: their forks, if any, are scheduled."""
+        slot_a, last_a, slot_b, last_b, gates = self.goal
+        ptr = self.ptr
+        if ptr[slot_a] != last_a or ptr[slot_b] != last_b:
+            return False
+        for forker, position in gates:
+            if ptr[forker] <= position:
+                return False
+        return True
 
-def plan_witnesses(
-    events,
-    reports,
-    max_nodes: int = 20_000,
-    tail: Optional[int] = None,
-) -> Dict[Tuple[int, Tuple[int, int]], WitnessSchedule]:
-    """Plan one witness schedule per distinct race.
+    def reach_goal(self) -> None:
+        self.apply(self.first_at)
+        self.apply(self.second_at)
 
-    Returns a dict keyed by ``(address, pair)`` — the race-dedup key —
-    mapping to the planned schedule; races with no feasible schedule in
-    budget are simply absent (the confirmation service classifies them
-    ``inapplicable``).
-    """
-    planner = WitnessPlanner(events, max_nodes=max_nodes, tail=tail)
-    plans: Dict[Tuple[int, Tuple[int, int]], WitnessSchedule] = {}
-    for report in reports:
-        key = (report.address, report.pair)
-        if key in plans:
-            continue
-        schedule = planner.schedule_for(report)
-        if schedule is not None:
-            plans[key] = schedule
-    return plans
+    def moves(self) -> List[int]:
+        """The state's moves: the pair's own threads first, pulled
+        toward the goal, then third parties (needed only when a sync
+        constraint blocks the pair)."""
+        ptr, park, enabled = self.ptr, self.park, self.enabled
+        moves = []
+        for slot in self.move_order:
+            if ptr[slot] != park[slot]:
+                move = enabled(slot)
+                if move is not None:
+                    moves.append(move)
+        return moves
+
+    def enabled(self, slot: int) -> Optional[int]:
+        """The thread's next schedulable event index, or None."""
+        ptr = self.ptr
+        at = ptr[slot]
+        if at >= self.lengths[slot]:
+            return None
+        gate = self.gates[slot]
+        if gate is not None and ptr[gate[0]] <= gate[1]:
+            return None
+        index = self.sequences[slot][at]
+        planner = self.planner
+        code = planner._codes[index]
+        if code < _LOCK:
+            return index
+        target = planner._targets[index]
+        if code == _LOCK:
+            owner = self.lock_owner.get(target)
+            free = owner is None or owner == planner._tids[index]
+        elif code == _WAIT:
+            free = self.sem_count.get(target, 0) > 0
+        elif code == _JOIN:
+            child = self.slot_of.get(target)
+            free = child is None or ptr[child] >= self.lengths[child]
+        elif code == _RD:
+            free = self.rw_writer.get(target) is None
+        elif code == _WR:
+            free = (self.rw_writer.get(target) is None
+                    and self.rw_readers.get(target, 0) == 0)
+        else:  # _BARRIER
+            free = (self.arrive_count.get(target, 0)
+                    >= planner._quota[index])
+        return index if free else None
+
+    def apply(self, index: int) -> None:
+        planner = self.planner
+        tid = planner._tids[index]
+        self.ptr[self.slot_of[tid]] += 1
+        self.schedule.append(index)
+        code = planner._codes[index]
+        if code == _FREE:
+            return
+        target = planner._targets[index]
+        if code == _LOCK:
+            self.lock_owner[target] = tid
+        elif code == _UNLOCK:
+            self.lock_owner.pop(target, None)
+        elif code == _POST:
+            self.sem_count[target] = self.sem_count.get(target, 0) + 1
+        elif code == _WAIT:
+            self.sem_count[target] -= 1
+        elif code == _RD:
+            self.rw_readers[target] = self.rw_readers.get(target, 0) + 1
+        elif code == _WR:
+            self.rw_writer[target] = tid
+        elif code == _WR_UNLOCK:
+            self.rw_writer.pop(target, None)
+        elif code == _RD_UNLOCK:
+            self.rw_readers[target] -= 1
+        elif code == _ARRIVE:
+            self.arrive_count[target] = self.arrive_count.get(target, 0) + 1
+
+    def undo(self, index: int) -> None:
+        # Reverses apply() as the DFS always has.  An owner that a
+        # re-entrant acquire overwrote is not brought back, and undoing
+        # a release by a thread that did not hold the lock makes that
+        # thread the owner; a traced stream has neither pattern.
+        planner = self.planner
+        tid = planner._tids[index]
+        self.ptr[self.slot_of[tid]] -= 1
+        self.schedule.pop()
+        code = planner._codes[index]
+        if code == _FREE:
+            return
+        target = planner._targets[index]
+        if code == _LOCK:
+            self.lock_owner.pop(target, None)
+        elif code == _UNLOCK:
+            self.lock_owner[target] = tid
+        elif code == _POST:
+            self.sem_count[target] -= 1
+        elif code == _WAIT:
+            self.sem_count[target] = self.sem_count.get(target, 0) + 1
+        elif code == _RD:
+            self.rw_readers[target] -= 1
+        elif code == _WR:
+            self.rw_writer.pop(target, None)
+        elif code == _WR_UNLOCK:
+            self.rw_writer[target] = tid
+        elif code == _RD_UNLOCK:
+            self.rw_readers[target] = self.rw_readers.get(target, 0) + 1
+        elif code == _ARRIVE:
+            self.arrive_count[target] -= 1

@@ -7,6 +7,12 @@ unmatched step of a witness schedule, one instruction at a time, until
 the whole schedule has been observed in the machine's event stream —
 or until the execution diverges from the plan.
 
+After each forced instruction the machine asks :meth:`ScheduleController.
+pick_again` whether the same thread goes on; while it does, the machine
+keeps stepping it without building a new runnable list, and the
+controller charges each instruction to the pending step as
+:meth:`~ScheduleController.pick` would.
+
 Steps are matched *tolerantly* against the retirement-time event
 stream, because a witness schedule is built from sampled trace events
 and names only a subset of what the machine emits:
@@ -54,9 +60,6 @@ from __future__ import annotations
 
 import random
 from typing import List, Optional, Sequence, Tuple
-
-#: Step ops that denote memory accesses (everything else is sync).
-_ACCESS_OPS = ("read", "write")
 
 
 class ScheduleController:
@@ -142,6 +145,23 @@ class ScheduleController:
             return min(bystanders, key=lambda t: t.tid)
         self._deactivate(diverged=True)
         return None
+
+    def pick_again(self, thread) -> bool:
+        """Would :meth:`pick` force *thread*, still runnable, again
+        without a random draw?  Then charge the instruction to the
+        pending step as :meth:`pick` does and return True.  Otherwise
+        return False and leave the decision, and any deactivation, to
+        :meth:`pick`."""
+        if (
+            self.active
+            and self._spent < self.step_budget
+            and self.perturb_probability <= 0.0
+            and self.cursor < len(self.steps)
+            and self.steps[self.cursor].tid == thread.tid
+        ):
+            self._spent += 1
+            return True
+        return False
 
     # -- event observation -----------------------------------------------
 
@@ -287,6 +307,11 @@ class PairTargetController:
         others.sort(key=lambda t: t.tid)
         self._rr += 1
         return others[self._rr % len(others)]
+
+    def pick_again(self, thread) -> bool:
+        """Never: every instruction boundary gets its own :meth:`pick`,
+        which may park or release a thread."""
+        return False
 
     def _pick_delivery(self, runnable) -> Optional[object]:
         if self._parked is not None:

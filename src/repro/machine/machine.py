@@ -122,7 +122,9 @@ class Machine:
         controller: optional :class:`~repro.machine.controller.\
 ScheduleController` that overrides scheduling while active, driving
             threads toward a witness interleaving; once it completes or
-            diverges the machine free-runs to completion.
+            diverges the machine free-runs to completion.  Any
+            controller provides ``active``, ``pick``, ``pick_again``,
+            ``observe_access`` and ``observe_sync``.
     """
 
     def __init__(
@@ -240,12 +242,20 @@ ScheduleController` that overrides scheduling while active, driving
             if controller is not None and controller.active:
                 forced = controller.pick(runnable)
                 if forced is not None:
-                    # One instruction per forced slice: the controller
-                    # decides again at every boundary.
+                    # The controller decides at every instruction
+                    # boundary.  While it would force the same thread
+                    # again without a random draw, it says so through
+                    # pick_again, and the thread keeps running here
+                    # without a new runnable list.
                     current = forced
-                    self._step(current)
-                    if self._io_blocked and self._io_next_wake <= self.tsc:
-                        self._wake_io()
+                    step, again = self._step, controller.pick_again
+                    while True:
+                        step(current)
+                        if (self._io_blocked
+                                and self._io_next_wake <= self.tsc):
+                            self._wake_io()
+                        if current.status is not ready or not again(current):
+                            break
                     continue
                 if controller.active:
                     # Controller declined this slice but is still

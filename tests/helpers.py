@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.pipeline import MAX_REGENERATIONS, OfflinePipeline
 from repro.detector.base import DetectionFindings
-from repro.detector.events import RaceReport, SyncOp
+from repro.detector.events import (
+    Access,
+    RaceReport,
+    SyncOp,
+    WitnessSchedule,
+)
 from repro.detector.registry import create_backend
+from repro.detector.witness import WITNESS_TAIL, step_of
 from repro.machine import Machine
 from repro.replay.engine import ReplayResult
 
@@ -188,6 +194,288 @@ def record_states(program, seed=0, num_cores=4):
     machine._step = wrapped
     machine.run()
     return machine, states
+
+
+class ReferenceWitnessPlanner:
+    """The reference for :class:`~repro.detector.witness.WitnessPlanner`'s
+    search: the planner as it was before it indexed the stream once.
+
+    Each search rebuilds its horizon by scanning the stream up to the
+    pair, lists every move of a state when it enters it, and keys the
+    visited set on the pointers, the owners and every count.  The
+    differential tests assert that the planner returns the same
+    ``steps``, ``total_steps`` and ``nodes_explored``.
+    """
+
+    def __init__(self, events, max_nodes: int = 20_000,
+                 tail: Optional[int] = WITNESS_TAIL) -> None:
+        self.events: List[object] = list(events)
+        self.max_nodes = max_nodes
+        self.tail = tail
+        #: DFS nodes explored across all searches so far.
+        self.nodes_total = 0
+        # Static per-event metadata the reordering rules need:
+        # the mode each rwlock_unlock releases (from its matching
+        # acquire in program order) and the arrive quota of each
+        # barrier_wait (the arrivals of its generation — everything
+        # that preceded it in the original stream).
+        self._unlock_mode: Dict[int, str] = {}
+        self._required_arrives: Dict[int, int] = {}
+        held_mode: Dict[Tuple[int, int], str] = {}
+        arrives: Dict[int, int] = {}
+        for index, event in enumerate(self.events):
+            if not isinstance(event, SyncOp):
+                continue
+            kind = event.kind
+            if kind == "rwlock_rd":
+                held_mode[(event.tid, event.target)] = "rd"
+            elif kind == "rwlock_wr":
+                held_mode[(event.tid, event.target)] = "wr"
+            elif kind == "rwlock_unlock":
+                self._unlock_mode[index] = held_mode.pop(
+                    (event.tid, event.target), "wr"
+                )
+            elif kind == "barrier_arrive":
+                arrives[event.target] = arrives.get(event.target, 0) + 1
+            elif kind == "barrier_wait":
+                self._required_arrives[index] = arrives.get(event.target, 0)
+
+    def search(self, first_at: int,
+               second_at: int) -> Optional[WitnessSchedule]:
+        """Goal-directed DFS for a feasible schedule ending
+        ``…, events[first_at], events[second_at]``."""
+        events = self.events
+        first = events[first_at]
+        second = events[second_at]
+        tid_a, tid_b = first.tid, second.tid
+
+        # Per-thread event sequences over the horizon (arrival ≤ second),
+        # with the pair's threads capped *at* their racy access: events a
+        # thread would execute after its side of the pair can never be
+        # needed, and must never be scheduled before it.
+        sequences: Dict[int, List[int]] = {}
+        for index in range(second_at + 1):
+            event = events[index]
+            tid = event.tid
+            if tid == tid_a and index > first_at:
+                continue
+            sequences.setdefault(tid, []).append(index)
+        #: tid → index of the fork that starts it (threads with no
+        #: schedulable fork are runnable from the start — or, if their
+        #: fork fell outside the horizon, never runnable, which is the
+        #: conservative choice).
+        fork_of: Dict[int, int] = {}
+        for sequence in sequences.values():
+            for index in sequence:
+                event = events[index]
+                if (isinstance(event, SyncOp) and event.kind == "fork"
+                        and event.target in sequences):
+                    fork_of.setdefault(event.target, index)
+
+        tids = sorted(sequences)
+        ptr = {tid: 0 for tid in tids}
+        lock_owner: Dict[int, int] = {}
+        sem_count: Dict[int, int] = {}
+        rw_writer: Dict[int, int] = {}
+        rw_readers: Dict[int, int] = {}
+        arrive_count: Dict[int, int] = {}
+        forked: set = set()
+        schedule: List[int] = []
+        visited: set = set()
+        unlock_mode = self._unlock_mode
+        required_arrives = self._required_arrives
+
+        def state_key():
+            return (
+                tuple(ptr[tid] for tid in tids),
+                tuple(sorted(lock_owner.items())),
+                tuple(sorted(
+                    (t, c) for t, c in sem_count.items() if c
+                )),
+                tuple(sorted(rw_writer.items())),
+                tuple(sorted(
+                    (t, c) for t, c in rw_readers.items() if c
+                )),
+                tuple(sorted(
+                    (t, c) for t, c in arrive_count.items() if c
+                )),
+            )
+
+        def enabled(tid: int) -> Optional[int]:
+            """The thread's next schedulable event index, or None."""
+            at = ptr[tid]
+            if at >= len(sequences[tid]):
+                return None
+            if tid in fork_of and fork_of[tid] not in forked:
+                return None
+            index = sequences[tid][at]
+            event = events[index]
+            if isinstance(event, Access):
+                return index
+            kind = event.kind
+            if kind == "lock":
+                owner = lock_owner.get(event.target)
+                return index if owner is None or owner == tid else None
+            if kind in ("sem_wait", "cond_wake"):
+                return index if sem_count.get(event.target, 0) > 0 \
+                    else None
+            if kind == "join":
+                child = event.target
+                done = (child not in sequences
+                        or ptr[child] >= len(sequences[child]))
+                return index if done else None
+            if kind == "rwlock_rd":
+                return index if rw_writer.get(event.target) is None \
+                    else None
+            if kind == "rwlock_wr":
+                free = (rw_writer.get(event.target) is None
+                        and rw_readers.get(event.target, 0) == 0)
+                return index if free else None
+            if kind == "barrier_wait":
+                quota = required_arrives.get(index, 0)
+                return index if arrive_count.get(event.target, 0) >= quota \
+                    else None
+            # unlock / sem_post / cond_signal / fork / rwlock_unlock /
+            # barrier_arrive: always schedulable once reached.
+            return index
+
+        def apply(index: int) -> None:
+            event = events[index]
+            ptr[event.tid] += 1
+            schedule.append(index)
+            if isinstance(event, SyncOp):
+                kind = event.kind
+                target = event.target
+                if kind == "lock":
+                    lock_owner[target] = event.tid
+                elif kind == "unlock":
+                    lock_owner.pop(target, None)
+                elif kind in ("sem_post", "cond_signal"):
+                    sem_count[target] = sem_count.get(target, 0) + 1
+                elif kind in ("sem_wait", "cond_wake"):
+                    sem_count[target] -= 1
+                elif kind == "fork":
+                    forked.add(index)
+                elif kind == "rwlock_rd":
+                    rw_readers[target] = rw_readers.get(target, 0) + 1
+                elif kind == "rwlock_wr":
+                    rw_writer[target] = event.tid
+                elif kind == "rwlock_unlock":
+                    if unlock_mode.get(index, "wr") == "wr":
+                        rw_writer.pop(target, None)
+                    else:
+                        rw_readers[target] -= 1
+                elif kind == "barrier_arrive":
+                    arrive_count[target] = arrive_count.get(target, 0) + 1
+
+        def undo(index: int) -> None:
+            event = events[index]
+            ptr[event.tid] -= 1
+            schedule.pop()
+            if isinstance(event, SyncOp):
+                kind = event.kind
+                target = event.target
+                if kind == "lock":
+                    lock_owner.pop(target, None)
+                elif kind == "unlock":
+                    lock_owner[target] = event.tid
+                elif kind in ("sem_post", "cond_signal"):
+                    sem_count[target] -= 1
+                elif kind in ("sem_wait", "cond_wake"):
+                    sem_count[target] = sem_count.get(target, 0) + 1
+                elif kind == "fork":
+                    forked.discard(index)
+                elif kind == "rwlock_rd":
+                    rw_readers[target] -= 1
+                elif kind == "rwlock_wr":
+                    rw_writer.pop(target, None)
+                elif kind == "rwlock_unlock":
+                    if unlock_mode.get(index, "wr") == "wr":
+                        rw_writer[target] = event.tid
+                    else:
+                        rw_readers[target] = rw_readers.get(target, 0) + 1
+                elif kind == "barrier_arrive":
+                    arrive_count[target] -= 1
+
+        def at_goal() -> bool:
+            # Both threads parked right before their racy access (and
+            # actually runnable: their forks, if any, are scheduled).
+            return (
+                ptr[tid_a] == len(sequences[tid_a]) - 1
+                and ptr[tid_b] == len(sequences[tid_b]) - 1
+                and all(
+                    tid not in fork_of or fork_of[tid] in forked
+                    for tid in (tid_a, tid_b)
+                )
+            )
+
+        move_order = (tid_b, tid_a,
+                      *(t for t in tids if t not in (tid_a, tid_b)))
+
+        def next_moves() -> List[int]:
+            # Move order: pull the pair's own threads toward the goal
+            # first, then third parties (needed only when a sync
+            # constraint blocks the pair).  The racy accesses themselves
+            # are only ever scheduled by the goal step in the search
+            # loop, so a thread parked at its side of the pair offers
+            # no moves.
+            moves = []
+            for tid in move_order:
+                if (tid in (tid_a, tid_b)
+                        and ptr[tid] == len(sequences[tid]) - 1):
+                    continue
+                index = enabled(tid)
+                if index is not None:
+                    moves.append(index)
+            return moves
+
+        # Iterative DFS (schedules can be far deeper than the Python
+        # recursion limit).  Each stack frame is (move that entered the
+        # state, iterator over the state's moves); popping a frame
+        # undoes its move.
+        found = False
+        nodes = 1
+        if at_goal():
+            apply(first_at)
+            apply(second_at)
+            found = True
+        stack: List[Tuple[Optional[int], object]] = []
+        if not found:
+            visited.add(state_key())
+            stack.append((None, iter(next_moves())))
+        while stack and not found:
+            move = next(stack[-1][1], None)
+            if move is None:
+                entered_by, _ = stack.pop()
+                if entered_by is not None:
+                    undo(entered_by)
+                continue
+            apply(move)
+            nodes += 1
+            if nodes > self.max_nodes:
+                undo(move)
+                break
+            if at_goal():
+                apply(first_at)
+                apply(second_at)
+                found = True
+                break
+            key = state_key()
+            if key in visited:
+                undo(move)
+                continue
+            visited.add(key)
+            stack.append((move, iter(next_moves())))
+
+        self.nodes_total += nodes
+        if not found:
+            return None
+        kept = schedule if self.tail is None else schedule[-self.tail:]
+        return WitnessSchedule(
+            steps=tuple(step_of(events[index]) for index in kept),
+            total_steps=len(schedule),
+            nodes_explored=nodes,
+        )
 
 
 def scalar_findings(pipeline, bundle):

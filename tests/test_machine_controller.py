@@ -17,13 +17,17 @@ can NEVER be made to fire (the parked thread holds its guards, so the
 other side blocks before its access).
 """
 
+from functools import lru_cache
+
 import pytest
 
 from repro.analysis import OfflinePipeline
+from repro.detector.events import WitnessStep
 from repro.detector.witness import WitnessPlanner
 from repro.isa import assemble
 from repro.machine import Machine, PairTargetController, ScheduleController
 from repro.tracing import trace_run
+from repro.workloads import RACE_BUGS, WorkloadScale
 
 from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM
 
@@ -154,3 +158,203 @@ class TestPairTargetController:
         # value is schedule-dependent — that is the race).
         assert driven.memory.load(racy) != 0
         assert free.memory.load(racy) != 0
+
+
+class OnePickPerInstruction(ScheduleController):
+    """The reference run loop: the machine asks :meth:`pick` at every
+    instruction boundary, with a new runnable list each time."""
+
+    def pick_again(self, thread):
+        return False
+
+
+class CountingPicks(ScheduleController):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.picks = 0
+
+    def pick(self, runnable):
+        self.picks += 1
+        return super().pick(runnable)
+
+
+def run_under(program, controller, seed=0):
+    """Everything a replay under *controller* shows: the tid of every
+    retired instruction, the controller's outcome and the RunResult."""
+    machine = Machine(program, num_cores=4, seed=seed, controller=controller)
+    tids = []
+    step = machine._step
+
+    def counted(thread):
+        tids.append(thread.tid)
+        step(thread)
+
+    machine._step = counted
+    result = machine.run()
+    return (tids, controller.observed, controller.cursor, controller.fired,
+            controller.diverged, controller.completed, result)
+
+
+def assert_bursts_match(program, steps, seed=0, **options):
+    """The machine running forced threads in bursts retires the same
+    instructions, in the same order, as one pick per instruction."""
+    burst = CountingPicks(steps, **options)
+    shown = run_under(program, burst, seed)
+    assert shown == run_under(program, OnePickPerInstruction(steps,
+                                                             **options),
+                              seed)
+    return shown, burst.picks
+
+
+#: The machine goldens' Table 2 scale and period.
+TABLE2_SCALE = WorkloadScale(iterations=8, threads=2, data_words=8,
+                             io_cycles=50)
+
+
+@lru_cache(maxsize=None)
+def table2_schedules():
+    """Every Table 2 bug traced at seed 0, with the witness schedule of
+    each distinct race it reports."""
+    plans = []
+    for name, bug in sorted(RACE_BUGS.items()):
+        program = bug.build(TABLE2_SCALE)
+        bundle = trace_run(program, period=13, seed=0)
+        pipeline = OfflinePipeline(program)
+        result = pipeline.analyze(bundle)
+        events, _replay = pipeline.events_for(bundle)
+        planner = WitnessPlanner([event for _, event in events], tail=None)
+        seen = set()
+        for report in result.races:
+            if (report.address, report.pair) in seen:
+                continue
+            seen.add((report.address, report.pair))
+            schedule = planner.schedule_for(report)
+            if schedule is not None:
+                plans.append((name, program, schedule.steps))
+    return plans
+
+
+#: A worker the schedule forces while main holds the lock it takes
+#: first, and again across an IO wait; main and a spinning thread are
+#: bystanders while it waits.
+HANDOFF_ASM = """
+.global lk 0
+.global shared 0
+.global out 0
+.global spin 0
+main:
+    spawn worker, %rbx
+    spawn spinner, %r12
+    lock $lk
+    mov $1, %rax
+    mov %rax, shared(%rip)
+    io $30
+    unlock $lk
+    join %rbx
+    join %r12
+    halt
+worker:
+    lock $lk
+    mov shared(%rip), %rax
+    unlock $lk
+    io $20
+    mov %rax, out(%rip)
+    halt
+spinner:
+    mov $40, %rcx
+sloop:
+    mov %rcx, spin(%rip)
+    dec %rcx
+    cmp $0, %rcx
+    jne sloop
+    halt
+"""
+
+
+def handoff_steps(program, *, main_again=False):
+    worker = program.labels["worker"]
+    steps = [
+        WitnessStep(tid=0, op="lock", detail=program.symbols["lk"]),
+        WitnessStep(tid=1, op="read", detail=worker + 1),
+        WitnessStep(tid=1, op="write", detail=worker + 4),
+    ]
+    if main_again:
+        # Main is involved until the end, so only the spinner may run
+        # while the worker is blocked.
+        steps.append(WitnessStep(tid=0, op="join", detail=1))
+    return steps
+
+
+class TestBursts:
+    """Forced threads run in bursts: a run is the same as one
+    :meth:`~ScheduleController.pick` per instruction."""
+
+    def test_table2_witness_schedules(self):
+        plans = table2_schedules()
+        assert len(plans) >= 12
+        outcomes = set()
+        for name, program, steps in plans:
+            (tids, _observed, cursor, fired, diverged, completed,
+             result), picks = assert_bursts_match(program, steps)
+            assert len(tids) == result.instructions
+            # Most forced instructions are the same thread again.
+            assert picks < result.instructions / 2, name
+            outcomes.add((fired, diverged, completed))
+        # The schedules fire, miss and diverge.
+        assert (True, False, True) in outcomes
+        assert (False, False, True) in outcomes
+        assert (False, True, False) in outcomes
+
+    def test_perturbed_schedule(self):
+        name, program, steps = table2_schedules()[0]
+        for seed in range(3):
+            assert_bursts_match(program, steps, seed=seed,
+                                perturb_seed=seed, perturb_probability=0.15)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7])
+    def test_budget_runs_out_mid_stretch(self, budget):
+        name, program, steps = table2_schedules()[0]
+        shown, _picks = assert_bursts_match(program, steps,
+                                            step_budget=budget)
+        assert shown[4], "the stretch should outrun the budget"
+
+    def test_forced_thread_blocks_on_lock_and_io(self):
+        """The worker blocks on main's lock at its first forced
+        instruction and on IO right after its read matched; main and
+        the spinner run as bystanders meanwhile."""
+        program = assemble(HANDOFF_ASM)
+        shown, _picks = assert_bursts_match(program, handoff_steps(program))
+        tids, observed, cursor, fired, diverged, completed, result = shown
+        assert completed and not diverged and cursor == 3
+        read_at = tids.index(1, tids.index(1) + 1)
+        write_at = tids.index(1, read_at + 3)
+        assert tids[read_at:read_at + 3] == [1, 1, 1]  # read, unlock, io
+        assert set(tids[read_at + 3:write_at]) == {0, 2}
+
+    def test_only_uninvolved_threads_are_bystanders(self):
+        """With main still in the schedule, only the spinner may run
+        while the worker waits for main's lock: the run diverges once
+        the spinner is done."""
+        program = assemble(HANDOFF_ASM)
+        shown, _picks = assert_bursts_match(
+            program, handoff_steps(program, main_again=True))
+        tids, observed, cursor, fired, diverged, completed, result = shown
+        assert diverged and cursor == 1
+        spun = result.per_thread_retired[2]
+        assert tids[:4 + spun] == [0, 0, 0, 1] + [2] * spun
+
+    def test_budget_runs_out_while_forced_thread_blocks(self):
+        """Main's two bystander instructions after the worker blocked
+        spend the rest of a budget of 3."""
+        program = assemble(HANDOFF_ASM)
+        shown, _picks = assert_bursts_match(
+            program, handoff_steps(program), step_budget=3)
+        tids, observed, cursor, fired, diverged, completed, result = shown
+        assert diverged and cursor == 1
+
+    def test_pair_targeting_keeps_one_pick_per_instruction(self):
+        program = assemble(RACY_ASM)
+        result, _ = detect(program)
+        report = result.races[0]
+        controller = PairTargetController(*report.pair, report.address)
+        assert not controller.pick_again(None)
