@@ -1,9 +1,11 @@
-"""CI perf smoke: replay, planning, detection and race-DB speed floors.
+"""CI perf smoke: tracing, replay, planning, detection and race-DB gates.
 
 A deliberately small, fast guard (seconds, not minutes) run on every CI
 build; the full measurements live in ``perfbench/``,
 ``benchmarks/test_replay_speed.py`` and ``docs/performance.md``.  Fails
-loudly if window replay on any perfbench workload drops below its floor
+loudly if tracing the ``table2-confirm`` programs costs more than
+:data:`MAX_TRACE_OVERHEAD` over running them bare, if window replay on
+any perfbench workload drops below its floor
 in :data:`MIN_REPLAY_KSTEPS_PER_S` (``replay.ksteps_per_s``), if the
 witness planner plans the ``table2-confirm`` streams below
 :data:`MIN_PLAN_KSTEPS_PER_S`, or if the
@@ -63,6 +65,17 @@ MIN_REPLAY_KSTEPS_PER_S = {
 MIN_PLAN_KSTEPS_PER_S = 81
 #: Planning passes per reading; the reading is the fastest of them.
 PLAN_PASSES = 3
+#: Ceiling on what ``trace_run`` costs over a bare ``Machine.run`` of the
+#: same program and schedule, as a fraction of the bare run, over
+#: perfbench's ``table2-confirm`` programs at seed 0
+#: (:func:`_trace_seconds`).  1.15x the highest of six readings of the
+#: run loop that counts PEBS down and builds an access event only when a
+#: sample fires (0.384-0.532 on a shared 2-vCPU VM); the loop that built
+#: an event and made 12 Python calls for every retired access read
+#: 1.042-1.184 there, alternating with them.
+MAX_TRACE_OVERHEAD = 0.61
+#: Pairs of passes per tracing reading; a pair takes about 0.3 s.
+TRACE_PAIRS = 10
 #: Registry indirection budget over direct FastTrack on its per-event
 #: ``access`` path, which the multi-backend detection feed and the
 #: default ``feed_batch`` call (both loops pre-bind the method, so
@@ -151,6 +164,34 @@ def _table2_streams():
         events, _replay = pipeline.events_for(bundle)
         streams.append(([event for _, event in events], races))
     return streams
+
+
+def _trace_seconds():
+    """:func:`_paired_passes` of bare ``Machine.run`` passes and of
+    ``trace_run`` passes over perfbench's ``table2-confirm`` programs at
+    seed 0, each program on the schedule of its perfbench trace."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import flows
+    from repro.tracing import trace_run
+
+    workload = flows.WORKLOADS["table2-confirm"]
+    inputs = flows.setup(workload, 0)
+
+    def bare():
+        t0 = time.perf_counter()
+        for item in inputs:
+            Machine(item.program, seed=item.trace_seed).run()
+        return time.perf_counter() - t0
+
+    def traced():
+        t0 = time.perf_counter()
+        for item in inputs:
+            trace_run(item.program, period=workload.period,
+                      seed=flows.SAMPLING_SEED,
+                      machine=Machine(item.program, seed=item.trace_seed))
+        return time.perf_counter() - t0
+
+    return _paired_passes(bare, traced, TRACE_PAIRS)
 
 
 def _planning_rate(streams):
@@ -390,6 +431,12 @@ def main():
     scale = WorkloadScale(iterations=150, data_words=64)
     program = PARSEC_WORKLOADS["blackscholes"].build(scale)
 
+    bare_s, traced_s, trace_overhead = _trace_seconds()
+    print(f"tracing table2-confirm (median of {TRACE_PAIRS} pass pairs): "
+          f"bare machine {bare_s * 1e3:.1f} ms, trace_run "
+          f"{traced_s * 1e3:.1f} ms -> {100 * trace_overhead:+.1f}% "
+          f"(ceiling {100 * MAX_TRACE_OVERHEAD:+.0f}%)")
+
     replay_rates = {}
     for workload, floor in MIN_REPLAY_KSTEPS_PER_S.items():
         replay_rates[workload] = _perfbench_replay_rate(workload)
@@ -436,6 +483,13 @@ def main():
           f"-> {100 * controller_overhead:+.1f}%")
 
     failures = []
+    if trace_overhead > MAX_TRACE_OVERHEAD:
+        failures.append(
+            f"trace_run costs {100 * trace_overhead:.1f}% over the bare "
+            f"machine on the table2-confirm programs (ceiling "
+            f"{100 * MAX_TRACE_OVERHEAD:.0f}%) — PEBS is supposed to "
+            f"count down in the run loop and build an access event only "
+            f"when a sample fires")
     if controller_overhead > MAX_CONTROLLER_OVERHEAD:
         failures.append(
             f"schedule controller costs {100 * controller_overhead:.1f}% "

@@ -356,6 +356,17 @@ class LoadBurstPlan:
         start, end = self.burst_range(tsc // self.cycle_ticks)
         return self.multiplier if start <= tsc < end else 1
 
+    def segment(self, tsc: int) -> Tuple[int, int]:
+        """``(weight(tsc), until)``: the weight holds from *tsc* up to,
+        not including, *until*, the next burst boundary."""
+        cycle = tsc // self.cycle_ticks
+        start, end = self.burst_range(cycle)
+        if tsc < start:
+            return 1, start
+        if tsc < end:
+            return self.multiplier, end
+        return 1, (cycle + 1) * self.cycle_ticks
+
 
 @dataclass(frozen=True)
 class WorkerFaultPlan:

@@ -149,6 +149,13 @@ ScheduleController` that overrides scheduling while active, driving
         self.sync = SyncTable()
         self.threads: Dict[int, ThreadState] = {}
         self.observers: List[MachineObserver] = []
+        # Bound by run(): the counting observers, and per event kind the
+        # hooks of the observers that take it.
+        self._counting: List[MachineObserver] = []
+        self._access_hooks: List[Callable] = []
+        self._branch_hooks: List[Callable] = []
+        self._sync_hooks: List[Callable] = []
+        self._alloc_hooks: List[Callable] = []
         self.tsc = 0
         self._next_tid = 0
         self._instructions = 0
@@ -212,6 +219,13 @@ ScheduleController` that overrides scheduling while active, driving
         if self._started:
             raise MachineError("machine instances are single-use")
         self._started = True
+        observers = self.observers
+        self._counting = [obs for obs in observers
+                          if getattr(obs, "counts_down", False)]
+        self._access_hooks = _hooks(observers, "on_memory_access")
+        self._branch_hooks = _hooks(observers, "on_branch")
+        self._sync_hooks = _hooks(observers, "on_sync")
+        self._alloc_hooks = _hooks(observers, "on_alloc")
         entry_ip = (
             self.program.resolve(entry) if entry in self.program.labels else 0
         )
@@ -359,37 +373,50 @@ ScheduleController` that overrides scheduling while active, driving
 
     # -- event emission ----------------------------------------------------
     #
-    # An event that neither an observer nor an active controller would
-    # receive (a confirmation replay attaches no observers) is not built.
+    # An event goes only to the hooks bound by run() and, for accesses and
+    # sync operations, to an active controller; an event none of them
+    # would receive (a confirmation replay attaches no observers) is not
+    # built.
 
     def _emit_access(self, thread: ThreadState, ip: int, address: int,
                      is_store: bool, value: int) -> None:
         self._memory_ops += 1
-        thread.memory_ops += 1
         self._seq += 1
+        event = registers = None
+        # The counting observers' per-core down-counters (PEBS), kept
+        # here so that an access that does not overflow one costs no call.
+        for obs in self._counting:
+            tsc = self.tsc
+            if tsc >= obs.refresh_at:
+                obs.refresh(tsc)
+            weight = obs.store_weight if is_store else obs.load_weight
+            if not weight:
+                continue
+            counters, core = obs.counters, thread.core
+            count = counters[core] - weight
+            if count > 0:
+                counters[core] = count
+                continue
+            if event is None:
+                event = MemoryAccessEvent(tsc, thread.tid, core, ip,
+                                          address, is_store, value,
+                                          self._seq)
+                # Architectural state *at* the instruction, before its
+                # own destination write lands: the machine emits access
+                # events before writing destinations, so the live
+                # register file is exactly this state.
+                registers = thread.registers.snapshot()
+                registers["rip"] = ip
+            obs.on_overflow(event, registers)
         controller = self.controller
         watching = controller is not None and controller.active
-        if not (self.observers or watching):
+        if not (self._access_hooks or watching):
             return
-        event = MemoryAccessEvent(self.tsc, thread.tid, thread.core, ip,
-                                  address, is_store, value, self._seq)
-        snapshot: Optional[Dict[str, int]] = None
-        for obs in self.observers:
-            if obs.wants_register_snapshot(thread.tid):
-                if snapshot is None:
-                    # Architectural state *at* the sampled instruction,
-                    # before its own destination write lands — the
-                    # semantics the paper's backward propagation relies on
-                    # (§5.2.1, Figure 5: the next sample's context holds
-                    # the value a register carried since its previous
-                    # update).  The machine emits access events before
-                    # writing destinations, so the live register file is
-                    # exactly this state.
-                    snapshot = thread.registers.snapshot()
-                    snapshot["rip"] = ip
-                obs.on_memory_access(event, snapshot)
-            else:
-                obs.on_memory_access(event, None)
+        if event is None:
+            event = MemoryAccessEvent(self.tsc, thread.tid, thread.core, ip,
+                                      address, is_store, value, self._seq)
+        for hook in self._access_hooks:
+            hook(event, registers)
         if watching:
             controller.observe_access(event)
 
@@ -397,12 +424,13 @@ ScheduleController` that overrides scheduling while active, driving
                      taken: Optional[bool], conditional: bool,
                      indirect: bool, is_call: bool = False) -> None:
         self._branches += 1
-        if not self.observers:
+        hooks = self._branch_hooks
+        if not hooks:
             return
         event = BranchEvent(self.tsc, thread.tid, thread.core, ip, target,
                             taken, conditional, indirect, is_call)
-        for obs in self.observers:
-            obs.on_branch(event)
+        for hook in hooks:
+            hook(event)
 
     def _emit_sync(self, thread: ThreadState, ip: int, kind: str,
                    target: int) -> None:
@@ -410,21 +438,23 @@ ScheduleController` that overrides scheduling while active, driving
         self._seq += 1
         controller = self.controller
         watching = controller is not None and controller.active
-        if not (self.observers or watching):
+        hooks = self._sync_hooks
+        if not (hooks or watching):
             return
         event = SyncEvent(self.tsc, thread.tid, ip, kind, target, self._seq)
-        for obs in self.observers:
-            obs.on_sync(event)
+        for hook in hooks:
+            hook(event)
         if watching:
             controller.observe_sync(event)
 
     def _emit_alloc(self, thread: ThreadState, ip: int, kind: str,
                     address: int, size: int) -> None:
-        if not self.observers:
+        hooks = self._alloc_hooks
+        if not hooks:
             return
         event = AllocEvent(self.tsc, thread.tid, ip, kind, address, size)
-        for obs in self.observers:
-            obs.on_alloc(event)
+        for hook in hooks:
+            hook(event)
 
     # ------------------------------------------------------------------
     # System and synchronization ops.  Their handlers read the operands
@@ -601,7 +631,6 @@ ScheduleController` that overrides scheduling while active, driving
 
     def _op_io(self, thread: ThreadState, ip: int, cycles: int) -> None:
         self._io_cycles += cycles
-        thread.io_cycles += cycles
         thread.ip = ip + 1
         wake = self.tsc + cycles
         thread.block(BlockReason.IO, wake)
@@ -618,6 +647,14 @@ ScheduleController` that overrides scheduling while active, driving
             waiter.unblock()
             self._emit_sync(waiter, waiter.ip - 1, "join", thread.tid)
         thread.join_waiters.clear()
+
+
+def _hooks(observers: Sequence[MachineObserver], name: str) -> List[Callable]:
+    """The bound *name* hooks of the *observers* whose class overrides
+    :class:`MachineObserver`'s no-op."""
+    base = getattr(MachineObserver, name)
+    return [getattr(obs, name) for obs in observers
+            if getattr(type(obs), name, base) is not base]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ packetizer, synchronization tracer, and the ground-truth recorder all
 attach as observers.  This mirrors the real system's layering: the
 hardware PMU and the LD_PRELOAD shims observe the execution without the
 application being recompiled (the paper's *transparency* requirement).
+The PEBS engine does not see every access: like the hardware, it
+counts retired accesses down and takes one only when a counter
+overflows (see :class:`MachineObserver`).
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-# The machine builds one event per retired access, branch and sync
-# operation.  A frozen dataclass's generated ``__init__`` sets each field
-# through ``object.__setattr__``; the three per-instruction event types
-# below fill the instance dict directly instead, which builds the same
-# immutable event in about half the time.
+# The machine builds an event for each retired access, branch and sync
+# operation that some observer takes.  A frozen dataclass's generated
+# ``__init__`` sets each field through ``object.__setattr__``; the three
+# per-instruction event types below fill the instance dict directly
+# instead, which builds the same immutable event in about half the time.
 
 
 @dataclass(frozen=True, init=False)
@@ -119,23 +122,50 @@ class AllocEvent:
 
 
 class MachineObserver:
-    """Base observer: override the callbacks you need (no-ops otherwise)."""
+    """Base observer: override the callbacks you need.
+
+    The run loop hands each kind of event only to the observers whose
+    class overrides its hook, so an observer pays nothing for the
+    events it ignores.
+
+    An observer that wants a retired access only when a per-core event
+    counter overflows (the PEBS engine: real PEBS is a down-counter
+    that writes a record when it runs out, §4.1) sets
+    :attr:`counts_down` instead of overriding :meth:`on_memory_access`.
+    The run loop then keeps the count itself, through these members:
+
+    * ``counters``: core -> events left before the next overflow, each
+      at least 1; the observer sets a core's entry in
+      :meth:`on_thread_start`, before that core's first access;
+    * ``load_weight`` and ``store_weight``: the events one retired load
+      or store counts as (0: it is not counted);
+    * ``refresh_at`` and ``refresh(tsc)``: before it counts an access
+      at a TSC at or after ``refresh_at``, the run loop calls
+      ``refresh``, which sets the weights and ``refresh_at`` for the
+      accesses from that TSC on;
+    * ``on_overflow(event, registers)``: called when an access takes
+      its core's counter to zero or below; it must reload the counter.
+      *registers* is the architectural state at the instruction, before
+      its destination write lands: the semantics the paper's backward
+      propagation relies on (§5.2.1, Figure 5: a sample's context holds
+      the value a register carried since its previous update).
+
+    For a counting observer the run loop builds the access event and
+    the register snapshot only when a counter overflows.
+    """
+
+    #: True for an observer that counts accesses down (see above).
+    counts_down = False
 
     def on_memory_access(self, event: MemoryAccessEvent,
-                         registers: Dict[str, int]) -> None:
+                         registers: Optional[Dict[str, int]]) -> None:
         """Called on every retired load/store.
 
-        *registers* is the full architectural snapshot after retirement,
-        built lazily by the machine only when some observer wants it; a
-        PEBS engine uses it when the access is sampled.
+        *registers* is None unless a counting observer's counter
+        overflowed at this access.  It is then the snapshot that
+        observer got: the architectural state at the instruction,
+        before its destination write lands.
         """
-
-    def wants_register_snapshot(self, tid: int) -> bool:
-        """Return True if the next memory-access callback for *tid* needs
-        the register snapshot.  Building the snapshot on every access would
-        be wasteful, so the machine asks first — the PEBS engine answers
-        True only when its event counter is about to fire."""
-        return False
 
     def on_branch(self, event: BranchEvent) -> None:
         """Called on every retired branch/call/ret."""

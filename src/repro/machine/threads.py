@@ -41,10 +41,6 @@ class ThreadState:
     block_detail: int = 0
     #: Instructions this thread has retired.
     retired: int = 0
-    #: Loads+stores this thread has retired.
-    memory_ops: int = 0
-    #: Cycles this thread spent blocked on IO.
-    io_cycles: int = 0
     #: Threads waiting to join on this thread.
     join_waiters: List[int] = field(default_factory=list)
 

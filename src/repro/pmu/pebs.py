@@ -1,11 +1,14 @@
 """Simulated PEBS: precise event-based sampling of retired loads/stores.
 
 The engine attaches to the machine as an observer and mirrors the hardware
-flow of §4.1: a per-core event counter counts retired memory instructions;
-every ``period`` events the hardware writes a record — sampled IP, data
-address, TSC, and the full register file at retirement — into the current
-DS-area segment; when the segment fills, the driver takes an interrupt and
-either persists or (under throttle pressure) drops the records.
+flow of §4.1: a per-core event counter counts retired memory instructions
+down; every ``period`` events the hardware writes a record — sampled IP,
+data address, TSC, and the full register file at the instruction — into
+the current DS-area segment; when the segment fills, the driver takes an
+interrupt and either persists or (under throttle pressure) drops the
+records.  The engine hands its counters to the machine's run loop (the
+countdown protocol of :class:`~repro.machine.observers.MachineObserver`),
+which decrements them inline and calls the engine only on an overflow.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ class PEBSEngine(MachineObserver):
         seed: RNG seed for the randomized first period (ProRace driver).
     """
 
+    counts_down = True
+
     def __init__(
         self,
         config: PEBSConfig,
@@ -61,17 +66,17 @@ class PEBSEngine(MachineObserver):
         #: a :class:`~repro.pmu.governor.TracingGovernor` may retune it
         #: live via :meth:`set_period` (the config itself stays frozen).
         self.period = config.period
-        #: True once a governor watchdog disabled the engine (sync-only
-        #: degradation): no further counting, samples, or assist cost.
-        self.disabled = False
-        #: Fault injection: the engine silently stops producing samples
-        #: at this TSC while monitored events keep retiring — the wedged
-        #: hardware/driver state the governor's watchdog exists to catch.
+        self._disabled = False
+        #: Fault injection, set before the run: the engine silently stops
+        #: producing samples at this TSC while monitored events keep
+        #: retiring — the wedged hardware/driver state the governor's
+        #: watchdog exists to catch.
         self.stall_at: Optional[int] = None
-        #: Seeded load-burst plan (``faults.LoadBurstPlan``): inside a
-        #: burst every retired access counts as ``plan.weight(tsc)``
-        #: monitored events, modelling a phase that retires monitored
-        #: events that much faster without perturbing the schedule.
+        #: Seeded load-burst plan (``faults.LoadBurstPlan``), set before
+        #: the run: inside a burst every retired access counts as
+        #: ``plan.weight(tsc)`` monitored events, modelling a phase that
+        #: retires monitored events that much faster without perturbing
+        #: the schedule.
         self.load_bursts = None
         #: Attached by trace_run when a governor supervises this engine.
         self.governor = None
@@ -88,11 +93,28 @@ class PEBSEngine(MachineObserver):
         )
         self.samples: List[PEBSSample] = []
         self._rng = random.Random(seed)
-        self._counters: Dict[int, int] = {}
         self._buffers: Dict[int, List[PEBSSample]] = {}
-        self._core_of: Dict[int, int] = {}
+        #: The countdown the run loop keeps (MachineObserver): per-core
+        #: events left before the next sample, the weight of one retired
+        #: load and store, and the TSC until which those weights hold.
+        #: ``refresh_at`` 0 makes the run's first access call refresh().
+        self.counters: Dict[int, int] = {}
+        self.load_weight = 0
+        self.store_weight = 0
+        self.refresh_at: float = 0
 
     # ------------------------------------------------------------------
+
+    @property
+    def disabled(self) -> bool:
+        """True once a governor watchdog disabled the engine (sync-only
+        degradation): no further counting, samples, or assist cost."""
+        return self._disabled
+
+    @disabled.setter
+    def disabled(self, value: bool) -> None:
+        self._disabled = value
+        self.refresh_at = 0  # the run loop refreshes before it counts again
 
     def set_period(self, period: int) -> None:
         """Retune the sampling period (takes effect at each counter's
@@ -106,61 +128,38 @@ class PEBSEngine(MachineObserver):
             return self._rng.randint(1, self.period)
         return self.period
 
-    @property
-    def _max_weight(self) -> int:
-        plan = self.load_bursts
-        return plan.multiplier if plan is not None else 1
-
-    def _counter(self, core: int) -> int:
-        if core not in self._counters:
-            self._counters[core] = self._initial_count()
-        return self._counters[core]
-
-    def _monitored(self, event: MemoryAccessEvent) -> bool:
-        if event.is_store:
-            return self.config.monitor_stores
-        return self.config.monitor_loads
-
     # ------------------------------------------------------------------
     # MachineObserver interface
     # ------------------------------------------------------------------
 
     def on_thread_start(self, tsc: int, tid: int, core: int, ip: int) -> None:
-        self._core_of[tid] = core
-        self._counter(core)  # materialize the counter
+        if core not in self.counters:
+            self.counters[core] = self._initial_count()
 
-    def wants_register_snapshot(self, tid: int) -> bool:
-        if self.disabled:
-            return False
-        core = self._core_of.get(tid)
-        if core is None:
-            return False
-        # Under a load-burst plan one access can decrement the counter by
-        # up to ``multiplier``, so any count within that reach may fire;
-        # with no plan this is exactly the classic ``count == 1`` (stored
-        # counts are always >= 1).
-        return self._counter(core) <= self._max_weight
-
-    def on_memory_access(self, event: MemoryAccessEvent,
-                         registers: Optional[Dict[str, int]]) -> None:
-        if self.disabled or not self._monitored(event):
+    def refresh(self, tsc: int) -> None:
+        """Set the event weights of the accesses from *tsc* on, and the
+        TSC until which they hold: the next load-burst boundary or the
+        stall.  A disabled or stalled engine counts nothing again."""
+        stall_at = self.stall_at
+        if self._disabled or (stall_at is not None and tsc >= stall_at):
+            self.load_weight = self.store_weight = 0
+            self.refresh_at = float("inf")
             return
-        if self.stall_at is not None and event.tsc >= self.stall_at:
-            return  # wedged: events retire, the engine records nothing
+        weight, until = 1, float("inf")
+        if self.load_bursts is not None:
+            weight, until = self.load_bursts.segment(tsc)
+        if stall_at is not None:
+            until = min(until, stall_at)
+        self.load_weight = weight if self.config.monitor_loads else 0
+        self.store_weight = weight if self.config.monitor_stores else 0
+        self.refresh_at = until
+
+    def on_overflow(self, event: MemoryAccessEvent,
+                    registers: Dict[str, int]) -> None:
+        """The counter of the event's core overflowed: the hardware
+        writes a PEBS record and reloads the counter."""
         core = event.core
-        weight = (self.load_bursts.weight(event.tsc)
-                  if self.load_bursts is not None else 1)
-        count = self._counter(core) - weight
-        if count > 0:
-            self._counters[core] = count
-            return
-        # Counter overflow: the hardware writes a PEBS record.
-        self._counters[core] = self.period
-        if registers is None:
-            # The machine only builds snapshots when asked; reaching here
-            # without one means wants_register_snapshot was not consulted
-            # for this event (a harness bug).
-            raise RuntimeError("PEBS fired without a register snapshot")
+        self.counters[core] = self.period
         self.accounting.on_sample()
         sample = PEBSSample(
             tsc=event.tsc,

@@ -35,9 +35,10 @@ class PEBSSample:
     """One decoded PEBS sample.
 
     PEBS delivers the sampled instruction *and* its architectural execution
-    context: the full register file at retirement and the time stamp
-    counter (§4.1).  ``registers["rip"]`` is the next instruction pointer,
-    which is where forward replay resumes.
+    context: the full register file and the time stamp counter (§4.1).
+    The registers are the state at the sampled instruction, before its
+    destination write lands, so ``registers["rip"]`` is the sampled
+    instruction's own ip (``== ip``), not the next one.
     """
 
     tsc: int

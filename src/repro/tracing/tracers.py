@@ -102,10 +102,3 @@ class GroundTruthRecorder(MachineObserver):
         for access in self.accesses:
             result.setdefault(access.tid, []).append(access)
         return result
-
-    def address_map(self) -> Dict[int, Dict[int, MemoryAccessEvent]]:
-        """Per-thread map from TSC to the access retired at that TSC."""
-        result: Dict[int, Dict[int, MemoryAccessEvent]] = {}
-        for access in self.accesses:
-            result.setdefault(access.tid, {})[access.tsc] = access
-        return result

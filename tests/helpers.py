@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
+from unittest import mock
 
+import repro.tracing.bundle
 from repro.analysis.pipeline import MAX_REGENERATIONS, OfflinePipeline
 from repro.detector.base import DetectionFindings
 from repro.detector.events import (
@@ -16,6 +18,9 @@ from repro.detector.events import (
 from repro.detector.registry import create_backend
 from repro.detector.witness import WITNESS_TAIL, step_of
 from repro.machine import Machine
+from repro.machine.observers import MemoryAccessEvent
+from repro.pmu.drivers import PRORACE_DRIVER
+from repro.pmu.pebs import PEBSEngine
 from repro.replay.engine import ReplayResult
 
 #: A small two-thread program with a lock-protected counter (no races).
@@ -476,6 +481,99 @@ class ReferenceWitnessPlanner:
             total_steps=len(schedule),
             nodes_explored=nodes,
         )
+
+
+class ReferencePEBSEngine(PEBSEngine):
+    """The reference for the PEBS countdown that the run loop keeps: the
+    engine as it was when it took every retired access.
+
+    It overrides ``on_memory_access`` instead of counting down, so the
+    machine hands it every access.  Before it counts one it asks, as the
+    machine used to, whether its counter could fire, and only then
+    takes the register snapshot, from *threads* (the traced machine's
+    ``threads``) as the machine took it.  Accounting, buffers and
+    drains are the engine's own.  The differential tests assert that
+    both engines produce the same trace bytes, samples, accounting and
+    governor report.
+    """
+
+    counts_down = False
+
+    def __init__(self, config, driver=PRORACE_DRIVER, seed=0,
+                 segment_records=None, *, threads) -> None:
+        super().__init__(config, driver, seed, segment_records)
+        self._threads = threads
+        self._core_of: Dict[int, int] = {}
+
+    @property
+    def _max_weight(self) -> int:
+        plan = self.load_bursts
+        return plan.multiplier if plan is not None else 1
+
+    def _counter(self, core: int) -> int:
+        if core not in self.counters:
+            self.counters[core] = self._initial_count()
+        return self.counters[core]
+
+    def _monitored(self, event: MemoryAccessEvent) -> bool:
+        if event.is_store:
+            return self.config.monitor_stores
+        return self.config.monitor_loads
+
+    def on_thread_start(self, tsc: int, tid: int, core: int, ip: int) -> None:
+        self._core_of[tid] = core
+        self._counter(core)  # materialize the counter
+
+    def wants_register_snapshot(self, tid: int) -> bool:
+        if self.disabled:
+            return False
+        core = self._core_of.get(tid)
+        if core is None:
+            return False
+        # Under a load-burst plan one access can decrement the counter by
+        # up to ``multiplier``, so any count within that reach may fire;
+        # with no plan this is exactly the classic ``count == 1`` (stored
+        # counts are always >= 1).
+        return self._counter(core) <= self._max_weight
+
+    def on_memory_access(self, event: MemoryAccessEvent,
+                         registers: Optional[Dict[str, int]]) -> None:
+        # Whatever snapshot the machine passes is ignored: this engine
+        # takes its own, when it could fire, as the machine used to.
+        snapshot = None
+        if self.wants_register_snapshot(event.tid):
+            snapshot = self._threads[event.tid].registers.snapshot()
+            snapshot["rip"] = event.ip
+        if self.disabled or not self._monitored(event):
+            return
+        if self.stall_at is not None and event.tsc >= self.stall_at:
+            return  # wedged: events retire, the engine records nothing
+        core = event.core
+        weight = (self.load_bursts.weight(event.tsc)
+                  if self.load_bursts is not None else 1)
+        count = self._counter(core) - weight
+        if count > 0:
+            self.counters[core] = count
+            return
+        if snapshot is None:
+            raise RuntimeError("PEBS fired without a register snapshot")
+        self.on_overflow(event, snapshot)
+
+
+def reference_trace_run(program, seed=0, num_cores=4, machine=None,
+                        **kwargs):
+    """``trace_run`` with a :class:`ReferencePEBSEngine` in place of the
+    PEBS engine; the arguments are ``trace_run``'s."""
+    if machine is None:
+        machine = Machine(program, num_cores=num_cores, seed=seed)
+
+    def engine(config, driver, seed):
+        return ReferencePEBSEngine(config, driver=driver, seed=seed,
+                                   threads=machine.threads)
+
+    with mock.patch.object(repro.tracing.bundle, "PEBSEngine", engine):
+        return repro.tracing.bundle.trace_run(
+            program, seed=seed, machine=machine, **kwargs)
 
 
 def scalar_findings(pipeline, bundle):

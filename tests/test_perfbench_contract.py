@@ -64,3 +64,30 @@ def test_every_span_boundary_fires(first_inputs):
     for name, (_outcome, tracer) in first_inputs.items():
         assert tracer.counts["decode.steps"] > 0, name
         assert tracer.counts["replay.stepped"] > 0, name
+
+
+@pytest.mark.parametrize("name", sorted(flows.WORKLOADS))
+def test_fresh_setups_repeat(name):
+    """A benchmark pass builds its inputs anew with ``flows.setup``, three
+    times over, in the process that ran the passes before it.  State
+    kept across passes, or keyed by object identity, could make the
+    same input fail or change its answer only after a rebuild.  So build
+    the inputs twice in this process and run the first two of each
+    build (on ``lossy-reconcile`` they carry both fault plans): no input
+    may fail, and counts and verdicts must repeat exactly."""
+    workload = flows.WORKLOADS[name]
+    builds = [flows.setup(workload, 0)[:2] for _ in range(2)]
+    if workload.lossy:
+        # One data-loss plan and one clock plan.
+        assert sorted(bool(item.plan.clock_skew)
+                      for item in builds[0]) == [False, True]
+    runs = [[flows.run_input(workload, item) for item in inputs]
+            for inputs in builds]
+    for outcomes in runs:
+        for outcome in outcomes:
+            assert outcome.error is None, (outcome.label, outcome.error)
+            assert not outcome.failed, outcome.label
+    first, second = runs
+    assert [o.label for o in first] == [o.label for o in second]
+    assert [o.counts for o in first] == [o.counts for o in second]
+    assert [o.verdicts for o in first] == [o.verdicts for o in second]

@@ -20,8 +20,7 @@ from tests.helpers import CLEAN_COUNTER_ASM
 class TestMultipleObservers:
     def test_two_pebs_engines_sample_independently(self):
         """Two engines at different periods coexist without interfering
-        (each keeps its own counters; snapshots are built when either
-        asks)."""
+        (the run loop keeps each engine's counters apart)."""
         program = assemble(CLEAN_COUNTER_ASM)
         machine = Machine(program, seed=1)
         fine = PEBSEngine(PEBSConfig(period=2), seed=2)
