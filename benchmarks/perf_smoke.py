@@ -68,12 +68,12 @@ PLAN_PASSES = 3
 #: Ceiling on what ``trace_run`` costs over a bare ``Machine.run`` of the
 #: same program and schedule, as a fraction of the bare run, over
 #: perfbench's ``table2-confirm`` programs at seed 0
-#: (:func:`_trace_seconds`).  1.15x the highest of six readings of the
-#: run loop that counts PEBS down and builds an access event only when a
-#: sample fires (0.384-0.532 on a shared 2-vCPU VM); the loop that built
-#: an event and made 12 Python calls for every retired access read
-#: 1.042-1.184 there, alternating with them.
-MAX_TRACE_OVERHEAD = 0.61
+#: (:func:`_trace_seconds`).  1.15x the highest of eight readings of the
+#: packetizer that appends each branch's packet to its stream's columns
+#: (0.121-0.162 on a shared 2-vCPU VM); the packetizer that built a
+#: branch event and a packet object for every branch read 0.395-0.534
+#: there, alternating with them.
+MAX_TRACE_OVERHEAD = 0.19
 #: Pairs of passes per tracing reading; a pair takes about 0.3 s.
 TRACE_PAIRS = 10
 #: Registry indirection budget over direct FastTrack on its per-event

@@ -87,7 +87,7 @@ def estimate_overhead(bundle: TraceBundle) -> OverheadEstimate:
     run = bundle.run
     accounting = bundle.pebs_accounting
     pebs_cycles = accounting.tracing_cycles(run.cpu_cycles)
-    n_packets = sum(len(t.packets) for t in bundle.pt_traces.values())
+    n_packets = sum(len(t) for t in bundle.pt_traces.values())
     pt_cycles = (
         n_packets * PT_CYCLES_PER_PACKET
         + bundle.pt_size_bytes * PT_CYCLES_PER_BYTE

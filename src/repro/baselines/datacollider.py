@@ -74,7 +74,7 @@ class DataCollider(MachineObserver):
         self.samples = 0
         self.delays = 0
 
-    def on_memory_access(self, event: MemoryAccessEvent, registers) -> None:
+    def on_memory_access(self, event: MemoryAccessEvent) -> None:
         # Check standing watchpoints first: a hit is a race in the act.
         remaining = []
         for wp in self._watchpoints:

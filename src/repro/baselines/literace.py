@@ -26,7 +26,6 @@ from ..detector.fasttrack import FastTrack
 from ..isa.program import Program
 from ..machine.machine import Machine
 from ..machine.observers import (
-    BranchEvent,
     MachineObserver,
     MemoryAccessEvent,
     SyncEvent,
@@ -79,9 +78,11 @@ class LiteRace(MachineObserver):
         # A thread entry behaves like a function entry.
         self._enter_function(tid, ip)
 
-    def on_branch(self, event: BranchEvent) -> None:
-        if event.is_call:
-            self._enter_function(event.tid, event.target)
+    def on_branch(self, tsc: int, tid: int, ip: int, target: int,
+                  taken: Optional[bool], conditional: bool, indirect: bool,
+                  is_call: bool) -> None:
+        if is_call:
+            self._enter_function(tid, target)
 
     def _enter_function(self, tid: int, entry_ip: int) -> None:
         self.dispatch_checks += 1
@@ -93,8 +94,7 @@ class LiteRace(MachineObserver):
 
     # -- event consumption ---------------------------------------------------
 
-    def on_memory_access(self, event: MemoryAccessEvent,
-                         registers) -> None:
+    def on_memory_access(self, event: MemoryAccessEvent) -> None:
         if event.tid not in self._sampling:
             return
         self.logged_accesses += 1

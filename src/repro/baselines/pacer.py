@@ -59,7 +59,7 @@ class Pacer(MachineObserver):
             self._window_sampled = self._rng.random() < self.sampling_rate
         return self._window_sampled
 
-    def on_memory_access(self, event: MemoryAccessEvent, registers) -> None:
+    def on_memory_access(self, event: MemoryAccessEvent) -> None:
         self.barrier_checks += 1
         var = (event.address, 0)
         sampled = self._in_sampled_window(event.tsc)

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from ..pmu.pt import PacketKind, PTPacket
 from .model import core_of_map
 
 #: Ticks of constant offset at full skew intensity (uniform in
@@ -183,29 +182,12 @@ def inject_clock_faults(bundle, skew: float, drift: float, step: float,
 
     pt_traces = {}
     for tid, trace in bundle.pt_traces.items():
-        core = cores.get(tid, tid % num_cores)
-        clock = clock_for(core)
+        clock = clock_for(cores.get(tid, tid % num_cores))
         disturb = regressor.stream(tid * 4 + 3)
-        packets: List[PTPacket] = []
-        for packet in trace.packets:
-            if packet.kind is PacketKind.OVF and packet.target is not None:
-                # The OVF target is the gap-end timestamp; TIP targets
-                # are code addresses and never touch the clock.
-                packets.append(replace(
-                    packet, tsc=disturb(clock.observe(packet.tsc)),
-                    target=clock.observe(packet.target),
-                ))
-            else:
-                packets.append(replace(
-                    packet, tsc=disturb(clock.observe(packet.tsc))
-                ))
-        pt_traces[tid] = replace(
-            trace,
-            start_tsc=clock.observe(trace.start_tsc),
-            end_tsc=(clock.observe(trace.end_tsc)
-                     if trace.end_tsc is not None else None),
-            packets=packets,
-        )
+        # Packet TSCs regress too; the stream's start and end and its
+        # OVF gap ends only pass through the core's clock.
+        pt_traces[tid] = trace.retimed(
+            clock.observe, lambda tsc: disturb(clock.observe(tsc)))
 
     stats = ClockFaultStats(
         skewed_cores=sum(1 for fault in plan if fault.offset),
@@ -231,21 +213,8 @@ def shift_bundle_tscs(bundle, offset: int):
     def shift(tsc):
         return tsc + offset
 
-    pt_traces = {}
-    for tid, trace in bundle.pt_traces.items():
-        packets = [
-            replace(packet, tsc=shift(packet.tsc),
-                    target=shift(packet.target))
-            if packet.kind is PacketKind.OVF and packet.target is not None
-            else replace(packet, tsc=shift(packet.tsc))
-            for packet in trace.packets
-        ]
-        pt_traces[tid] = replace(
-            trace, start_tsc=shift(trace.start_tsc),
-            end_tsc=(shift(trace.end_tsc)
-                     if trace.end_tsc is not None else None),
-            packets=packets,
-        )
+    pt_traces = {tid: trace.retimed(shift)
+                 for tid, trace in bundle.pt_traces.items()}
     return replace(
         bundle,
         samples=[replace(s, tsc=shift(s.tsc)) for s in bundle.samples],

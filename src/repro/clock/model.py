@@ -241,7 +241,7 @@ def _stream_inversions(bundle) -> Tuple[int, int]:
     for tscs in streams.values():
         scan(tscs)
     for trace in bundle.pt_traces.values():
-        scan([packet.tsc for packet in trace.packets])
+        scan(trace.tscs)
     return count, worst
 
 

@@ -23,10 +23,10 @@ guarantee for fault-free traces.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..pmu.pt import PacketKind, PTPacket
 from .model import ClockModel, core_of_map, estimate_clock_model
 
 #: The canonical repair-pass order.  Any permutation yields the same
@@ -77,15 +77,6 @@ def repair_monotonic(values: Sequence[int]) -> Tuple[List[int], int, int]:
             worst = max(worst, high - value)
         repaired.append(high)
     return repaired, moved, worst
-
-
-def _correct_packet(packet: PTPacket, fix) -> PTPacket:
-    # An OVF packet's target is the gap-end *timestamp*; every other
-    # target is a code address and must never pass through the clock.
-    if packet.kind is PacketKind.OVF and packet.target is not None:
-        return replace(packet, tsc=fix(packet.tsc),
-                       target=fix(packet.target))
-    return replace(packet, tsc=fix(packet.tsc))
 
 
 def _repair_sync(records, stats: RepairStats):
@@ -184,18 +175,14 @@ def repair_streams(bundle, order: Sequence[str] = REPAIR_STREAMS,
             traces = {}
             changed_any = False
             for tid, trace in bundle.pt_traces.items():
-                values, moved, worst = repair_monotonic(
-                    [p.tsc for p in trace.packets])
+                values, moved, worst = repair_monotonic(trace.tscs)
                 if moved:
                     stats.packet_moved += moved
                     stats.max_displacement = max(stats.max_displacement,
                                                  worst)
-                    packets = [
-                        packet if packet.tsc == value
-                        else replace(packet, tsc=value)
-                        for packet, value in zip(trace.packets, values)
-                    ]
-                    traces[tid] = replace(trace, packets=packets)
+                    # OVF gap ends keep their timestamps, as the
+                    # samples' and allocs' do in their own streams.
+                    traces[tid] = replace(trace, tscs=array("q", values))
                     changed_any = True
                 else:
                     traces[tid] = trace
@@ -239,17 +226,8 @@ def apply_clock_correction(bundle, model: Optional[ClockModel] = None):
         replace(record, tsc=fix_for(record.tid)(record.tsc))
         for record in bundle.alloc_records
     ]
-    pt_traces = {}
-    for tid, trace in bundle.pt_traces.items():
-        fix = fix_for(tid)
-        pt_traces[tid] = replace(
-            trace,
-            start_tsc=fix(trace.start_tsc),
-            end_tsc=fix(trace.end_tsc) if trace.end_tsc is not None
-            else None,
-            packets=[_correct_packet(packet, fix)
-                     for packet in trace.packets],
-        )
+    pt_traces = {tid: trace.retimed(fix_for(tid))
+                 for tid, trace in bundle.pt_traces.items()}
     corrected = replace(
         bundle, samples=samples, sync_records=sync_records,
         alloc_records=alloc_records, pt_traces=pt_traces, clock=model,

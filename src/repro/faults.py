@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .pmu.pt import PTPacket, PTThreadTrace, PacketKind
+from .pmu.pt import PTThreadTrace
 from .pmu.records import PEBSSample
 from .tracing.bundle import TraceBundle, TraceDefects
 
@@ -217,22 +217,14 @@ class FaultPlan:
         degraded: Dict[int, PTThreadTrace] = {}
         for tid in sorted(pt_traces):
             trace = pt_traces[tid]
-            packets = trace.packets
-            length = max(1, int(len(packets) * self.pt_gap))
+            count = len(trace)
+            length = max(1, int(count * self.pt_gap))
             # Too short a stream carries no meaningful span to lose.
-            if len(packets) < 4 or length >= len(packets):
+            if count < 4 or length >= count:
                 degraded[tid] = trace
                 continue
-            start = rng.randrange(0, len(packets) - length)
-            lost = packets[start:start + length]
-            marker = PTPacket(
-                PacketKind.OVF, lost[0].tsc, target=lost[-1].tsc
-            )
-            degraded[tid] = replace(
-                trace,
-                packets=packets[:start] + [marker]
-                + packets[start + length:],
-            )
+            start = rng.randrange(0, count - length)
+            degraded[tid] = trace.with_gap(start, start + length)
             defects.pt_gaps += 1
             defects.pt_packets_lost += length
         return degraded

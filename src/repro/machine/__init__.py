@@ -7,7 +7,6 @@ from .machine import Machine, MachineError, RETURN_SENTINEL, RunResult
 from .memory import Memory
 from .observers import (
     AllocEvent,
-    BranchEvent,
     MachineObserver,
     MemoryAccessEvent,
     SyncEvent,
@@ -20,7 +19,6 @@ __all__ = [
     "Allocation",
     "Barrier",
     "BlockReason",
-    "BranchEvent",
     "Heap",
     "HeapError",
     "Machine",

@@ -54,7 +54,6 @@ from .heap import Heap
 from .memory import Memory
 from .observers import (
     AllocEvent,
-    BranchEvent,
     MachineObserver,
     MemoryAccessEvent,
     SyncEvent,
@@ -416,7 +415,7 @@ ScheduleController` that overrides scheduling while active, driving
             event = MemoryAccessEvent(self.tsc, thread.tid, thread.core, ip,
                                       address, is_store, value, self._seq)
         for hook in self._access_hooks:
-            hook(event, registers)
+            hook(event)
         if watching:
             controller.observe_access(event)
 
@@ -427,10 +426,9 @@ ScheduleController` that overrides scheduling while active, driving
         hooks = self._branch_hooks
         if not hooks:
             return
-        event = BranchEvent(self.tsc, thread.tid, thread.core, ip, target,
-                            taken, conditional, indirect, is_call)
+        tsc, tid = self.tsc, thread.tid
         for hook in hooks:
-            hook(event)
+            hook(tsc, tid, ip, target, taken, conditional, indirect, is_call)
 
     def _emit_sync(self, thread: ThreadState, ip: int, kind: str,
                    target: int) -> None:

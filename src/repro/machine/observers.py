@@ -13,13 +13,14 @@ overflows (see :class:`MachineObserver`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-# The machine builds an event for each retired access, branch and sync
-# operation that some observer takes.  A frozen dataclass's generated
-# ``__init__`` sets each field through ``object.__setattr__``; the three
-# per-instruction event types below fill the instance dict directly
-# instead, which builds the same immutable event in about half the time.
+# The machine builds an event for each retired access and sync operation
+# that some observer takes (a branch builds none: its hook takes the
+# fields as arguments).  A frozen dataclass's generated ``__init__`` sets
+# each field through ``object.__setattr__``; the two per-instruction
+# event types below fill the instance dict directly instead, which
+# builds the same immutable event in about half the time.
 
 
 @dataclass(frozen=True, init=False)
@@ -52,37 +53,6 @@ class MemoryAccessEvent:
         fields["is_store"] = is_store
         fields["value"] = value
         fields["seq"] = seq
-
-
-@dataclass(frozen=True, init=False)
-class BranchEvent:
-    """A retired control-flow transfer."""
-
-    tsc: int
-    tid: int
-    core: int
-    ip: int
-    target: int
-    #: True for taken conditional branches; None for unconditional ones.
-    taken: Optional[bool]
-    is_conditional: bool
-    is_indirect: bool
-    #: True for CALL (the PT return-compression stack shadows calls).
-    is_call: bool = False
-
-    def __init__(self, tsc: int, tid: int, core: int, ip: int, target: int,
-                 taken: Optional[bool], is_conditional: bool,
-                 is_indirect: bool, is_call: bool = False) -> None:
-        fields = self.__dict__
-        fields["tsc"] = tsc
-        fields["tid"] = tid
-        fields["core"] = core
-        fields["ip"] = ip
-        fields["target"] = target
-        fields["taken"] = taken
-        fields["is_conditional"] = is_conditional
-        fields["is_indirect"] = is_indirect
-        fields["is_call"] = is_call
 
 
 @dataclass(frozen=True, init=False)
@@ -157,18 +127,20 @@ class MachineObserver:
     #: True for an observer that counts accesses down (see above).
     counts_down = False
 
-    def on_memory_access(self, event: MemoryAccessEvent,
-                         registers: Optional[Dict[str, int]]) -> None:
-        """Called on every retired load/store.
+    def on_memory_access(self, event: MemoryAccessEvent) -> None:
+        """Called on every retired load/store."""
 
-        *registers* is None unless a counting observer's counter
-        overflowed at this access.  It is then the snapshot that
-        observer got: the architectural state at the instruction,
-        before its destination write lands.
+    def on_branch(self, tsc: int, tid: int, ip: int, target: int,
+                  taken: Optional[bool], conditional: bool, indirect: bool,
+                  is_call: bool) -> None:
+        """Called on every retired branch/call/ret, with its fields
+        rather than an event: the PT packetizer takes every branch.
+
+        *target* is where control goes next; *taken* is the outcome of
+        a conditional branch and None for any other; *indirect* marks a
+        register-indirect jump or a return; *is_call* a CALL (the PT
+        return-compression stack shadows calls).
         """
-
-    def on_branch(self, event: BranchEvent) -> None:
-        """Called on every retired branch/call/ret."""
 
     def on_sync(self, event: SyncEvent) -> None:
         """Called on every synchronization operation."""

@@ -533,8 +533,7 @@ class TracingGovernor(MachineObserver):
     # MachineObserver interface
     # ------------------------------------------------------------------
 
-    def on_memory_access(self, event: MemoryAccessEvent,
-                         registers=None) -> None:
+    def on_memory_access(self, event: MemoryAccessEvent) -> None:
         self._events += 1
         if self._events & self.POLL_MASK:
             return

@@ -6,6 +6,13 @@ targets as TIP packets, call-return pairs compressed via an internal
 return stack (a compressed RET costs a single TNT bit), plus periodic
 timing (MTC) and synchronization (PSB) packets.
 
+A thread's stream is kept as three parallel columns, from the
+packetizer through fault injection and clock correction to the
+container and the decoder (see :class:`PTThreadTrace`): packet kinds,
+TSCs, and one value per packet (the TNT bit, the TIP target or the OVF
+gap end).  A branch appends to the columns; no object is built per
+packet.
+
 Two fidelities coexist here, as explained in DESIGN.md §2:
 
 * **Byte accounting** follows the packed on-wire format, so trace-size
@@ -25,10 +32,12 @@ filters; ProRace monitors only the main executable) is supported via
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from array import array
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..machine.observers import BranchEvent, MachineObserver
+from ..machine.observers import MachineObserver
 
 #: Bytes per packet kind in the packed format.
 TIP_BYTES = 5
@@ -41,27 +50,33 @@ RET_STACK_DEPTH = 64
 
 
 class PacketKind(enum.Enum):
-    TIP = "tip"  # indirect branch / uncompressed ret / trace start target
-    TNT = "tnt"  # one conditional-branch outcome or compressed-ret bit
-    END = "end"  # tracing stops for this thread (TIP.PGD)
-    OVF = "ovf"  # aux-buffer overflow: a span of packets was lost
+    """A packet's kind.  Its value is the kind's code in a stream's
+    ``kinds`` column and in the container's packet records."""
+
+    TIP = 0  # indirect branch / uncompressed ret / trace start target
+    TNT = 1  # one conditional-branch outcome or compressed-ret bit
+    END = 2  # tracing stops for this thread (TIP.PGD)
+    OVF = 3  # aux-buffer overflow: a span of packets was lost
 
 
-@dataclass(frozen=True)
-class PTPacket:
-    """One decoded-form packet with its exact-TSC side channel.
+#: The kind codes, as the ``kinds`` column holds them.
+TIP, TNT, END, OVF = (kind.value for kind in PacketKind)
 
-    An OVF packet marks a lost span: real PT emits OVF when the aux
-    buffer overflows and packets are discarded until tracing resumes.
-    Its ``tsc`` is the timestamp of the first lost packet and ``target``
-    holds the timestamp of the last one — the decoder cannot follow
-    control flow across that span and must resynchronize.
-    """
 
-    kind: PacketKind
-    tsc: int
-    target: Optional[int] = None  # TIP payload / OVF gap-end timestamp
-    bit: Optional[bool] = None  # TNT payload
+def kind_of(code: int) -> Optional[PacketKind]:
+    """The kind *code* stands for; None for a code that names no kind."""
+    try:
+        return PacketKind(code)
+    except ValueError:
+        return None
+
+
+#: Every code but TNT's becomes a separator, so that splitting a kinds
+#: column on it leaves the runs of TNT bits between the other packets.
+_TNT_RUNS = bytes(ord("t") if code == TNT else ord("|")
+                  for code in range(256))
+#: Values above this do not fit a signed 64-bit column.
+_MAX_WORD = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -94,34 +109,47 @@ class PTConfig:
 
 @dataclass
 class PTThreadTrace:
-    """The packet stream of one thread."""
+    """The packet stream of one thread, as three parallel columns.
+
+    Packet *i* is ``(kinds[i], tscs[i], values[i])``:
+
+    * ``kinds``: the :class:`PacketKind` code.  A code that names no
+      kind (the container rejects it) stands for a packet of no kind,
+      which the decoder reports as ``None``;
+    * ``tscs``: the packet's timestamp.  Signed, because clock faults
+      can push a timestamp below zero;
+    * ``values``: a TNT packet's bit (0 or 1), a TIP packet's target,
+      an OVF packet's gap end (the timestamp of the last lost packet;
+      an OVF whose gap end is its own TSC lost a single instant), and 0
+      for END.
+
+    Once a bundle holds a stream, nothing changes its columns: the
+    transforms below build new ones.
+    """
 
     tid: int
     start_ip: int
     start_tsc: int
-    packets: List[PTPacket] = field(default_factory=list)
+    kinds: array = field(default_factory=partial(array, "B"))
+    tscs: array = field(default_factory=partial(array, "q"))
+    values: array = field(default_factory=partial(array, "q"))
     end_tsc: Optional[int] = None
     #: True if a region filter suppressed one or more branch packets; the
     #: decoder cannot follow control flow past the first gap.
     truncated: bool = False
 
+    def __len__(self) -> int:
+        return len(self.kinds)
+
     def size_bytes(self, config: PTConfig) -> int:
         """On-wire bytes of this stream in the packed format."""
-        total = PSB_BYTES + TIP_BYTES  # initial PSB + start TIP
-        packet_count = 2
-        tnt_run = 0
-        for packet in self.packets:
-            if packet.kind == PacketKind.TNT:
-                tnt_run += 1
-                continue
-            # A non-TNT packet flushes any pending TNT byte run.
-            total += -(-tnt_run // TNT_BITS_PER_BYTE)
-            packet_count += -(-tnt_run // TNT_BITS_PER_BYTE)
-            tnt_run = 0
-            total += TIP_BYTES
-            packet_count += 1
-        total += -(-tnt_run // TNT_BITS_PER_BYTE)
-        packet_count += -(-tnt_run // TNT_BITS_PER_BYTE)
+        # Every packet but a TNT bit costs a TIP's bytes and closes the
+        # run of TNT bits before it, which packs six bits to a byte.
+        runs = self.kinds.tobytes().translate(_TNT_RUNS).split(b"|")
+        others = len(runs) - 1
+        tnt_bytes = sum(-(-len(run) // TNT_BITS_PER_BYTE) for run in runs)
+        total = PSB_BYTES + TIP_BYTES + tnt_bytes + others * TIP_BYTES
+        packet_count = 2 + tnt_bytes + others  # + initial PSB and TIP
         # Timing and sync packets.
         if self.end_tsc is not None and config.mtc_period > 0:
             elapsed = max(0, self.end_tsc - self.start_tsc)
@@ -130,6 +158,45 @@ class PTThreadTrace:
             total += PSB_BYTES * (packet_count // config.psb_period)
         return total
 
+    def with_gap(self, start: int, stop: int) -> "PTThreadTrace":
+        """This stream with packets ``start`` to ``stop - 1`` lost to one
+        OVF marker: it takes the first lost packet's TSC, and the last
+        one's is its gap end."""
+        tscs = self.tscs
+        return replace(
+            self,
+            kinds=self.kinds[:start] + array("B", (OVF,))
+            + self.kinds[stop:],
+            tscs=tscs[:start] + array("q", (tscs[start],)) + tscs[stop:],
+            values=self.values[:start] + array("q", (tscs[stop - 1],))
+            + self.values[stop:],
+        )
+
+    def retimed(self, clock: Callable[[int], int],
+                packet_clock: Optional[Callable[[int], int]] = None
+                ) -> "PTThreadTrace":
+        """This stream with every timestamp mapped through *clock*: its
+        start and end, each packet's TSC and each OVF gap end, never a
+        TIP target (a code address).  *packet_clock*, when given,
+        stands in for *clock* on the packet TSCs; it is called once per
+        packet, in stream order."""
+        values = self.values
+        codes = self.kinds.tobytes()
+        ovf = codes.find(OVF)
+        if ovf >= 0:
+            values = array("q", values)
+            while ovf >= 0:
+                values[ovf] = clock(values[ovf])
+                ovf = codes.find(OVF, ovf + 1)
+        return replace(
+            self,
+            start_tsc=clock(self.start_tsc),
+            end_tsc=clock(self.end_tsc) if self.end_tsc is not None
+            else None,
+            tscs=array("q", map(packet_clock or clock, self.tscs)),
+            values=values,
+        )
+
 
 class PTPacketizer(MachineObserver):
     """Machine observer producing per-thread PT packet streams."""
@@ -137,9 +204,10 @@ class PTPacketizer(MachineObserver):
     def __init__(self, config: PTConfig = PTConfig()) -> None:
         self.config = config
         self.traces: Dict[int, PTThreadTrace] = {}
-        self._ret_stacks: Dict[int, List[int]] = {}
-        self.branches_seen = 0
-        self.packets_emitted = 0
+        #: tid -> the appends of its stream's three columns, and its
+        #: return-compression stack.
+        self._columns: Dict[int, tuple] = {}
+        self._filtered = bool(config.filters)
         #: True while the tracing governor sheds PT output (backpressure
         #: tier 2).  Packets produced during a shed are counted, not
         #: stored; each thread's shed span collapses into one OVF marker
@@ -151,6 +219,11 @@ class PTPacketizer(MachineObserver):
         self._shed_gaps = 0
         self._shed_packets = 0
         self._shed_bytes = 0
+
+    @property
+    def packets_emitted(self) -> int:
+        """Packets stored across every stream (shed packets excluded)."""
+        return sum(len(trace) for trace in self.traces.values())
 
     # ------------------------------------------------------------------
     # Governor shedding
@@ -175,12 +248,10 @@ class PTPacketizer(MachineObserver):
         self._shed_gaps = self._shed_packets = self._shed_bytes = 0
         return totals
 
-    def _shed_packet(self, trace: PTThreadTrace, packet: PTPacket) -> None:
-        span = self._shed_open.setdefault(
-            trace.tid, [packet.tsc, packet.tsc, 0, 0]
-        )
-        span[1] = packet.tsc
-        if packet.kind == PacketKind.TNT:
+    def _shed_packet(self, tid: int, kind: int, tsc: int) -> None:
+        span = self._shed_open.setdefault(tid, [tsc, tsc, 0, 0])
+        span[1] = tsc
+        if kind == TNT:
             span[2] += 1
         else:
             span[3] += 1
@@ -191,11 +262,7 @@ class PTPacketizer(MachineObserver):
         if span is None:
             return
         first_tsc, last_tsc, tnt_bits, others = span
-        trace = self.traces[tid]
-        trace.packets.append(
-            PTPacket(PacketKind.OVF, first_tsc, target=last_tsc)
-        )
-        self.packets_emitted += 1
+        self._append(tid, OVF, first_tsc, last_tsc)
         self._shed_gaps += 1
         self._shed_bytes += (
             -(-tnt_bits // TNT_BITS_PER_BYTE) + others * TIP_BYTES
@@ -203,52 +270,61 @@ class PTPacketizer(MachineObserver):
 
     # ------------------------------------------------------------------
 
+    def _append(self, tid: int, kind: int, tsc: int, value: int) -> None:
+        kinds, tscs, values, _stack = self._columns[tid]
+        kinds(kind)
+        tscs(tsc)
+        values(value)
+
     def on_thread_start(self, tsc: int, tid: int, core: int, ip: int) -> None:
-        self.traces[tid] = PTThreadTrace(tid=tid, start_ip=ip, start_tsc=tsc)
-        self._ret_stacks[tid] = []
+        trace = self.traces[tid] = PTThreadTrace(
+            tid=tid, start_ip=ip, start_tsc=tsc)
+        self._columns[tid] = (trace.kinds.append, trace.tscs.append,
+                              trace.values.append, [])
 
     def on_thread_exit(self, tsc: int, tid: int) -> None:
-        trace = self.traces[tid]
         if self.shedding:
             # The OVF marker must precede END in the stream.
             self._flush_shed_span(tid)
-        trace.packets.append(PTPacket(PacketKind.END, tsc))
-        trace.end_tsc = tsc
-        self.packets_emitted += 1
+        self._append(tid, END, tsc, 0)
+        self.traces[tid].end_tsc = tsc
 
-    def on_branch(self, event: BranchEvent) -> None:
-        self.branches_seen += 1
-        trace = self.traces[event.tid]
-        if not self.config.in_region(event.ip):
-            trace.truncated = True
+    def on_branch(self, tsc: int, tid: int, ip: int, target: int,
+                  taken: Optional[bool], conditional: bool,
+                  indirect: bool, is_call: bool) -> None:
+        if self._filtered and not self.config.in_region(ip):
+            self.traces[tid].truncated = True
             return
-        stack = self._ret_stacks[event.tid]
-        if event.is_conditional:
-            self._emit(trace, PTPacket(PacketKind.TNT, event.tsc,
-                                       bit=event.taken))
-            return
-        if not event.is_indirect:
+        if conditional:
+            kind, value = TNT, taken
+        elif not indirect:
             # Direct jmp/call: statically recoverable, no packet — but the
             # return-compression stack must shadow calls.
-            if event.is_call:
-                stack.append(event.ip + 1)
+            if is_call:
+                stack = self._columns[tid][3]
+                stack.append(ip + 1)
                 if len(stack) > RET_STACK_DEPTH:
                     del stack[0]
             return
-        # Indirect transfer: RET (compressible) or indirect jmp.
-        if self.config.ret_compression and stack and stack[-1] == event.target:
-            stack.pop()
-            self._emit(trace, PTPacket(PacketKind.TNT, event.tsc, bit=True))
-            return
-        self._emit(trace, PTPacket(PacketKind.TIP, event.tsc,
-                                   target=event.target))
-
-    def _emit(self, trace: PTThreadTrace, packet: PTPacket) -> None:
+        else:
+            # Indirect transfer: RET (compressible) or indirect jmp.
+            stack = self._columns[tid][3]
+            if self.config.ret_compression and stack and stack[-1] == target:
+                stack.pop()
+                kind, value = TNT, 1
+            else:
+                kind, value = TIP, target
+                if target > _MAX_WORD:
+                    # A wild jump, which faults at the next fetch: keep
+                    # the address as the signed word of the same bits.
+                    value = target - (1 << 64)
         if self.shedding:
-            self._shed_packet(trace, packet)
+            self._shed_packet(tid, kind, tsc)
             return
-        trace.packets.append(packet)
-        self.packets_emitted += 1
+        kinds, tscs, values, _stack = self._columns[tid]
+        kinds(kind)
+        tscs(tsc)
+        values(value)
 
     # ------------------------------------------------------------------
 

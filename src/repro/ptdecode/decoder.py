@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import DecodeError
 from ..isa.instructions import COND_BRANCHES, Op
 from ..isa.program import Program
-from ..pmu.pt import PTConfig, PTThreadTrace, PacketKind
+from ..pmu.pt import END, OVF, PTConfig, PTThreadTrace, TIP, TNT, kind_of
 from ..pmu.records import PEBSSample, SyncRecord
 
 
@@ -285,15 +285,13 @@ def decode_thread(
     gap_ranges: List[Tuple[int, float]] = []
     segment_starts: List[int] = []
     shadow_stack: List[int] = []
-    packets = trace.packets
-    n_packets = len(packets)
+    kinds, tscs, values = trace.kinds, trace.tscs, trace.values
+    n_packets = len(kinds)
     cursor = 0
     ip = trace.start_ip
     complete = True
     ovf_gaps = 0
     runs: Dict[int, tuple] = {}  # start ip -> _run_from(...)
-    TNT, TIP = PacketKind.TNT, PacketKind.TIP
-    END, OVF = PacketKind.END, PacketKind.OVF
 
     sample_list = sorted(samples or (), key=lambda s: s.tsc)
     sample_tscs = [s.tsc for s in sample_list]
@@ -317,17 +315,17 @@ def decode_thread(
         sample = sample_list[pos]
         gap_ranges.append((gap_start, sample.tsc))
         while cursor < n_packets:
-            stale = packets[cursor]
-            if stale.kind == OVF:
+            stale = kinds[cursor]
+            if stale == OVF:
                 # A second gap before the resync point: swallow it into
                 # this one (its span is already inside the skip window).
                 ovf_gaps += 1
                 cursor += 1
                 continue
-            if stale.tsc >= sample.tsc:
+            if tscs[cursor] >= sample.tsc:
                 break
             cursor += 1
-            if stale.kind == END:
+            if stale == END:
                 # The thread exited before the resync point was reached.
                 gap_ranges[-1] = (gap_start, GAP_OPEN)
                 complete = False
@@ -350,29 +348,29 @@ def decode_thread(
             shadow_stack += pushes
 
         if kind <= _IJMP:
-            # The run's last step is a branch that consumes one packet.
+            # The run's last step is a branch that consumes one packet
+            # (None: the stream has ended).
             if cursor < n_packets:
-                packet = packets[cursor]
+                packet = kinds[cursor]
+                tsc, value = tscs[cursor], values[cursor]
                 cursor += 1
-                packet_kind = packet.kind
             else:
-                packet = packet_kind = None
-            if packet_kind is OVF:
+                packet = None
+            if packet == OVF:
                 # This branch executed (its packet is the first lost
                 # one) but its outcome is gone: anchor it at the gap
-                # start and resynchronize past the lost span.
+                # start and resynchronize past the lost span, which
+                # ends at the packet's value.
                 ovf_gaps += 1
-                anchors.append((len(steps) - 1, packet.tsc))
-                gap_end = packet.target if packet.target is not None \
-                    else packet.tsc
-                if resync(packet.tsc, gap_end):
+                anchors.append((len(steps) - 1, tsc))
+                if resync(tsc, value):
                     continue
                 break
 
             if kind == _COND:
-                if packet_kind is TNT:
-                    anchors.append((len(steps) - 1, packet.tsc))
-                    if not packet.bit:
+                if packet == TNT:
+                    anchors.append((len(steps) - 1, tsc))
+                    if not value:
                         ip = run_steps[-1] + 1
                     elif detail is not None:
                         ip = detail
@@ -392,11 +390,11 @@ def decode_thread(
                 if packet is None:
                     # Thread-exit return (to the bottom-of-stack sentinel).
                     break
-                anchors.append((len(steps) - 1, packet.tsc))
-                if packet_kind is END:
+                anchors.append((len(steps) - 1, tsc))
+                if packet == END:
                     break
-                if packet_kind is TNT:
-                    if not packet.bit:
+                if packet == TNT:
+                    if not value:
                         if gap_ranges:
                             complete = False
                             break
@@ -407,7 +405,7 @@ def decode_thread(
                         # against a pre-gap frame the resync discarded.
                         # The return target is unknowable — resynchronize
                         # again at the next sample past this point.
-                        if gap_ranges and resync(packet.tsc, packet.tsc):
+                        if gap_ranges and resync(tsc, tsc):
                             continue
                         if gap_ranges:
                             complete = False
@@ -416,18 +414,19 @@ def decode_thread(
                             "compressed ret with empty call stack")
                     ip = shadow_stack.pop()
                     continue
-                if packet_kind is TIP:
-                    ip = packet.target
+                if packet == TIP:
+                    ip = value
                     continue
                 if gap_ranges:
                     complete = False
                     break
-                raise DecodeError(f"unexpected packet at ret: {packet_kind}")
+                raise DecodeError(
+                    f"unexpected packet at ret: {kind_of(packet)}")
 
             # An indirect jmp.
-            if packet_kind is TIP:
-                anchors.append((len(steps) - 1, packet.tsc))
-                ip = packet.target
+            if packet == TIP:
+                anchors.append((len(steps) - 1, tsc))
+                ip = value
                 continue
             if gap_ranges:
                 steps.pop()
@@ -436,21 +435,21 @@ def decode_thread(
             raise DecodeError("expected TIP for indirect jmp")
 
         if kind == _HALT:
-            packet = packets[cursor] if cursor < n_packets else None
-            if packet is not None and packet.kind == OVF:
+            if cursor == n_packets:
+                break
+            packet = kinds[cursor]
+            if packet == OVF:
                 # The gap swallowed this thread's END packet; the halt
                 # itself was reached deterministically, so the path is
                 # intact — only the exact end timestamp is lost.
                 ovf_gaps += 1
-                gap_end = packet.target if packet.target is not None \
-                    else packet.tsc
-                gap_ranges.append((packet.tsc, GAP_OPEN))
-                anchors.append((len(steps) - 1, gap_end))
+                gap_ranges.append((tscs[cursor], GAP_OPEN))
+                anchors.append((len(steps) - 1, values[cursor]))
                 break
-            if packet is not None and packet.kind != END:
-                raise DecodeError(f"expected END at halt, got {packet.kind}")
-            if packet is not None:
-                anchors.append((len(steps) - 1, packet.tsc))
+            if packet != END:
+                raise DecodeError(
+                    f"expected END at halt, got {kind_of(packet)}")
+            anchors.append((len(steps) - 1, tscs[cursor]))
             break
 
         if kind == _FILTERED:

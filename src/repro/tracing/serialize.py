@@ -60,6 +60,7 @@ import os
 import pickle
 import struct
 import zlib
+from array import array
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -68,7 +69,7 @@ from ..isa.registers import ALL_REGISTERS
 from ..machine.machine import RunResult
 from ..pmu.drivers import DriverAccounting, PRORACE_DRIVER, VANILLA_DRIVER
 from ..pmu.governor import EPOCH_REASONS, GovernorReport, PeriodEpoch
-from ..pmu.pt import PTConfig, PTPacket, PTThreadTrace, PacketKind
+from ..pmu.pt import PTConfig, PTThreadTrace, PacketKind
 from ..pmu.records import (
     ALLOC_RECORD_BYTES,
     AllocRecord,
@@ -109,7 +110,7 @@ _SAMPLE = struct.Struct("<QIIQQI" + "Q" * len(ALL_REGISTERS))
 _SYNC = struct.Struct("<QQIQBQ")
 #: Alloc record: tsc, tid, ip, kind, address, size.
 _ALLOC = struct.Struct("<QIQBQQ")
-#: PT packet: kind, tsc, payload (target or bit).
+#: PT packet: kind, tsc, value (TNT bit, TIP target or OVF gap end).
 _PACKET = struct.Struct("<BQQ")
 #: PT stream header: tid, start_ip, start_tsc, end_tsc(+1), truncated,
 #: packet count.
@@ -135,10 +136,11 @@ _SYNC_KINDS = ("lock", "unlock", "sem_post", "sem_wait",
                "rwlock_rd", "rwlock_wr", "rwlock_unlock",
                "barrier_arrive", "barrier_wait")
 _ALLOC_KINDS = ("malloc", "free")
-#: OVF (index 3) appears only in degraded streams; v1 writers never
-#: emitted it, so accepting it on read keeps v1 compatibility intact.
-_PACKET_KINDS = (PacketKind.TIP, PacketKind.TNT, PacketKind.END,
-                 PacketKind.OVF)
+#: Packet records carry a stream's column values as they are, the kind
+#: as its :class:`~repro.pmu.pt.PacketKind` code.  OVF (code 3) appears
+#: only in degraded streams; v1 writers never emitted it, so accepting
+#: it on read keeps v1 compatibility intact.
+_PACKET_CODES = bytes(kind.value for kind in PacketKind)
 
 
 class TraceFormatError(TraceError):
@@ -176,24 +178,15 @@ def _encode_samples(samples: List[PEBSSample]) -> bytes:
 
 
 def _encode_pt(trace: PTThreadTrace) -> bytes:
-    out = io.BytesIO()
+    if trace.kinds.tobytes().translate(None, _PACKET_CODES):
+        raise ValueError(f"thread {trace.tid}: a packet of no kind")
     end_tsc = 0 if trace.end_tsc is None else trace.end_tsc + 1
-    out.write(
-        _PT_HEADER.pack(
-            trace.tid, trace.start_ip, trace.start_tsc, end_tsc,
-            int(trace.truncated), len(trace.packets),
-        )
+    header = _PT_HEADER.pack(
+        trace.tid, trace.start_ip, trace.start_tsc, end_tsc,
+        int(trace.truncated), len(trace),
     )
-    for packet in trace.packets:
-        kind = _PACKET_KINDS.index(packet.kind)
-        if packet.kind in (PacketKind.TIP, PacketKind.OVF):
-            payload = packet.target or 0
-        elif packet.kind == PacketKind.TNT:
-            payload = int(bool(packet.bit))
-        else:
-            payload = 0
-        out.write(_PACKET.pack(kind, packet.tsc, payload))
-    return out.getvalue()
+    return header + b"".join(
+        map(_PACKET.pack, trace.kinds, trace.tscs, trace.values))
 
 
 def _encode_sync(records: List[SyncRecord]) -> bytes:
@@ -336,32 +329,30 @@ def _decode_pt(payload: bytes) -> PTThreadTrace:
         raise TraceFormatError("truncated PT header")
     tid, start_ip, start_tsc, end_tsc, truncated, count = \
         _PT_HEADER.unpack_from(payload, 0)
-    packets = []
-    offset = _PT_HEADER.size
-    expected = offset + count * _PACKET.size
+    expected = _PT_HEADER.size + count * _PACKET.size
     if len(payload) != expected:
         raise TraceFormatError(
             f"PT stream length mismatch: {len(payload)} != {expected}"
         )
-    for _ in range(count):
-        kind_id, tsc, value = _PACKET.unpack_from(payload, offset)
-        offset += _PACKET.size
-        try:
-            kind = _PACKET_KINDS[kind_id]
-        except IndexError:
-            raise TraceFormatError(f"bad packet kind {kind_id}") from None
-        if kind in (PacketKind.TIP, PacketKind.OVF):
-            packets.append(PTPacket(kind, tsc, target=value))
-        elif kind == PacketKind.TNT:
-            packets.append(PTPacket(kind, tsc, bit=bool(value)))
-        else:
-            packets.append(PTPacket(kind, tsc))
-    trace = PTThreadTrace(
-        tid=tid, start_ip=start_ip, start_tsc=start_tsc,
-        packets=packets, end_tsc=None if end_tsc == 0 else end_tsc - 1,
+    kinds = tscs = values = ()
+    if count:
+        kinds, tscs, values = zip(
+            *_PACKET.iter_unpack(payload[_PT_HEADER.size:]))
+    kinds = array("B", kinds)
+    bad = kinds.tobytes().translate(None, _PACKET_CODES)
+    if bad:
+        raise TraceFormatError(f"bad packet kind {bad[0]}")
+    try:
+        tscs, values = array("q", tscs), array("q", values)
+    except OverflowError:
+        # The columns are signed; no writer produces a field this large.
+        raise TraceFormatError("PT packet field out of range") from None
+    return PTThreadTrace(
+        tid=tid, start_ip=start_ip, start_tsc=start_tsc, kinds=kinds,
+        tscs=tscs, values=values,
+        end_tsc=None if end_tsc == 0 else end_tsc - 1,
         truncated=bool(truncated),
     )
-    return trace
 
 
 def _decode_sync(payload: bytes) -> List[SyncRecord]:

@@ -93,8 +93,7 @@ class GroundTruthRecorder(MachineObserver):
     def __init__(self) -> None:
         self.accesses: List[MemoryAccessEvent] = []
 
-    def on_memory_access(self, event: MemoryAccessEvent,
-                         registers: Optional[Dict[str, int]]) -> None:
+    def on_memory_access(self, event: MemoryAccessEvent) -> None:
         self.accesses.append(event)
 
     def per_thread(self) -> Dict[int, List[MemoryAccessEvent]]:

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
+from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 from unittest import mock
 
 import repro.tracing.bundle
+import repro.tracing.serialize as serialize
 from repro.analysis.pipeline import MAX_REGENERATIONS, OfflinePipeline
+from repro.clock.faults import _Regressor, plan_core_faults
+from repro.clock.model import core_of_map
+from repro.clock.repair import repair_monotonic
 from repro.detector.base import DetectionFindings
 from repro.detector.events import (
     Access,
@@ -17,10 +24,22 @@ from repro.detector.events import (
 )
 from repro.detector.registry import create_backend
 from repro.detector.witness import WITNESS_TAIL, step_of
+from repro.faults import FaultPlan
 from repro.machine import Machine
-from repro.machine.observers import MemoryAccessEvent
+from repro.machine.observers import MachineObserver, MemoryAccessEvent
 from repro.pmu.drivers import PRORACE_DRIVER
 from repro.pmu.pebs import PEBSEngine
+from repro.pmu.pt import (
+    MTC_BYTES,
+    PSB_BYTES,
+    PTConfig,
+    PTThreadTrace,
+    PacketKind,
+    RET_STACK_DEPTH,
+    TIP_BYTES,
+    TNT_BITS_PER_BYTE,
+    kind_of,
+)
 from repro.replay.engine import ReplayResult
 
 #: A small two-thread program with a lock-protected counter (no races).
@@ -536,10 +555,9 @@ class ReferencePEBSEngine(PEBSEngine):
         # counts are always >= 1).
         return self._counter(core) <= self._max_weight
 
-    def on_memory_access(self, event: MemoryAccessEvent,
-                         registers: Optional[Dict[str, int]]) -> None:
-        # Whatever snapshot the machine passes is ignored: this engine
-        # takes its own, when it could fire, as the machine used to.
+    def on_memory_access(self, event: MemoryAccessEvent) -> None:
+        # This engine takes its own register snapshot, when it could
+        # fire, as the machine used to.
         snapshot = None
         if self.wants_register_snapshot(event.tid):
             snapshot = self._threads[event.tid].registers.snapshot()
@@ -644,3 +662,397 @@ def analyze_from_scratch(program, bundle) -> FromScratch:
         poisoned = poisoned | frozenset(poison_hits)
     return FromScratch(backends[0].finish(), rounds, replay,
                        events_processed)
+
+
+# ---------------------------------------------------------------------------
+# PT streams as rows, and the packet-list reference
+# ---------------------------------------------------------------------------
+
+#: The kinds-column code of a packet of no kind (no container carries it).
+NO_KIND = len(PacketKind)
+
+
+def rows(trace: PTThreadTrace) -> List[Tuple[Optional[PacketKind], int, int]]:
+    """*trace*'s packets as ``(kind, tsc, value)`` rows; the kind is None
+    for a code that names no kind."""
+    return [(kind_of(code), tsc, value) for code, tsc, value
+            in zip(trace.kinds, trace.tscs, trace.values)]
+
+
+def stream_of(packet_rows, tid: int = 0, start_ip: int = 0,
+              start_tsc: int = 0, **header) -> PTThreadTrace:
+    """A :class:`PTThreadTrace` of ``(kind, tsc, value)`` rows; a kind of
+    None becomes :data:`NO_KIND`.  *header* takes ``end_tsc`` and
+    ``truncated``."""
+    packet_rows = list(packet_rows)
+    return PTThreadTrace(
+        tid=tid, start_ip=start_ip, start_tsc=start_tsc,
+        kinds=array("B", [NO_KIND if kind is None else kind.value
+                          for kind, _tsc, _value in packet_rows]),
+        tscs=array("q", [tsc for _kind, tsc, _value in packet_rows]),
+        values=array("q", [value for _kind, _tsc, value in packet_rows]),
+        **header)
+
+
+def with_rows(trace: PTThreadTrace, packet_rows) -> PTThreadTrace:
+    """*trace*'s header over other packets."""
+    columns = stream_of(packet_rows)
+    return dataclasses.replace(trace, kinds=columns.kinds,
+                               tscs=columns.tscs, values=columns.values)
+
+
+@dataclass(frozen=True)
+class PTPacket:
+    """One packet as the reference packetizer builds it: an object per
+    branch, its payload in ``target`` (TIP, OVF) or ``bit`` (TNT)."""
+
+    kind: PacketKind
+    tsc: int
+    target: Optional[int] = None
+    bit: Optional[bool] = None
+
+    @property
+    def row(self) -> Tuple[PacketKind, int, int]:
+        """``(kind, tsc, value)``, the value as the reference encoder
+        writes it."""
+        if self.kind in (PacketKind.TIP, PacketKind.OVF):
+            value = self.target or 0
+        elif self.kind == PacketKind.TNT:
+            value = int(bool(self.bit))
+        else:
+            value = 0
+        return self.kind, self.tsc, value
+
+
+@dataclass
+class PacketStream:
+    """The reference for :class:`PTThreadTrace`: one thread's packets as
+    a list of :class:`PTPacket`."""
+
+    tid: int
+    start_ip: int
+    start_tsc: int
+    packets: List[PTPacket] = dataclasses.field(default_factory=list)
+    end_tsc: Optional[int] = None
+    truncated: bool = False
+
+    @property
+    def rows(self):
+        return [packet.row for packet in self.packets]
+
+    def size_bytes(self, config: PTConfig) -> int:
+        total = PSB_BYTES + TIP_BYTES
+        packet_count = 2
+        tnt_run = 0
+        for packet in self.packets:
+            if packet.kind == PacketKind.TNT:
+                tnt_run += 1
+                continue
+            total += -(-tnt_run // TNT_BITS_PER_BYTE)
+            packet_count += -(-tnt_run // TNT_BITS_PER_BYTE)
+            tnt_run = 0
+            total += TIP_BYTES
+            packet_count += 1
+        total += -(-tnt_run // TNT_BITS_PER_BYTE)
+        packet_count += -(-tnt_run // TNT_BITS_PER_BYTE)
+        if self.end_tsc is not None and config.mtc_period > 0:
+            elapsed = max(0, self.end_tsc - self.start_tsc)
+            total += MTC_BYTES * (elapsed // config.mtc_period)
+        if config.psb_period > 0:
+            total += PSB_BYTES * (packet_count // config.psb_period)
+        return total
+
+
+def assert_same_stream(trace: PTThreadTrace, reference: PacketStream):
+    """*trace* holds *reference*'s header and packets, row by row."""
+    assert (trace.tid, trace.start_ip, trace.start_tsc, trace.end_tsc,
+            trace.truncated) == (reference.tid, reference.start_ip,
+                                 reference.start_tsc, reference.end_tsc,
+                                 reference.truncated)
+    assert rows(trace) == reference.rows
+
+
+def assert_same_streams(traces, references):
+    assert sorted(traces) == sorted(references)
+    for tid in traces:
+        assert_same_stream(traces[tid], references[tid])
+
+
+class ReferencePTPacketizer(MachineObserver):
+    """The reference for :class:`~repro.pmu.pt.PTPacketizer`: the
+    packetizer as it was when it built a :class:`PTPacket` for every
+    branch and appended it to a list."""
+
+    def __init__(self, config: PTConfig = PTConfig()) -> None:
+        self.config = config
+        self.traces: Dict[int, PacketStream] = {}
+        self._ret_stacks: Dict[int, List[int]] = {}
+        self.branches_seen = 0
+        self.packets_emitted = 0
+        self.shedding = False
+        self._shed_open: Dict[int, List[int]] = {}
+        self._shed_gaps = 0
+        self._shed_packets = 0
+        self._shed_bytes = 0
+
+    def begin_shed(self, tsc: int) -> None:
+        if self.shedding:
+            return
+        self.shedding = True
+        self._shed_open = {}
+
+    def end_shed(self, tsc: int) -> Tuple[int, int, int]:
+        for tid in list(self._shed_open):
+            self._flush_shed_span(tid)
+        self.shedding = False
+        totals = (self._shed_gaps, self._shed_packets, self._shed_bytes)
+        self._shed_gaps = self._shed_packets = self._shed_bytes = 0
+        return totals
+
+    def _shed_packet(self, trace: PacketStream, packet: PTPacket) -> None:
+        span = self._shed_open.setdefault(
+            trace.tid, [packet.tsc, packet.tsc, 0, 0])
+        span[1] = packet.tsc
+        if packet.kind == PacketKind.TNT:
+            span[2] += 1
+        else:
+            span[3] += 1
+        self._shed_packets += 1
+
+    def _flush_shed_span(self, tid: int) -> None:
+        span = self._shed_open.pop(tid, None)
+        if span is None:
+            return
+        first_tsc, last_tsc, tnt_bits, others = span
+        self.traces[tid].packets.append(
+            PTPacket(PacketKind.OVF, first_tsc, target=last_tsc))
+        self.packets_emitted += 1
+        self._shed_gaps += 1
+        self._shed_bytes += (
+            -(-tnt_bits // TNT_BITS_PER_BYTE) + others * TIP_BYTES)
+
+    def on_thread_start(self, tsc: int, tid: int, core: int, ip: int) -> None:
+        self.traces[tid] = PacketStream(tid=tid, start_ip=ip, start_tsc=tsc)
+        self._ret_stacks[tid] = []
+
+    def on_thread_exit(self, tsc: int, tid: int) -> None:
+        trace = self.traces[tid]
+        if self.shedding:
+            self._flush_shed_span(tid)
+        trace.packets.append(PTPacket(PacketKind.END, tsc))
+        trace.end_tsc = tsc
+        self.packets_emitted += 1
+
+    def on_branch(self, tsc, tid, ip, target, taken, conditional, indirect,
+                  is_call) -> None:
+        self.branches_seen += 1
+        trace = self.traces[tid]
+        if not self.config.in_region(ip):
+            trace.truncated = True
+            return
+        stack = self._ret_stacks[tid]
+        if conditional:
+            self._emit(trace, PTPacket(PacketKind.TNT, tsc, bit=taken))
+            return
+        if not indirect:
+            if is_call:
+                stack.append(ip + 1)
+                if len(stack) > RET_STACK_DEPTH:
+                    del stack[0]
+            return
+        if self.config.ret_compression and stack and stack[-1] == target:
+            stack.pop()
+            self._emit(trace, PTPacket(PacketKind.TNT, tsc, bit=True))
+            return
+        self._emit(trace, PTPacket(PacketKind.TIP, tsc, target=target))
+
+    def _emit(self, trace: PacketStream, packet: PTPacket) -> None:
+        if self.shedding:
+            self._shed_packet(trace, packet)
+            return
+        trace.packets.append(packet)
+        self.packets_emitted += 1
+
+    def total_size_bytes(self) -> int:
+        return sum(t.size_bytes(self.config) for t in self.traces.values())
+
+
+def reference_pt_trace_run(program, seed=0, num_cores=4, machine=None,
+                           **kwargs):
+    """``trace_run`` with a :class:`ReferencePTPacketizer` in place of the
+    packetizer; the bundle's ``pt_traces`` are :class:`PacketStream`\\ s."""
+    with mock.patch.object(repro.tracing.bundle, "PTPacketizer",
+                           ReferencePTPacketizer):
+        return repro.tracing.bundle.trace_run(
+            program, seed=seed, num_cores=num_cores, machine=machine,
+            **kwargs)
+
+
+def reference_encode_pt(trace: PacketStream) -> bytes:
+    """The reference for the container's PT section writer."""
+    out = io.BytesIO()
+    end_tsc = 0 if trace.end_tsc is None else trace.end_tsc + 1
+    out.write(serialize._PT_HEADER.pack(
+        trace.tid, trace.start_ip, trace.start_tsc, end_tsc,
+        int(trace.truncated), len(trace.packets)))
+    for packet in trace.packets:
+        kind, tsc, value = packet.row
+        out.write(serialize._PACKET.pack(
+            _REFERENCE_KINDS.index(kind), tsc, value))
+    return out.getvalue()
+
+
+#: The container's packet kinds, in code order.
+_REFERENCE_KINDS = (PacketKind.TIP, PacketKind.TNT, PacketKind.END,
+                    PacketKind.OVF)
+
+
+def reference_decode_pt(payload) -> PacketStream:
+    """The reference for the container's PT section reader."""
+    header = serialize._PT_HEADER
+    if len(payload) < header.size:
+        raise serialize.TraceFormatError("truncated PT header")
+    tid, start_ip, start_tsc, end_tsc, truncated, count = \
+        header.unpack_from(payload, 0)
+    packets = []
+    offset = header.size
+    expected = offset + count * serialize._PACKET.size
+    if len(payload) != expected:
+        raise serialize.TraceFormatError(
+            f"PT stream length mismatch: {len(payload)} != {expected}")
+    for _ in range(count):
+        kind_id, tsc, value = serialize._PACKET.unpack_from(payload, offset)
+        offset += serialize._PACKET.size
+        try:
+            kind = _REFERENCE_KINDS[kind_id]
+        except IndexError:
+            raise serialize.TraceFormatError(
+                f"bad packet kind {kind_id}") from None
+        if kind in (PacketKind.TIP, PacketKind.OVF):
+            packets.append(PTPacket(kind, tsc, target=value))
+        elif kind == PacketKind.TNT:
+            packets.append(PTPacket(kind, tsc, bit=bool(value)))
+        else:
+            packets.append(PTPacket(kind, tsc))
+    return PacketStream(
+        tid=tid, start_ip=start_ip, start_tsc=start_tsc, packets=packets,
+        end_tsc=None if end_tsc == 0 else end_tsc - 1,
+        truncated=bool(truncated))
+
+
+def reference_trace_to_bytes(bundle, version=None) -> bytes:
+    """``trace_to_bytes`` of a bundle of :class:`PacketStream`\\ s, through
+    the reference PT section writer."""
+    with mock.patch.object(serialize, "_encode_pt", reference_encode_pt):
+        return serialize.trace_to_bytes(bundle, version=version)
+
+
+def reference_inject_pt_gaps(plan, rng, pt_traces, defects):
+    """The reference for ``FaultPlan._inject_pt_gaps`` over
+    :class:`PacketStream`\\ s: one packet span per thread replaced with
+    an OVF marker."""
+    degraded = {}
+    for tid in sorted(pt_traces):
+        trace = pt_traces[tid]
+        packets = trace.packets
+        length = max(1, int(len(packets) * plan.pt_gap))
+        if len(packets) < 4 or length >= len(packets):
+            degraded[tid] = trace
+            continue
+        start = rng.randrange(0, len(packets) - length)
+        lost = packets[start:start + length]
+        marker = PTPacket(PacketKind.OVF, lost[0].tsc, target=lost[-1].tsc)
+        degraded[tid] = dataclasses.replace(
+            trace,
+            packets=packets[:start] + [marker] + packets[start + length:])
+        defects.pt_gaps += 1
+        defects.pt_packets_lost += length
+    return degraded
+
+
+def reference_apply_gaps(plan, bundle):
+    """``plan.apply`` of a plan with no clock faults to a bundle of
+    :class:`PacketStream`\\ s, its PT gaps injected by
+    :func:`reference_inject_pt_gaps`."""
+    assert not plan.clock_intensity
+    with mock.patch.object(FaultPlan, "_inject_pt_gaps",
+                           reference_inject_pt_gaps):
+        return plan.apply(bundle)
+
+
+def reference_clock_fault_streams(bundle, plan) -> Dict[int, PacketStream]:
+    """The reference for the PT part of ``inject_clock_faults``:
+    *bundle*'s :class:`PacketStream`\\ s re-timestamped through *plan*'s
+    per-core faulty clocks, packet by packet."""
+    cores = core_of_map(bundle)
+    num_cores = max(list(cores.values()) + [3]) + 1
+    horizon = max(1, bundle.run.tsc)
+    core_plan = plan_core_faults(num_cores, plan.clock_skew,
+                                 plan.clock_drift, plan.clock_step,
+                                 horizon, plan.seed)
+    regressor = _Regressor(plan.seed, plan.clock_regress)
+    streams = {}
+    for tid, trace in bundle.pt_traces.items():
+        core = cores.get(tid, tid % num_cores)
+        clock = core_plan[core % len(core_plan)]
+        disturb = regressor.stream(tid * 4 + 3)
+        packets = []
+        for packet in trace.packets:
+            if packet.kind is PacketKind.OVF and packet.target is not None:
+                packets.append(dataclasses.replace(
+                    packet, tsc=disturb(clock.observe(packet.tsc)),
+                    target=clock.observe(packet.target)))
+            else:
+                packets.append(dataclasses.replace(
+                    packet, tsc=disturb(clock.observe(packet.tsc))))
+        streams[tid] = dataclasses.replace(
+            trace, start_tsc=clock.observe(trace.start_tsc),
+            end_tsc=(clock.observe(trace.end_tsc)
+                     if trace.end_tsc is not None else None),
+            packets=packets)
+    return streams
+
+
+def reference_repair_streams(streams) -> Tuple[Dict[int, PacketStream], int]:
+    """The reference for the PT part of ``repair_streams``: each
+    stream's packet TSCs clamped to their running maximum.  Returns the
+    streams and the packets moved."""
+    repaired = {}
+    moved_total = 0
+    for tid, trace in streams.items():
+        values, moved, _worst = repair_monotonic(
+            [p.tsc for p in trace.packets])
+        if moved:
+            moved_total += moved
+            repaired[tid] = dataclasses.replace(trace, packets=[
+                packet if packet.tsc == value
+                else dataclasses.replace(packet, tsc=value)
+                for packet, value in zip(trace.packets, values)])
+        else:
+            repaired[tid] = trace
+    return repaired, moved_total
+
+
+def reference_corrected_streams(bundle, streams, model):
+    """The reference for the PT part of ``apply_clock_correction``:
+    *streams* (*bundle*'s, clock-faulted) corrected through *model*
+    packet by packet, then repaired.  Returns the streams and the
+    packets the repair moved."""
+    cores = core_of_map(bundle)
+    corrected = {}
+    for tid, trace in streams.items():
+        fix = model.fit_for(cores.get(tid, tid % 4)).correct
+        packets = []
+        for packet in trace.packets:
+            if packet.kind is PacketKind.OVF and packet.target is not None:
+                packets.append(dataclasses.replace(
+                    packet, tsc=fix(packet.tsc), target=fix(packet.target)))
+            else:
+                packets.append(dataclasses.replace(packet,
+                                                   tsc=fix(packet.tsc)))
+        corrected[tid] = dataclasses.replace(
+            trace, start_tsc=fix(trace.start_tsc),
+            end_tsc=fix(trace.end_tsc) if trace.end_tsc is not None
+            else None,
+            packets=packets)
+    return reference_repair_streams(corrected)

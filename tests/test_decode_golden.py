@@ -44,10 +44,11 @@ import pytest
 
 from repro.faults import builtin_plans, clock_plans
 from repro.pmu.governor import GovernorConfig
-from repro.pmu.pt import PTConfig, PTPacket, PTThreadTrace, PacketKind
+from repro.pmu.pt import PTConfig, PacketKind
 from repro.ptdecode import decode_all_tolerant, decode_thread
 from repro.tracing import trace_run
 
+from tests.helpers import PTPacket, rows, stream_of
 from tests.test_machine_golden import PERIOD, SEEDS, _programs
 
 GOLDEN = Path(__file__).parent / "golden" / "decode.json"
@@ -133,6 +134,29 @@ def _failures(program, traces, bundle):
     return {str(tid): why for tid, why in failures.items()}
 
 
+def _packets(trace):
+    """*trace*'s packets as :class:`~tests.helpers.PTPacket` objects,
+    which carry a target and a bit apart, so an edit that changes a
+    packet's kind keeps the payload of the other kind."""
+    packets = []
+    for kind, tsc, value in rows(trace):
+        if kind in (PacketKind.TIP, PacketKind.OVF):
+            packets.append(PTPacket(kind, tsc, target=value))
+        elif kind is PacketKind.TNT:
+            packets.append(PTPacket(kind, tsc, bit=bool(value)))
+        else:
+            packets.append(PTPacket(kind, tsc))
+    return packets
+
+
+def _row(packet):
+    """*packet* as the decoder reads it: an OVF without a gap end ends
+    its gap at its own TSC."""
+    if packet.kind is PacketKind.OVF and packet.target is None:
+        return packet.kind, packet.tsc, packet.tsc
+    return packet.row
+
+
 def _rekind(rng, packet, program):
     """*packet* with a wrong kind: another :class:`PacketKind`, or
     ``None``, a kind no stream reader produces."""
@@ -158,7 +182,7 @@ def _retarget(rng, packet, program, tscs):
 
 def _mutate(rng, trace, shapes, program):
     """A copy of *trace* with each edit in *shapes* applied in turn."""
-    packets = list(trace.packets)
+    packets = _packets(trace)
     start_ip = trace.start_ip
     tscs = [packet.tsc for packet in packets]
     for shape in shapes:
@@ -209,16 +233,16 @@ def _mutate(rng, trace, shapes, program):
             packets[t] = (_rekind(rng, packets[t], program)
                           if shape == "gap-kind"
                           else _retarget(rng, packets[t], program, tscs))
-    return PTThreadTrace(tid=trace.tid, start_ip=start_ip,
-                         start_tsc=trace.start_tsc, packets=packets)
+    return stream_of(map(_row, packets), tid=trace.tid, start_ip=start_ip,
+                     start_tsc=trace.start_tsc)
 
 
 def _mutation_outcomes(program, bundle, tid, rng, tally):
     """Every mutation outcome of one thread stream, both budgets."""
     trace = bundle.pt_traces[tid]
     samples = bundle.samples_of_thread(tid)
-    tips = sum(1 for packet in trace.packets[1:]
-               if packet.kind is PacketKind.TIP)
+    tips = sum(1 for kind, _tsc, _value in rows(trace)[1:]
+               if kind is PacketKind.TIP)
     edits = [(shape,) for shape in MUTATIONS]
     edits += [(shape,) for _ in range(min(tips, TIP_EDITS))
               for shape in TIP_MUTATIONS]

@@ -159,16 +159,17 @@ class TestThreadIsolation:
         analysis."""
         import dataclasses
 
-        from repro.pmu.pt import PTPacket, PacketKind
+        from repro.pmu.pt import PacketKind
+
+        from tests.helpers import rows, with_rows
 
         broken = dict(racy_bundle.pt_traces)
         victim = sorted(broken)[0]
         trace = broken[victim]
+        packets = rows(trace)
         # An indirect-jump packet targeting an out-of-range ip.
-        bad = PTPacket(PacketKind.TIP, trace.packets[0].tsc + 1,
-                       target=10_000)
-        broken[victim] = dataclasses.replace(
-            trace, packets=[bad] + list(trace.packets))
+        bad = (PacketKind.TIP, packets[0][1] + 1, 10_000)
+        broken[victim] = with_rows(trace, [bad] + packets)
         bundle = dataclasses.replace(racy_bundle, pt_traces=broken)
         result = OfflinePipeline(racy_program).analyze(bundle)
         assert victim in result.degradation.threads_skipped

@@ -13,6 +13,8 @@ from repro.faults import (
 from repro.pmu.pt import PacketKind
 from repro.tracing import TraceFormatError, read_trace, write_trace
 
+from tests.helpers import rows
+
 
 ALL_FAULTS = FaultPlan(seed=3, sample_drop=0.3, pt_gap=0.2,
                        log_truncation=0.2, tsc_jitter=0.5)
@@ -22,7 +24,7 @@ def snapshot(bundle):
     """Everything apply() may not mutate, in comparable form."""
     return (
         list(bundle.samples),
-        {tid: list(t.packets) for tid, t in bundle.pt_traces.items()},
+        {tid: rows(t) for tid, t in bundle.pt_traces.items()},
         list(bundle.sync_records),
         list(bundle.alloc_records),
         bundle.pebs_accounting.trace_bytes,
@@ -48,15 +50,15 @@ class TestFaultPlan:
         assert first.samples == second.samples
         assert first.sync_records == second.sync_records
         for tid in first.pt_traces:
-            assert (first.pt_traces[tid].packets
-                    == second.pt_traces[tid].packets)
+            assert (rows(first.pt_traces[tid])
+                    == rows(second.pt_traces[tid]))
 
     def test_seed_changes_outcome(self, racy_bundle):
         a, _ = ALL_FAULTS.apply(racy_bundle)
         b, _ = dataclasses.replace(ALL_FAULTS, seed=99).apply(racy_bundle)
         assert (a.samples != b.samples
                 or a.sync_records != b.sync_records
-                or any(a.pt_traces[t].packets != b.pt_traces[t].packets
+                or any(rows(a.pt_traces[t]) != rows(b.pt_traces[t])
                        for t in a.pt_traces))
 
     def test_apply_is_pure(self, racy_bundle):
@@ -110,21 +112,21 @@ class TestPTGaps:
         degraded, defects = plan.apply(racy_bundle)
         assert defects.pt_gaps > 0
         for tid, trace in degraded.pt_traces.items():
-            original = racy_bundle.pt_traces[tid].packets
-            ovfs = [p for p in trace.packets if p.kind is PacketKind.OVF]
+            original = rows(racy_bundle.pt_traces[tid])
+            ovfs = [row for row in rows(trace) if row[0] is PacketKind.OVF]
             if not ovfs:
                 continue
             assert len(ovfs) == 1
-            marker = ovfs[0]
-            assert marker.target >= marker.tsc
+            _kind, tsc, gap_end = ovfs[0]
+            assert gap_end >= tsc
             # The span (>= 1 packet) collapses into the one marker.
-            assert len(trace.packets) <= len(original)
+            assert len(rows(trace)) <= len(original)
 
     def test_packet_loss_reconciles(self, racy_bundle):
         plan = FaultPlan(seed=1, pt_gap=0.2)
         degraded, defects = plan.apply(racy_bundle)
         lost = sum(
-            len(racy_bundle.pt_traces[tid].packets) - len(t.packets)
+            len(rows(racy_bundle.pt_traces[tid])) - len(rows(t))
             for tid, t in degraded.pt_traces.items()
         )
         # Each gap removes `length` packets but adds one OVF marker.

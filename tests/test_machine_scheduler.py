@@ -10,7 +10,7 @@ class _OrderRecorder(MachineObserver):
     def __init__(self):
         self.order = []
 
-    def on_memory_access(self, event, registers):
+    def on_memory_access(self, event):
         self.order.append((event.tid, event.tsc, event.ip))
 
 

@@ -282,7 +282,7 @@ class Disabler(MachineObserver):
         self.at = at
         self.tripped = None
 
-    def on_memory_access(self, event, registers) -> None:
+    def on_memory_access(self, event) -> None:
         if self.tripped is None and event.tsc >= self.at:
             self.engine.disabled = True
             self.tripped = event.tsc

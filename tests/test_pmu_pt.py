@@ -12,7 +12,7 @@ from repro.pmu import (
     TNT_BITS_PER_BYTE,
 )
 
-from tests.helpers import CLEAN_COUNTER_ASM
+from tests.helpers import CLEAN_COUNTER_ASM, rows
 
 
 def _packetize(source, config=None, seed=0):
@@ -39,44 +39,45 @@ class TestPackets:
     def test_conditional_branches_emit_tnt(self):
         _, pt = _packetize(LOOP)
         trace = pt.traces[0]
-        tnts = [p for p in trace.packets if p.kind == PacketKind.TNT]
+        tnts = [row for row in rows(trace) if row[0] == PacketKind.TNT]
         assert len(tnts) == 10
-        assert [p.bit for p in tnts] == [True] * 9 + [False]
+        assert [value for _, _, value in tnts] == [1] * 9 + [0]
 
     def test_halt_emits_end(self):
         _, pt = _packetize(LOOP)
-        assert pt.traces[0].packets[-1].kind == PacketKind.END
+        assert rows(pt.traces[0])[-1][0] == PacketKind.END
 
     def test_direct_call_emits_no_packet(self):
         src = "main:\n    call f\n    halt\nf:\n    ret\n"
         _, pt = _packetize(src)
-        kinds = [p.kind for p in pt.traces[0].packets]
+        kinds = [kind for kind, _, _ in rows(pt.traces[0])]
         # ret is compressed to a TNT bit; the call itself is silent.
         assert kinds == [PacketKind.TNT, PacketKind.END]
 
     def test_ret_compression_off_emits_tip(self):
         src = "main:\n    call f\n    halt\nf:\n    ret\n"
         _, pt = _packetize(src, PTConfig(ret_compression=False))
-        kinds = [p.kind for p in pt.traces[0].packets]
+        kinds = [kind for kind, _, _ in rows(pt.traces[0])]
         assert kinds == [PacketKind.TIP, PacketKind.END]
 
     def test_indirect_jmp_emits_tip(self):
         src = ("main:\n    mov $4, %rax\n    jmp %rax\n    halt\n    halt\n"
                "t:\n    halt\n")
         _, pt = _packetize(src)
-        tips = [p for p in pt.traces[0].packets if p.kind == PacketKind.TIP]
-        assert len(tips) == 1 and tips[0].target == 4
+        tips = [row for row in rows(pt.traces[0])
+                if row[0] == PacketKind.TIP]
+        assert len(tips) == 1 and tips[0][2] == 4
 
     def test_per_thread_streams(self):
         _, pt = _packetize(CLEAN_COUNTER_ASM)
         assert set(pt.traces) == {0, 1}
         for trace in pt.traces.values():
-            assert trace.packets[-1].kind == PacketKind.END
+            assert rows(trace)[-1][0] == PacketKind.END
 
     def test_packet_tscs_monotone(self):
         _, pt = _packetize(CLEAN_COUNTER_ASM)
         for trace in pt.traces.values():
-            tscs = [p.tsc for p in trace.packets]
+            tscs = [tsc for _, tsc, _ in rows(trace)]
             assert tscs == sorted(tscs)
 
 
@@ -91,7 +92,7 @@ class TestRegionFilter:
         _, pt = _packetize(LOOP, PTConfig(filters=((900, 901),)))
         trace = pt.traces[0]
         branch_packets = [
-            p for p in trace.packets if p.kind != PacketKind.END
+            row for row in rows(trace) if row[0] != PacketKind.END
         ]
         assert not branch_packets
         assert trace.truncated
@@ -102,8 +103,8 @@ class TestRegionFilter:
         _, filtered = _packetize(
             LOOP, PTConfig(filters=((0, len(program)),))
         )
-        assert [p.kind for p in unfiltered.traces[0].packets] == \
-            [p.kind for p in filtered.traces[0].packets]
+        assert [row[0] for row in rows(unfiltered.traces[0])] == \
+            [row[0] for row in rows(filtered.traces[0])]
 
 
 class TestSizeAccounting:
@@ -132,6 +133,8 @@ loop:
 
     def test_compression_is_dense(self):
         """PT compresses massively relative to one word per branch."""
-        src = LOOP.replace("$10", "$600")
-        _, pt = _packetize(src)
-        assert pt.total_size_bytes() < pt.branches_seen * 2
+        machine = Machine(assemble(LOOP.replace("$10", "$600")))
+        pt = PTPacketizer(PTConfig())
+        machine.attach(pt)
+        result = machine.run()
+        assert pt.total_size_bytes() < result.branches * 2

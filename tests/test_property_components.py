@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from repro.analysis.metrics import wilson_interval
 from repro.analysis.timeline import ThreadTimeline
 from repro.machine.heap import Heap
-from repro.pmu.pt import PTConfig, PTPacket, PTThreadTrace, PacketKind
+from repro.pmu.pt import PTConfig, PacketKind
+
+from tests.helpers import stream_of
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +127,9 @@ def test_heap_history_consistent(ops):
 
 packet_lists = st.lists(
     st.one_of(
-        st.builds(lambda t: PTPacket(PacketKind.TNT, t, bit=True),
+        st.builds(lambda t: (PacketKind.TNT, t, 1),
                   st.integers(min_value=1, max_value=10_000)),
-        st.builds(lambda t: PTPacket(PacketKind.TIP, t, target=5),
+        st.builds(lambda t: (PacketKind.TIP, t, 5),
                   st.integers(min_value=1, max_value=10_000)),
     ),
     max_size=100,
@@ -138,21 +140,15 @@ packet_lists = st.lists(
 @settings(max_examples=200)
 def test_pt_size_monotone_in_packets(packets):
     config = PTConfig(mtc_period=0, psb_period=0)
-    trace = PTThreadTrace(tid=0, start_ip=0, start_tsc=0)
-    sizes = []
-    for packet in packets:
-        trace.packets.append(packet)
-        sizes.append(trace.size_bytes(config))
+    sizes = [stream_of(packets[:n]).size_bytes(config)
+             for n in range(1, len(packets) + 1)]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
 @given(st.integers(min_value=0, max_value=600))
 def test_pt_tnt_packing_density(n_bits):
     config = PTConfig(mtc_period=0, psb_period=0)
-    trace = PTThreadTrace(tid=0, start_ip=0, start_tsc=0)
-    trace.packets = [
-        PTPacket(PacketKind.TNT, i + 1, bit=True) for i in range(n_bits)
-    ]
+    trace = stream_of((PacketKind.TNT, i + 1, 1) for i in range(n_bits))
     overhead = 16 + 5  # PSB + start TIP
     expected = overhead + -(-n_bits // 6)
     assert trace.size_bytes(config) == expected

@@ -9,6 +9,8 @@ from repro.machine import Machine
 from repro.tracing import read_trace, trace_run, write_trace
 from repro.workloads import GeneratorConfig, generate_program
 
+from tests.helpers import rows
+
 CONFIG = GeneratorConfig(threads=2, body_length=30, loop_iterations=2)
 
 
@@ -51,4 +53,4 @@ def test_trace_file_roundtrip(seed, period, tmp_path_factory):
     assert loaded.sync_records == bundle.sync_records
     assert loaded.alloc_records == bundle.alloc_records
     for tid, trace in bundle.pt_traces.items():
-        assert loaded.pt_traces[tid].packets == trace.packets
+        assert rows(loaded.pt_traces[tid]) == rows(trace)

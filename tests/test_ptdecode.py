@@ -8,7 +8,7 @@ from repro.pmu import PTConfig, PTPacketizer
 from repro.ptdecode import DecodeError, align_samples, decode_all, decode_thread
 from repro.tracing import trace_run
 
-from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM
+from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM, rows, with_rows
 
 
 class _StepRecorder(MachineObserver):
@@ -142,7 +142,7 @@ class TestDecodeErrors:
         pt = PTPacketizer()
         machine.attach(pt)
         machine.run()
-        trace = pt.traces[0]
-        trace.packets.pop(0)  # lose the TNT for the je
+        # Lose the TNT for the je.
+        trace = with_rows(pt.traces[0], rows(pt.traces[0])[1:])
         with pytest.raises(DecodeError):
             decode_thread(program, trace)

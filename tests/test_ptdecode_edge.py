@@ -10,12 +10,14 @@ from repro.errors import EXIT_TRACE_ERROR
 from repro.isa import Instruction, Op, Program, ProgramError, assemble
 from repro.machine import Machine
 from repro.pmu import PTPacketizer
-from repro.pmu.pt import PTPacket, PTThreadTrace, PacketKind
+from repro.pmu.pt import PacketKind
 from repro.pmu.records import SyncRecord
 from repro.ptdecode import DecodeError, decode_all, decode_thread, locate_syncs
 from repro.ptdecode.decoder import DecodedPath
 from repro.replay import ReplayEngine
 from repro.tracing import trace_run
+
+from tests.helpers import stream_of
 
 
 def _path():
@@ -129,8 +131,7 @@ class TestLazyLocateIndices:
 
 
 def _stream(start_ip=0, packets=()):
-    return PTThreadTrace(tid=0, start_ip=start_ip, start_tsc=0,
-                         packets=list(packets))
+    return stream_of(packets, start_ip=start_ip)
 
 
 class TestStepBudget:
@@ -189,7 +190,7 @@ class TestStepBudget:
     def test_untargeted_call(self):
         program = Program([Instruction(Op.NOP), Instruction(Op.CALL)],
                           labels={"main": 0})
-        trace = _stream(packets=[PTPacket(PacketKind.END, 5)])
+        trace = _stream(packets=[(PacketKind.END, 5, 0)])
         with pytest.raises(ProgramError, match="has no direct target"):
             decode_thread(program, trace, max_steps=2)
         # A budget that runs out before the call wins over the call.

@@ -9,7 +9,7 @@ from repro.analysis import OfflinePipeline
 from repro.isa import assemble
 from repro.tracing import TraceFormatError, read_trace, trace_run, write_trace
 
-from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM
+from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM, rows
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ class TestRoundTrip:
         assert set(loaded.pt_traces) == set(bundle.pt_traces)
         for tid, trace in bundle.pt_traces.items():
             other = loaded.pt_traces[tid]
-            assert other.packets == trace.packets
+            assert rows(other) == rows(trace)
             assert other.start_ip == trace.start_ip
             assert other.start_tsc == trace.start_tsc
             assert other.end_tsc == trace.end_tsc
@@ -103,7 +103,7 @@ class TestVersions:
         assert loaded.sync_records == bundle.sync_records
         assert loaded.alloc_records == bundle.alloc_records
         for tid, trace in bundle.pt_traces.items():
-            assert loaded.pt_traces[tid].packets == trace.packets
+            assert rows(loaded.pt_traces[tid]) == rows(trace)
         assert loaded.run.tsc == bundle.run.tsc
         assert loaded.defects is None
 
