@@ -1,4 +1,4 @@
-"""CI perf smoke: tracing, replay, planning, detection and race-DB gates.
+"""CI perf smoke: tracing, replay, planning and detection gates.
 
 A deliberately small, fast guard (seconds, not minutes) run on every CI
 build; the full measurements live in ``perfbench/``,
@@ -14,11 +14,6 @@ path measurably slower than constructing FastTrack directly (the
 backend refactor's <5% contract against the BENCH_replay.json
 fast-path numbers).
 
-Also guards the fleet race database: redelivered bundles must be
-refused on the cheap in-memory path (no append, no fsync), so the
-dedup path has to be decisively faster than first-time inserts, and
-inserts themselves must clear a generous absolute floor.
-
 Run directly: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
 
@@ -26,7 +21,6 @@ import json
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -35,7 +29,6 @@ from repro.detector.events import Access, AccessKind, WitnessStep
 from repro.detector.fasttrack import FastTrack
 from repro.detector.registry import create_backend
 from repro.detector.witness import WitnessPlanner
-from repro.fleet import RaceDatabase
 from repro.machine import Machine, ScheduleController
 from repro.workloads import PARSEC_WORKLOADS, WorkloadScale
 
@@ -81,7 +74,6 @@ TRACE_PAIRS = 10
 #: default ``feed_batch`` call (both loops pre-bind the method, so
 #: anything above this is a real protocol regression, not noise).
 MAX_REGISTRY_OVERHEAD = 0.05
-REPEATS = 3
 #: The registry, clock-key and controller gates each compare two sides
 #: whose passes take a few milliseconds.  Timed as two blocks, one after
 #: the other, a burst of load on a shared runner that lands on one block
@@ -94,13 +86,6 @@ REPEATS = 3
 REGISTRY_PAIRS = 20
 CLOCK_KEY_PAIRS = 100
 CONTROLLER_PAIRS = 30
-#: Race-DB floors: dedup refusal skips the append+fsync entirely, so it
-#: must beat first-time inserts by a wide margin; the insert floor is
-#: set far below local numbers (fsync-per-append on CI disks is slow,
-#: but not *that* slow).
-MIN_DEDUP_SPEEDUP = 3.0
-MIN_RACEDB_INSERTS_PER_SEC = 100.0
-RACEDB_BUNDLES = 300
 #: The columnar feed_batch fast path must decisively beat the scalar
 #: access() loop on the replay-shaped locality stream (measured locally
 #: ~3.3x; BENCH_detect.json tracks the full number) — it is the feed of
@@ -399,34 +384,6 @@ def _controller_seconds(program):
     return _paired_passes(free, driven, CONTROLLER_PAIRS)
 
 
-def _racedb_seconds(bundles=RACEDB_BUNDLES):
-    """Best-of-N (insert seconds, dedup-refusal seconds) for folding
-    *bundles* findings into a fresh on-disk race DB and then replaying
-    the exact same deliveries against it."""
-    sigs = [
-        {"workload": "bench", "variable": f"v{i % 32}",
-         "context": ["a", "b"], "pair": [i % 32, 1 + i % 32],
-         "key": f"k{i % 32}", "desc": "bench race"}
-        for i in range(bundles)
-    ]
-    best = None
-    for _ in range(REPEATS):
-        with tempfile.TemporaryDirectory() as tmp:
-            with RaceDatabase(Path(tmp) / "races.db") as db:
-                t0 = time.perf_counter()
-                for i, sig in enumerate(sigs):
-                    db.apply_bundle(f"b{i:05d}", [sig], probability=0.5)
-                insert = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                for i, sig in enumerate(sigs):
-                    db.apply_bundle(f"b{i:05d}", [sig], probability=0.5)
-                dedup = time.perf_counter() - t0
-                assert db.double_counted == 0
-        if best is None or insert < best[0]:
-            best = (insert, dedup)
-    return best
-
-
 def main():
     scale = WorkloadScale(iterations=150, data_words=64)
     program = PARSEC_WORKLOADS["blackscholes"].build(scale)
@@ -469,13 +426,6 @@ def main():
           f"{100 * clock_key_overhead:+.1f}% "
           f"({key_events / keyed_s:,.0f} events/sec)")
 
-    insert, dedup = _racedb_seconds()
-    insert_rate = RACEDB_BUNDLES / insert
-    dedup_speedup = insert / dedup
-    print(f"race DB: {RACEDB_BUNDLES} inserts in {insert * 1e3:.1f} ms "
-          f"({insert_rate:,.0f}/sec), redelivery refused in "
-          f"{dedup * 1e3:.1f} ms -> {dedup_speedup:.1f}x")
-
     free_s, driven_s, controller_overhead = _controller_seconds(program)
     print(f"schedule controller (diverging/unconfirmed replay, "
           f"median of {CONTROLLER_PAIRS} run pairs): "
@@ -497,15 +447,6 @@ def main():
             f"(budget {100 * MAX_CONTROLLER_OVERHEAD:.0f}%) — the "
             f"run loop's controller hooks are supposed to be free once "
             f"the controller deactivates")
-    if insert_rate < MIN_RACEDB_INSERTS_PER_SEC:
-        failures.append(
-            f"race DB inserts only {insert_rate:,.0f}/sec "
-            f"(floor {MIN_RACEDB_INSERTS_PER_SEC:,.0f}/sec)")
-    if dedup_speedup < MIN_DEDUP_SPEEDUP:
-        failures.append(
-            f"race DB dedup refusal only {dedup_speedup:.1f}x faster "
-            f"than insert (floor {MIN_DEDUP_SPEEDUP}x) — is redelivery "
-            f"hitting the disk?")
     if clock_key_overhead > MAX_CLOCK_KEY_OVERHEAD:
         failures.append(
             f"separate clock merge-key column costs "

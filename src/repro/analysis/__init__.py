@@ -40,7 +40,6 @@ from .report import (
     render_race,
     render_confirmation,
     render_report,
-    render_triage,
     to_json,
 )
 from .shootout import (
@@ -67,7 +66,6 @@ __all__ = [
     "backend_to_dict",
     "render_backend_section",
     "render_confirmation",
-    "render_triage",
     "run_shootout",
     "sync_sort_key",
     "DegradationReport",

@@ -244,10 +244,9 @@ class OfflinePipeline:
             accesses partitioned by address hash, findings merged back
             into exact serial order).  Takes effect only on the
             single-``fasttrack`` configuration; anything else falls
-            back to the serial pass.
-        detect_executor: executor for the shard fan-out (default: picks
-            ``"process"`` where fork inheritance makes the event plan
-            free to share, ``"thread"`` elsewhere).
+            back to the serial pass.  The shard fan-out runs on
+            processes where fork inheritance makes the event plan free
+            to share, on threads elsewhere.
         reconcile_clock: run clock reconciliation (:mod:`repro.clock`)
             before analysis — estimate (or reuse, for v4 containers) a
             per-core :class:`~repro.clock.model.ClockModel` from the
@@ -265,14 +264,12 @@ class OfflinePipeline:
         mode: str = "full",
         detectors: Sequence[str] = (DEFAULT_DETECTOR,),
         detect_shards: int = 1,
-        detect_executor: Optional[str] = None,
         reconcile_clock: bool = False,
     ) -> None:
         self.program = program
         self.mode = mode
         self.detectors = resolve_detectors(detectors)
         self.detect_shards = max(1, detect_shards)
-        self.detect_executor = detect_executor
         self.reconcile_clock = reconcile_clock
         #: ``(bundle, context, replay_result)`` of the last finished
         #: :meth:`analyze`, which :meth:`events_for` reuses for that
@@ -356,10 +353,8 @@ class OfflinePipeline:
         backends = tuple(create_backend(name) for name in self.detectors)
         if (self.detect_shards > 1 and len(backends) == 1
                 and type(backends[0]) is FastTrack):
-            sharded = run_sharded_fasttrack(
-                context, shards=self.detect_shards,
-                executor=self.detect_executor,
-            )
+            sharded = run_sharded_fasttrack(context,
+                                            shards=self.detect_shards)
             return (sharded,), sharded.events_processed
         events_processed = 0
         if len(backends) == 1:

@@ -1,9 +1,9 @@
 """Race report rendering: the "Data Race Report" of Figure 1.
 
 Turns a :class:`~repro.analysis.pipeline.DetectionResult` into artefacts
-a developer (or a fleet dashboard) consumes: annotated text reports with
-disassembly context around each racing instruction, aggregate summaries
-across many runs, and a JSON-serializable form.
+a developer consumes: annotated text reports with disassembly context
+around each racing instruction, aggregate summaries across many runs,
+and a JSON-serializable form.
 """
 
 from __future__ import annotations
@@ -497,126 +497,6 @@ class FleetSummary:
                 "runs"
             )
         return "\n".join(lines)
-
-
-def render_triage(report: dict, title: str = "") -> str:
-    """Render one fleet triage report (``TriageReport.to_dict()``).
-
-    Lives here so every human-facing surface — race reports, governor
-    reports, run ledgers, fleet triage — shares one rendering module.
-    """
-    schedule = report.get("schedule", {})
-    bundles = report.get("bundles", {})
-    db = report.get("db", {})
-    scheduler = report.get("scheduler", {})
-    head = f"=== fleet triage{f': {title}' if title else ''} ==="
-    lines = [
-        head,
-        f"policy {schedule.get('policy')}  "
-        f"{schedule.get('nodes')} nodes x {schedule.get('epochs')} epochs  "
-        f"fleet budget {schedule.get('fleet_budget')}  "
-        f"deep slots {schedule.get('deep_slots')} "
-        f"@ period {schedule.get('deep_period')} "
-        f"(uniform would be {schedule.get('uniform_period')})",
-        "",
-        "ingestion:",
-        f"  bundles produced {bundles.get('produced', 0)}  "
-        f"deliveries {bundles.get('deliveries', 0)}  "
-        f"deduped {bundles.get('deduped', 0)}  "
-        f"unreadable copies {bundles.get('unreadable_copies', 0)}",
-        f"  accepted {bundles.get('accepted', 0)} "
-        f"(salvaged {bundles.get('salvaged', 0)})  "
-        f"quarantined {bundles.get('quarantined', 0)}  "
-        f"analyzed {bundles.get('analyzed', 0)}  "
-        f"shed {bundles.get('shed', 0)}  "
-        f"analysis-quarantined {bundles.get('analysis_quarantined', 0)}",
-        f"  books {'reconcile' if bundles.get('reconciles') else 'DO NOT RECONCILE'}",
-    ]
-    if bundles.get("clock_reconciled"):
-        lines.append(
-            f"  node clocks reconciled: "
-            f"{bundles['clock_reconciled']} bundles shifted onto the "
-            "fleet timeline"
-        )
-    lines += [
-        "",
-        "race database:",
-        f"  signatures {db.get('signatures', 0)}  "
-        f"new {len(db.get('new', []))}  "
-        f"recurring {len(db.get('recurring', []))}  "
-        f"suppressed {db.get('suppressed', 0)} "
-        f"(hits {db.get('suppressed_hits', 0)})  "
-        f"double-counted {db.get('double_counted', 0)}",
-        f"  bundles applied {db.get('applied', 0)}  "
-        f"redundant redeliveries refused {db.get('redundant', 0)}",
-    ]
-    if db.get("dropped_tail_bytes"):
-        lines.append(
-            f"  dropped a {db['dropped_tail_bytes']}-byte torn tail on "
-            "open (writer died mid-append)"
-        )
-    confirm = report.get("confirm", {})
-    if confirm.get("enabled"):
-        conserved = ("every ranked race carries a verdict"
-                     if confirm.get("conserved")
-                     else "VERDICTS MISSING for some ranked races")
-        lines.append(
-            f"  confirmation: confirmed {confirm.get('confirmed', 0)} / "
-            f"flaky {confirm.get('flaky', 0)} / "
-            f"unconfirmed {confirm.get('unconfirmed', 0)} / "
-            f"inapplicable {confirm.get('inapplicable', 0)}  "
-            f"({conserved})"
-        )
-    top = db.get("top", [])
-    if top:
-        lines.append("  top-ranked races:")
-        for rank, entry in enumerate(top[:5], start=1):
-            signature = entry.get("signature", {})
-            verdict = entry.get("verdict")
-            verdict_tag = f"  [{verdict}]" if verdict else ""
-            lines.append(
-                f"    #{rank} {signature.get('workload')} "
-                f"{signature.get('variable')} "
-                f"pair {tuple(signature.get('pair', ()))}  "
-                f"seen {entry.get('count', 0)}x on "
-                f"{len(entry.get('nodes', []))} node(s)  "
-                f"score {entry.get('score', 0.0):.3f}{verdict_tag}"
-            )
-    lines += [
-        "",
-        "scheduler:",
-        f"  detections {scheduler.get('detections', 0)}"
-        f"/{scheduler.get('node_epochs', 0)} node-epochs "
-        f"(probability {scheduler.get('detection_probability', 0.0):.2f})",
-        f"  mean tracing overhead {scheduler.get('mean_overhead', 0.0):.4f}  "
-        f"sampling budget utilization "
-        f"{scheduler.get('budget_utilization', 0.0):.2f}x",
-    ]
-    quarantine = report.get("quarantine", [])
-    if quarantine:
-        lines.append("")
-        lines.append("quarantine (inspect + requeue or delete):")
-        for record in quarantine:
-            lines.append(
-                f"  {record.get('bundle_id')}  "
-                f"{record.get('copies')} copies  {record.get('error')}"
-            )
-    shed = report.get("shed_bundles", [])
-    if shed:
-        lines.append("")
-        lines.append("shed under backpressure (raise --backlog-budget):")
-        for record in shed:
-            lines.append(
-                f"  {record.get('bundle_id')}  node {record.get('node')} "
-                f"epoch {record.get('epoch')} period {record.get('period')}"
-            )
-    if report.get("lossy"):
-        lines.append("")
-        lines.append(
-            "LOSSY: evidence missing from the database "
-            "(quarantined/shed bundles above) — it is a lower bound."
-        )
-    return "\n".join(lines)
 
 
 def render_confirmation(confirmation) -> str:

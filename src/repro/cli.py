@@ -21,9 +21,6 @@ Commands:
   and baseline over the Table 2 race-bug corpus.
 * ``chaos`` — sweep fault-injection intensity over seeded runs and
   report the detection-probability curve under each fault plan.
-* ``fleet`` — fleet-scale triage: governed tracing on simulated nodes,
-  crash-tolerant spool ingestion, sharded supervised analysis, and a
-  deduplicating ranked race database.
 """
 
 from __future__ import annotations
@@ -44,9 +41,6 @@ from .analysis import (
 from .confirm import ConfirmConfig, confirm_races
 from .errors import (
     EXIT_DEGRADED,
-    EXIT_FLEET_LOSSY,
-    EXIT_OK,
-    EXIT_RACES,
     EXIT_TRACE_ERROR,
     EXIT_UNCONFIRMED,
     DeadlineExceeded,
@@ -271,33 +265,30 @@ def _governor_from(args: argparse.Namespace) -> Optional[GovernorConfig]:
                           seed=getattr(args, "seed", 0))
 
 
-def _worker_fault_parent() -> argparse.ArgumentParser:
-    """The seeded worker-fault-plan flags, as an argparse *parent* so
-    ``repro chaos`` and ``repro fleet`` expose the identical vocabulary
-    (same names, types, defaults, help) from one definition."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
+def _add_worker_fault_args(parser: argparse.ArgumentParser) -> None:
+    """The seeded worker-fault-plan flags of ``repro chaos``
+    (docs/robustness.md, "Runtime chaos")."""
+    parser.add_argument(
         "--kill-workers", type=float, default=0.0, metavar="P",
         help="runtime chaos: per-item probability a worker is SIGKILLed",
     )
-    parent.add_argument(
+    parser.add_argument(
         "--hang-workers", type=float, default=0.0, metavar="P",
         help="runtime chaos: per-item probability a worker hangs",
     )
-    parent.add_argument(
+    parser.add_argument(
         "--fail-workers", type=float, default=0.0, metavar="P",
         help="runtime chaos: per-item probability a worker raises",
     )
-    parent.add_argument(
+    parser.add_argument(
         "--fault-attempts", type=int, default=1, metavar="N",
         help="attempts of each item eligible for worker faults "
              "(large N makes faulty items permanent: quarantine)",
     )
-    parent.add_argument(
+    parser.add_argument(
         "--hang-seconds", type=float, default=30.0, metavar="SECONDS",
         help="how long a hung worker sleeps",
     )
-    return parent
 
 
 def _worker_fault_plan_from(args: argparse.Namespace):
@@ -1065,102 +1056,6 @@ def cmd_overhead(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Fleet-scale race triage (docs/robustness.md, "Fleet triage").
-
-    Simulates N nodes running governed tracing epochs under a fleet
-    overhead budget, pushes their bundles through (optionally chaotic)
-    at-least-once transport into a spool, ingests with dedupe / salvage
-    / quarantine, analyzes the backlog on sharded supervised workers,
-    and folds the findings into a deduplicating race database.
-
-    Exit codes: 0 no races, 1 races in the database, 7 lossy triage
-    (bundles quarantined or shed — the database is a lower bound).
-    """
-    import json as json_module
-    from pathlib import Path
-
-    from .analysis.report import render_triage
-    from .fleet import FleetConfig, run_fleet, run_fleet_duel
-
-    workloads = (
-        tuple(w.strip() for w in args.workloads.split(",") if w.strip())
-        if args.workloads else ("apache-25520",)
-    )
-    retries = args.retries if args.retries is not None else 1
-    config = FleetConfig(
-        nodes=args.nodes, epochs=args.epochs, workloads=workloads,
-        iterations=args.iterations, threads=args.threads, seed=args.seed,
-        policy=args.policy, fleet_budget=args.fleet_budget,
-        deep_budget=args.deep_budget, deep_period=args.deep_period,
-        idle_period=args.idle_period,
-        node_clock_skew=args.node_clock_skew,
-        node_crash_rate=args.node_crash_rate,
-        duplicate_rate=args.duplicate_rate,
-        corrupt_rate=args.corrupt_rate,
-        sticky_corrupt_rate=args.sticky_corrupt_rate,
-        poison_rate=args.poison_rate, reorder=args.reorder,
-        retries=retries, backlog_budget=args.backlog_budget,
-        jobs=args.jobs, detect_shards=args.detect_shards,
-        confirm=args.confirm, confirm_retries=args.confirm_retries,
-        # Worker faults need real process isolation (a simulated SIGKILL
-        # must not take the triage service down with it).
-        executor="process" if (args.jobs > 1 or args.kill_workers
-                               or args.hang_workers or args.fail_workers)
-        else "serial",
-    )
-    workdir = Path(args.workdir)
-    suppress = tuple(args.suppress or ())
-
-    if args.duel:
-        duel = run_fleet_duel(config, workdir, suppress=suppress)
-        if args.json:
-            print(json_module.dumps(duel, indent=2, sort_keys=True))
-        else:
-            print(render_triage(duel["rotate"], title="rotate"))
-            print()
-            print(render_triage(duel["uniform"], title="uniform"))
-            print()
-            verdict = "beats" if duel["rotate_wins"] else "does NOT beat"
-            print(f"duel: rotate {verdict} uniform at the same "
-                  f"fleet-wide budget "
-                  f"(detection {duel['rotate_detection']:.2f} vs "
-                  f"{duel['uniform_detection']:.2f})")
-        lossy = duel["rotate"]["lossy"] or duel["uniform"]["lossy"]
-        races = (duel["rotate"]["races_found"]
-                 or duel["uniform"]["races_found"])
-        if lossy:
-            return EXIT_FLEET_LOSSY
-        return EXIT_RACES if races else EXIT_OK
-
-    task_timeout = args.task_timeout
-    if args.hang_workers > 0 and task_timeout is None:
-        # A hung analysis worker is only recoverable if timed out.
-        task_timeout = 10.0
-    supervisor = SupervisorConfig(
-        retries=retries, task_timeout=task_timeout,
-        deadline=args.deadline, backoff_base=0.0, seed=args.seed,
-    )
-    report = run_fleet(
-        config,
-        db_path=args.db or workdir / "races.db",
-        spool_dir=workdir / "spool",
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        suppress=suppress,
-        supervisor=supervisor,
-        worker_fault_plan=_worker_fault_plan_from(args),
-    )
-    if args.json:
-        print(json_module.dumps(report.to_dict(), indent=2,
-                                sort_keys=True))
-    else:
-        print(render_triage(report.to_dict()))
-    if report.lossy:
-        return EXIT_FLEET_LOSSY
-    return EXIT_RACES if report.races_found else EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1168,9 +1063,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "detection with offline reconstruction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # One definition of the seeded worker-fault vocabulary, shared by
-    # every command that injects runtime chaos (chaos, fleet).
-    fault_parent = _worker_fault_parent()
 
     sub.add_parser("workloads", help="list workloads and race bugs")
 
@@ -1346,8 +1238,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser = sub.add_parser(
         "chaos",
         help="fault-injection sweep: detection probability vs intensity",
-        parents=[fault_parent],
     )
+    _add_worker_fault_args(chaos_parser)
     _add_program_args(chaos_parser)
     chaos_parser.add_argument("--period", type=int, default=100)
     chaos_parser.add_argument("--driver", choices=sorted(_DRIVERS),
@@ -1395,112 +1287,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_governor_args(chaos_parser)
     _add_supervision_args(chaos_parser)
 
-    fleet_parser = sub.add_parser(
-        "fleet",
-        help="fleet triage: governed nodes -> spool -> sharded "
-             "analysis -> deduplicating race database",
-        parents=[fault_parent],
-    )
-    fleet_parser.add_argument("--nodes", type=int, default=4)
-    fleet_parser.add_argument("--epochs", type=int, default=3)
-    fleet_parser.add_argument(
-        "--workloads", default=None, metavar="NAMES",
-        help="comma-separated race-bug names the nodes run "
-             "(node i runs workloads[i %% len]; default apache-25520)",
-    )
-    fleet_parser.add_argument("--iterations", type=int, default=12)
-    fleet_parser.add_argument("--threads", type=int, default=4)
-    fleet_parser.add_argument("--seed", type=int, default=0)
-    fleet_parser.add_argument(
-        "--policy", choices=("rotate", "uniform"), default="rotate",
-        help="budget scheduling: rotate deep-tracing epochs across "
-             "nodes (PACER-style) or spread the budget uniformly",
-    )
-    fleet_parser.add_argument(
-        "--duel", action="store_true",
-        help="run BOTH policies at the same fleet-wide budget and "
-             "compare detection probability",
-    )
-    fleet_parser.add_argument("--fleet-budget", type=float, default=0.005,
-                              metavar="FRACTION",
-                              help="fleet-wide overhead budget")
-    fleet_parser.add_argument("--deep-budget", type=float, default=0.02,
-                              metavar="FRACTION",
-                              help="per-node budget in a deep slot")
-    fleet_parser.add_argument("--deep-period", type=int, default=160)
-    fleet_parser.add_argument("--idle-period", type=int, default=50_000)
-    fleet_parser.add_argument(
-        "--node-clock-skew", type=float, default=0.0, metavar="I",
-        help="node chaos: per-node TSC epoch offsets of this intensity "
-             "(ingest reconciles them before cross-node dedup)",
-    )
-    fleet_parser.add_argument(
-        "--node-crash-rate", type=float, default=0.0, metavar="P",
-        help="transport chaos: node dies mid-upload (torn copy + "
-             "intact redelivery)",
-    )
-    fleet_parser.add_argument(
-        "--duplicate-rate", type=float, default=0.0, metavar="P",
-        help="transport chaos: extra duplicate delivery",
-    )
-    fleet_parser.add_argument(
-        "--corrupt-rate", type=float, default=0.0, metavar="P",
-        help="transport chaos: transiently corrupted copy + intact "
-             "redelivery",
-    )
-    fleet_parser.add_argument(
-        "--sticky-corrupt-rate", type=float, default=0.0, metavar="P",
-        help="node-side corruption: every copy equally damaged "
-             "(recovered by section salvage)",
-    )
-    fleet_parser.add_argument(
-        "--poison-rate", type=float, default=0.0, metavar="P",
-        help="unreadable in every copy: burns retries, then quarantine",
-    )
-    fleet_parser.add_argument(
-        "--no-reorder", dest="reorder", action="store_false",
-        help="deliver in production order instead of the seeded shuffle",
-    )
-    fleet_parser.add_argument(
-        "--backlog-budget", type=int, default=None, metavar="N",
-        help="backpressure: analyze at most N bundles per cycle, "
-             "shedding the lowest-priority (sparsest-sampled) rest",
-    )
-    fleet_parser.add_argument(
-        "--workdir", default="fleet-triage", metavar="DIR",
-        help="working directory for the spool, race database, and "
-             "quarantine (default ./fleet-triage)",
-    )
-    fleet_parser.add_argument(
-        "--db", default=None, metavar="PATH",
-        help="race database path (default WORKDIR/races.db)",
-    )
-    fleet_parser.add_argument(
-        "--suppress", action="append", default=None, metavar="KEY",
-        help="suppress a race signature key (repeatable); suppressed "
-             "races stay counted but leave the ranking",
-    )
-    fleet_parser.add_argument("--jobs", type=int, default=1,
-                              help="analysis worker slots")
-    fleet_parser.add_argument(
-        "--detect-shards", type=int, default=1, metavar="N",
-        help="address shards for the FastTrack pass inside each "
-             "analysis worker (results identical at any shard count)",
-    )
-    fleet_parser.add_argument(
-        "--confirm", action="store_true",
-        help="replay every reported race under schedule control inside "
-             "the analysis workers; ranked races carry verdict tiers",
-    )
-    fleet_parser.add_argument(
-        "--confirm-retries", type=int, default=5, metavar="N",
-        help="replays per race before it is declared unconfirmed "
-             "(with --confirm; default 5)",
-    )
-    fleet_parser.add_argument("--json", action="store_true",
-                              help="print the triage report as JSON")
-    _add_supervision_args(fleet_parser)
-
     return parser
 
 
@@ -1515,7 +1301,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "sweep": cmd_sweep,
     "shootout": cmd_shootout,
     "chaos": cmd_chaos,
-    "fleet": cmd_fleet,
 }
 
 

@@ -4,8 +4,8 @@ Everything downstream of tracing orders events on one trusted global
 TSC.  This package is what happens when that trust is withdrawn:
 
 * `repro.clock.faults` — first-class clock faults (per-core skew,
-  drift, step discontinuities, non-monotonic regressions, per-node
-  offsets) injected purely at the bundle level;
+  drift, step discontinuities, non-monotonic regressions) injected
+  purely at the bundle level;
 * `repro.clock.model` — the offline :class:`ClockModel`: per-core
   affine fits estimated from sync-log anchors, with honest residual
   half-widths;
@@ -27,7 +27,6 @@ from .faults import (
     CoreClockFault,
     inject_clock_faults,
     plan_core_faults,
-    shift_bundle_tscs,
 )
 from .health import ClockHealthReport, build_clock_health
 from .model import (
@@ -60,5 +59,4 @@ __all__ = [
     "plan_core_faults",
     "repair_monotonic",
     "repair_streams",
-    "shift_bundle_tscs",
 ]

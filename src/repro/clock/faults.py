@@ -1,7 +1,7 @@
 """Adversarial time: first-class clock faults for the fault plan.
 
 Extends `repro.faults` beyond bounded jitter with the clock pathologies
-production fleets actually exhibit, all expressed as a disturbance of
+production machines actually exhibit, all expressed as a disturbance of
 the *per-core* TSC the simulated machine reads:
 
 * **skew** — a constant per-core offset (unsynchronized TSC bases);
@@ -201,27 +201,3 @@ def inject_clock_faults(bundle, skew: float, drift: float, step: float,
         _sample_index=None, _sample_index_key=None,
     )
     return disturbed, stats
-
-
-def shift_bundle_tscs(bundle, offset: int):
-    """Shift every timestamp in *bundle* by a constant *offset* — the
-    per-node clock fault of `repro.fleet` (whole machines disagree on
-    the epoch, while each machine stays internally consistent)."""
-    if not offset:
-        return bundle
-
-    def shift(tsc):
-        return tsc + offset
-
-    pt_traces = {tid: trace.retimed(shift)
-                 for tid, trace in bundle.pt_traces.items()}
-    return replace(
-        bundle,
-        samples=[replace(s, tsc=shift(s.tsc)) for s in bundle.samples],
-        sync_records=[replace(r, tsc=shift(r.tsc))
-                      for r in bundle.sync_records],
-        alloc_records=[replace(r, tsc=shift(r.tsc))
-                       for r in bundle.alloc_records],
-        pt_traces=pt_traces,
-        _sample_index=None, _sample_index_key=None,
-    )

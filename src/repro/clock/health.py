@@ -5,9 +5,9 @@ per-core fit parameters and residual half-widths, how many records the
 monotonicity repair had to move, what fraction of accesses sit in an
 uncertainty overlap (their merge key had to be conservatively delayed),
 and a declared-vs-observed ledger against the injected
-``TraceDefects`` — the same reconciliation discipline the governor and
-the fleet books already follow: a trace whose clocks misbehaved beyond
-what was declared refuses to call itself clean.
+``TraceDefects`` — the same reconciliation discipline the governor
+already follows: a trace whose clocks misbehaved beyond what was
+declared refuses to call itself clean.
 """
 
 from __future__ import annotations

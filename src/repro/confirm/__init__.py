@@ -5,7 +5,6 @@ from .service import (
     ConfirmConfig,
     ConfirmationReport,
     RaceVerdict,
-    VERDICT_TIERS,
     confirm_races,
 )
 
@@ -13,6 +12,5 @@ __all__ = [
     "ConfirmConfig",
     "ConfirmationReport",
     "RaceVerdict",
-    "VERDICT_TIERS",
     "confirm_races",
 ]

@@ -39,9 +39,9 @@ verdicts and matched-event streams, across repeated runs and across
 ``--jobs`` values (results fold by input index).
 
 A :class:`ConfirmationReport` carries one verdict per reported race —
-the conservation law the fleet triage asserts — and maps to exit code
-8 (:data:`~repro.errors.EXIT_UNCONFIRMED`) when races were reported
-but none fired.
+the conservation law :attr:`ConfirmationReport.conserves` checks — and
+maps to exit code 8 (:data:`~repro.errors.EXIT_UNCONFIRMED`) when races
+were reported but none fired.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ from ..machine.controller import PairTargetController, ScheduleController
 from ..machine.machine import Machine, MachineError
 from ..machine.sync import SyncError
 from ..supervise import SupervisorConfig, supervised_map
-
-#: Verdict tiers, strongest first (the fleet ranks by this order).
-VERDICT_TIERS = ("confirmed", "flaky", "unconfirmed", "inapplicable")
 
 #: Replay attempts 1..N that are fully deterministic (exact witness
 #: schedule, then pair targeting in both access orders); a race firing
@@ -210,13 +207,6 @@ class ConfirmationReport:
     @property
     def any_fired(self) -> bool:
         return any(v.fired for v in self.verdicts)
-
-    def verdict_for(self, address: int,
-                    pair: Tuple[int, int]) -> Optional[RaceVerdict]:
-        for verdict in self.verdicts:
-            if verdict.address == address and verdict.pair == tuple(pair):
-                return verdict
-        return None
 
     def exit_code(self) -> int:
         """0 when nothing was reported or something fired; 8 when races

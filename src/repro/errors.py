@@ -26,29 +26,23 @@ code  meaning
 6     watchdog-degraded run: ``repro trace`` completed, but the
       tracing governor's watchdog tripped (stalled PEBS engine or
       sync tracer), so part of the trace is sync-only or truncated
-7     lossy fleet triage: ``repro fleet`` completed and the race
-      database is consistent, but bundles were quarantined as
-      poison or shed under backpressure, so the database is a
-      lower bound on the fleet's races
+7     retired: no command returns it, and it is not reused, so
+      code 8 keeps its meaning for scripts that test it
 8     races reported but none confirmed: ``repro confirm`` (or
       ``repro detect --confirm``) replayed every reported race
       under schedule control and not one fired — the reports
       stand as evidence but carry no re-execution proof
 ====  =======================================================
 
-Exit codes 2–4 are deliberately distinct: a fleet scheduler requeues a
+Exit codes 2–4 are deliberately distinct: a job scheduler requeues a
 code-3 job with a longer deadline, quarantines the *inputs* of a code-4
 job for inspection, and discards a code-2 job's trace file outright.
-Codes 6 and 7 are *successes with an asterisk*: code 6 means the trace
-file exists and is loadable but a fleet scheduler should score its
-detection power lower and consider re-tracing the workload; code 7
-means the triage run itself is trustworthy (nothing double-counted,
-every bundle accounted for) but some evidence never made it into the
-race database — the operator should inspect the quarantine directory
-and consider raising the backlog budget.  Code 8 is the inverse
-asterisk on code 1: races *were* reported, but deterministic
-confirmation could not make any of them fire, so a pager policy
-should treat them as unverified leads rather than proven bugs.
+Code 6 is a *success with an asterisk*: the trace file exists and is
+loadable, but a scheduler should score its detection power lower and
+consider re-tracing the workload.  Code 8 is the inverse asterisk on
+code 1: races *were* reported, but deterministic confirmation could
+not make any of them fire, so a pager policy should treat them as
+unverified leads rather than proven bugs.
 
 Every concrete error class below declares its exit code explicitly
 (none inherit silently), and ``tests/test_errors.py`` asserts the full
@@ -69,10 +63,8 @@ EXIT_USAGE = 5
 #: mid-run (PEBS stall → sync-only epochs, or sync-tracer stall → log
 #: truncation).  The trace is usable yet weaker than requested.
 EXIT_DEGRADED = 6
-#: ``repro fleet`` finished and the race database is consistent, but
-#: some bundles were quarantined as poison or shed under backpressure —
-#: the database is a lower bound on what the fleet saw.
-EXIT_FLEET_LOSSY = 7
+# 7 is retired (see the table above); no constant reuses it.
+
 #: Races were reported but schedule-controlled replay confirmed none of
 #: them: every verdict came back unconfirmed/inapplicable, so the
 #: reports carry no re-execution proof.

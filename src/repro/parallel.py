@@ -13,9 +13,8 @@ module run whole units of work side by side:
   *process* executor: the work is pure-Python and CPU-bound, so it only
   scales past the GIL in separate interpreters, and every work item
   (program, driver model, seed) is picklable by construction.
-* :func:`repro.confirm.confirm_races` and the fleet's nodes — one
-  schedule-controlled replay per reported race, one traced node per
-  item.
+* :func:`repro.confirm.confirm_races` — one schedule-controlled
+  replay per reported race.
 
 The address-sharded detection stage (``OfflinePipeline(detect_shards=)``)
 is the one fan-out inside a single analysis.

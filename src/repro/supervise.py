@@ -2,9 +2,9 @@
 quarantine, and checkpointed fan-outs.
 
 :func:`repro.parallel.parallel_map` gives the offline service its
-*speed*; this module gives it *survival*.  A production analysis fleet
-(§7.6's dedicated machines) meets failures the plain executor turns
-into catastrophes: one OOM-killed worker raises ``BrokenProcessPool``
+*speed*; this module gives it *survival*.  The dedicated analysis
+machines of §7.6 meet failures the plain executor turns into
+catastrophes: one OOM-killed worker raises ``BrokenProcessPool``
 and throws away a whole detection sweep, one hung replay stalls an
 analysis forever, and a multi-hour sweep interrupted at 99% restarts
 from zero.  :func:`supervised_map` keeps the exact calling convention

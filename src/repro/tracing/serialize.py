@@ -248,14 +248,30 @@ def _encode_meta(bundle: TraceBundle) -> bytes:
     )
 
 
+def _section(kind: int, encode, value,
+             label: str = "") -> Tuple[int, bytes]:
+    """``(kind, encode(value))``, with a field the section's fixed
+    layout cannot hold raised as the writer's ``ValueError`` naming the
+    section instead of a bare ``struct.error``."""
+    try:
+        return kind, encode(value)
+    except struct.error as error:
+        raise ValueError(f"{_SECTION_NAMES[kind]} section{label}: a field "
+                         f"out of its range ({error})") from error
+
+
 def trace_to_bytes(bundle: TraceBundle,
                    version: Optional[int] = None) -> bytes:
     """Serialize *bundle* to its on-disk container bytes.
 
-    The exact bytes :func:`write_trace` would put on disk — exposed
-    separately so transports that ship trace bundles without touching
-    the filesystem (the fleet spool of :mod:`repro.fleet`) serialize
-    through the same single code path.
+    The exact bytes :func:`write_trace` would put on disk, for callers
+    that keep a container in memory (:func:`read_trace_bytes` reads it
+    back).
+
+    Timestamps must be non-negative: every timestamp field of the
+    container is unsigned.  Clock faults can push a bundle's timestamps
+    below zero; such a bundle raises ``ValueError`` naming the section,
+    as does an unsupported *version* or a PT packet of no kind.
     """
     governed = bool(bundle.period_epochs) or bundle.governor is not None
     clocked = bundle.clock is not None
@@ -265,17 +281,18 @@ def trace_to_bytes(bundle: TraceBundle,
         raise ValueError(f"unsupported write version {version}")
     body = io.BytesIO()
     sections: List[Tuple[int, bytes]] = [
-        (_SEC_META, _encode_meta(bundle)),
-        (_SEC_PEBS, _encode_samples(bundle.samples)),
-        (_SEC_SYNC, _encode_sync(bundle.sync_records)),
-        (_SEC_ALLOC, _encode_alloc(bundle.alloc_records)),
+        _section(_SEC_META, _encode_meta, bundle),
+        _section(_SEC_PEBS, _encode_samples, bundle.samples),
+        _section(_SEC_SYNC, _encode_sync, bundle.sync_records),
+        _section(_SEC_ALLOC, _encode_alloc, bundle.alloc_records),
     ]
     for tid in sorted(bundle.pt_traces):
-        sections.append((_SEC_PT, _encode_pt(bundle.pt_traces[tid])))
+        sections.append(_section(_SEC_PT, _encode_pt,
+                                 bundle.pt_traces[tid], f" (thread {tid})"))
     if version >= 3 and governed:
-        sections.append((_SEC_EPOCHS, _encode_epochs(bundle)))
+        sections.append(_section(_SEC_EPOCHS, _encode_epochs, bundle))
     if version >= 4 and clocked:
-        sections.append((_SEC_CLOCK, _encode_clock(bundle.clock)))
+        sections.append(_section(_SEC_CLOCK, _encode_clock, bundle.clock))
     body.write(_HEADER.pack(MAGIC, version, 0, len(sections)))
     for kind, payload in sections:
         _write_section(body, kind, payload, version=version)
@@ -756,9 +773,8 @@ def read_trace(path: Path | str, program=None,
 def read_trace_bytes(blob: bytes, program=None,
                      allow_partial: bool = False,
                      threads: Optional[frozenset] = None) -> TraceBundle:
-    """:func:`read_trace` over in-memory container bytes — the parse
-    path for transports that receive trace bundles off the wire (the
-    fleet ingester) rather than from a file."""
+    """:func:`read_trace` over in-memory container bytes (those of
+    :func:`trace_to_bytes`) rather than a file."""
     return TraceReader(blob, allow_partial=allow_partial).bundle(
         program=program, threads=threads
     )

@@ -23,6 +23,7 @@ from repro.detector.events import (
     WitnessSchedule,
 )
 from repro.detector.registry import create_backend
+from repro.detector.sharded import run_sharded_fasttrack
 from repro.detector.witness import WITNESS_TAIL, step_of
 from repro.faults import FaultPlan
 from repro.machine import Machine
@@ -611,6 +612,17 @@ def scalar_findings(pipeline, bundle):
             else:
                 backend.access(event)
     return {backend.name: backend.finish() for backend in backends}
+
+
+def thread_sharded_findings(pipeline, bundle, shards):
+    """Address-sharded FastTrack on the thread executor, the fan-out of
+    platforms that cannot fork, over the final stream of
+    ``pipeline.analyze(bundle)`` (which must have run on this very
+    bundle object)."""
+    analyzed, context, _replay = pipeline._analyzed
+    assert analyzed is bundle, "analyze() this bundle first"
+    return run_sharded_fasttrack(context, shards=shards,
+                                 executor="thread").finish()
 
 
 @dataclass

@@ -30,6 +30,25 @@ def assert_bad_command_line(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+class TestUnknownSubcommand:
+    """A mistyped command exits 2, as argparse does, with a
+    did-you-mean that argparse's own error lacks."""
+
+    def test_did_you_mean(self, capsys):
+        assert main(["anlyze"]) == 2
+        assert "did you mean 'analyze'" in capsys.readouterr().err
+
+    def test_no_suggestion_for_gibberish(self, capsys):
+        assert main(["zzzzqqq"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown command" in err
+        assert "did you mean" not in err
+
+    def test_flags_still_reach_argparse(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--definitely-not-a-flag"])
+
+
 class TestWorkloads:
     def test_lists_everything(self, capsys):
         code, out = run_cli(capsys, "workloads")
@@ -144,6 +163,22 @@ class TestChaos:
         assert "pt-gap" in out
         assert "pebs-overflow" not in out
 
+    def test_worker_kills_are_retried(self, capsys):
+        """Killed workers are retried and the sweep still completes."""
+        code, _ = run_cli(
+            capsys, "chaos", "aget-bug2", "--runs", "2", "--jobs", "2",
+            "--iterations", "8", "--kill-workers", "0.4", "--retries", "2",
+        )
+        assert code == 0
+
+    def test_help_lists_worker_fault_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["chaos", "--help"])
+        out = capsys.readouterr().out
+        for flag in ("--kill-workers", "--hang-workers", "--fail-workers",
+                     "--fault-attempts", "--hang-seconds"):
+            assert flag in out
+
     def test_unknown_plan(self, capsys, racy_source):
         assert_bad_command_line(
             capsys, ["chaos", "-", "--source", racy_source,
@@ -153,9 +188,9 @@ class TestChaos:
 
 class TestSupervisedExitCodes:
     """The documented exit-code taxonomy: 2 = bad input (covered by
-    TestAnalyzeErrors), 3 = deadline, 4 = quarantine — each distinct so
-    a fleet scheduler can requeue/quarantine/discard without parsing
-    messages."""
+    TestAnalyzeErrors), 3 = deadline, 4 = quarantine, 5 = usage bug —
+    each distinct so a job scheduler can requeue/quarantine/discard
+    without parsing messages."""
 
     def test_deadline_exits_3(self, capsys):
         code = main([
@@ -178,6 +213,20 @@ class TestSupervisedExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert "quarantined" in captured.err
+
+    def test_usage_error_exits_5(self, capsys, monkeypatch):
+        """A UsageError that escapes a command exits 5 with its message
+        on stderr (a bad command line exits 2 before any command runs)."""
+        from repro import cli
+        from repro.errors import UsageError
+
+        def misused(args):
+            raise UsageError("API used out of order")
+
+        monkeypatch.setitem(cli._COMMANDS, "workloads", misused)
+        assert main(["workloads"]) == 5
+        assert "repro workloads: API used out of order" in \
+            capsys.readouterr().err
 
     def test_chaos_needs_known_bug(self, capsys):
         assert_bad_command_line(

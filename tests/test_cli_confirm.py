@@ -1,6 +1,5 @@
 """CLI surface of race confirmation: ``repro confirm``, ``repro
-detect --confirm``, the ``server:SEED`` program spec, and ``repro
-fleet --confirm``."""
+detect --confirm`` and the ``server:SEED`` program spec."""
 
 import json
 
@@ -90,15 +89,3 @@ class TestDetectConfirm:
                             "--suppress-schedules")
         assert code == 8
 
-
-class TestFleetConfirm:
-    def test_fleet_confirm_renders_verdicts(self, capsys, tmp_path):
-        code, out = run_cli(
-            capsys, "fleet", "--nodes", "2", "--epochs", "1",
-            "--iterations", "8", "--threads", "4", "--seed", "3",
-            "--workdir", str(tmp_path), "--confirm",
-        )
-        assert code == 1  # races in the database
-        assert "confirmation:" in out
-        assert "[confirmed]" in out
-        assert "every ranked race carries a verdict" in out

@@ -12,8 +12,7 @@ Covers the whole `repro.clock` contract:
   readable, a corrupt clock section salvages away);
 * the acceptance duel — under injected skew/drift/regressions the
   reconciled pipeline reports zero false races while naive-TSC
-  ordering demonstrably fabricates one;
-* fleet ingest removes per-node epoch offsets before the fold.
+  ordering demonstrably fabricates one.
 """
 
 from __future__ import annotations
@@ -28,14 +27,10 @@ from repro.clock import (
     estimate_clock_model,
     inject_clock_faults,
     repair_streams,
-    shift_bundle_tscs,
 )
 from repro.clock.repair import RepairStats, _repair_sync
 from repro.detector.events import uncertain_merge_tsc
 from repro.faults import CLOCK_PLAN_NAMES, FaultPlan, clock_plans
-from repro.fleet.ingest import CLOCK_OFFSET_FLOOR, _earliest_tsc, \
-    _normalize_clock, IngestStats
-from repro.fleet.nodes import node_clock_offset
 from repro.pmu.records import SyncRecord
 from repro.tracing import (
     read_trace,
@@ -321,39 +316,6 @@ def test_undeclared_clock_damage_flagged(dense_bundle):
     assert result.clock.active
     assert result.clock.reconciles is False
     assert "DECLARED" in render_report(program, result)
-
-
-# ----------------------------------------------------------------------
-# Fleet: per-node epoch offsets
-# ----------------------------------------------------------------------
-
-def test_node_clock_offset_seeded_and_gated():
-    assert node_clock_offset(0, 1, 0.0) == 0
-    first = node_clock_offset(7, 1, 1.0)
-    assert first == node_clock_offset(7, 1, 1.0)
-    assert first > CLOCK_OFFSET_FLOOR
-    assert node_clock_offset(7, 2, 1.0) != first
-
-
-def test_ingest_normalizes_node_offsets(bundle):
-    _program, clean = bundle
-    offset = 123_456
-    shifted = shift_bundle_tscs(clean, offset)
-    assert _earliest_tsc(shifted) == _earliest_tsc(clean) + offset
-    stats = IngestStats()
-    normalized_blob = _normalize_clock(shifted, trace_to_bytes(shifted),
-                                       stats)
-    assert stats.clock_reconciled == 1
-    normalized = read_trace_bytes(normalized_blob)
-    assert _earliest_tsc(normalized) == 0
-    # Within-bundle orderings are untouched: same relative sync order.
-    assert [r.seq for r in normalized.sync_records] \
-        == [r.seq for r in clean.sync_records]
-    # A native bundle passes through untouched.
-    stats = IngestStats()
-    blob = trace_to_bytes(clean)
-    assert _normalize_clock(clean, blob, stats) is blob
-    assert stats.clock_reconciled == 0
 
 
 def test_repair_streams_rejects_bad_order(bundle):

@@ -20,7 +20,7 @@ from repro.faults import FaultPlan, clock_plans
 from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
 
-from tests.helpers import scalar_findings
+from tests.helpers import scalar_findings, thread_sharded_findings
 
 SCALE = WorkloadScale(iterations=8, threads=4)
 CORPUS = ("pfscan", "mysql-791", "apache-25520")
@@ -34,13 +34,16 @@ def _bundle(name, seed, plan=None):
     return program, bundle
 
 
-def _assert_identical(left, right):
-    fl = left.findings["fasttrack"]
-    fr = right.findings["fasttrack"]
+def _assert_same_findings(fl, fr):
     assert fl.races == fr.races
     assert fl.sorted_addresses() == fr.sorted_addresses()
     assert fl.accesses_processed == fr.accesses_processed
     assert fl.sync_processed == fr.sync_processed
+
+
+def _assert_identical(left, right):
+    _assert_same_findings(left.findings["fasttrack"],
+                          right.findings["fasttrack"])
     assert left.racy_addresses == right.racy_addresses
     assert [r.pair for r in left.races] == [r.pair for r in right.races]
     assert left.regeneration_rounds == right.regeneration_rounds
@@ -53,15 +56,15 @@ def test_reconcile_flag_invisible_on_clean_traces(name, seed):
     verdicts bit-identical to the flag being off — in every executor."""
     program, bundle = _bundle(name, seed)
     plain = OfflinePipeline(program).analyze(bundle)
-    for kwargs in (
-        {},
-        {"detect_shards": 4, "detect_executor": "thread"},
-    ):
-        reconciled = OfflinePipeline(program, reconcile_clock=True,
-                                     **kwargs).analyze(bundle)
+    for kwargs in ({}, {"detect_shards": 4}):
+        pipeline = OfflinePipeline(program, reconcile_clock=True,
+                                   **kwargs)
+        reconciled = pipeline.analyze(bundle)
         assert reconciled.clock is not None
         assert not reconciled.clock.active
         _assert_identical(plain, reconciled)
+        _assert_same_findings(plain.findings["fasttrack"],
+                              thread_sharded_findings(pipeline, bundle, 4))
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -76,13 +79,10 @@ def test_executors_agree_under_clock_damage(name, plan_name):
     batched = pipeline.analyze(bundle)
     scalar = scalar_findings(pipeline, bundle)["fasttrack"]
     sharded = OfflinePipeline(program, reconcile_clock=True,
-                              detect_shards=4,
-                              detect_executor="thread").analyze(bundle)
+                              detect_shards=4).analyze(bundle)
     fb = batched.findings["fasttrack"]
-    assert scalar.races == fb.races
-    assert scalar.sorted_addresses() == fb.sorted_addresses()
-    assert scalar.accesses_processed == fb.accesses_processed
-    assert scalar.sync_processed == fb.sync_processed
+    _assert_same_findings(scalar, fb)
+    _assert_same_findings(thread_sharded_findings(pipeline, bundle, 4), fb)
     _assert_identical(batched, sharded)
 
 

@@ -33,7 +33,7 @@ from repro.faults import builtin_plans
 from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
 
-from tests.helpers import scalar_findings
+from tests.helpers import scalar_findings, thread_sharded_findings
 
 SCALE = WorkloadScale(iterations=8, threads=4)
 CORPUS = ("pfscan", "mysql-791", "apache-25520")
@@ -107,20 +107,24 @@ def test_sharded_matches_serial(shards):
 
 
 def test_sharded_thread_executor_matches():
-    """The executor the fleet workers use (threads, to avoid nesting
-    process pools) is just as exact."""
+    """The thread executor, the only fan-out that runs where
+    multiprocessing cannot fork, is just as exact."""
     program, bundle = _bundle("pfscan", 1)
-    serial = OfflinePipeline(program).analyze(bundle)
-    sharded = OfflinePipeline(
-        program, detect_shards=2, detect_executor="thread").analyze(bundle)
-    _assert_identical(serial, sharded)
+    pipeline = OfflinePipeline(program)
+    serial = pipeline.analyze(bundle)
+    sharded = thread_sharded_findings(pipeline, bundle, shards=2)
+    _assert_matches_scalar(serial, {"fasttrack": sharded})
+    assert sharded.details["shard_executor"] == "thread"
 
 
 def test_sharded_matches_serial_on_truncated_bundle():
     program, bundle = _bundle("apache-25520", 0, "crash-truncation")
-    sharded = _analyzed_against_scalar(program, bundle, detect_shards=3,
-                                       detect_executor="thread")
+    sharded = _analyzed_against_scalar(program, bundle, detect_shards=3)
     assert sharded.findings["fasttrack"].details["shards"] == 3
+    pipeline = OfflinePipeline(program)
+    serial = pipeline.analyze(bundle)
+    threaded = thread_sharded_findings(pipeline, bundle, shards=3)
+    _assert_matches_scalar(serial, {"fasttrack": threaded})
 
 
 # ----------------------------------------------------------------------

@@ -42,16 +42,31 @@ class TestReadme:
             assert (ROOT / link).exists(), link
 
     def test_cli_commands_documented_match_parser(self):
+        """README's subcommand list names exactly the parser's
+        commands: none missing, none that no longer exists."""
         from repro.cli import build_parser
 
         readme = (ROOT / "README.md").read_text()
+        listing = re.search(
+            r"with ((?:``[\w-]+``\s*/\s*)+``[\w-]+``)\s+subcommands",
+            readme)
+        assert listing, "README has no subcommand list"
+        documented = set(re.findall(r"``([\w-]+)``", listing.group(1)))
         parser = build_parser()
         subactions = next(
             a for a in parser._actions
             if a.__class__.__name__ == "_SubParsersAction"
         )
-        for command in subactions.choices:
-            assert f"``{command}``" in readme, command
+        assert documented == set(subactions.choices)
+
+    def test_examples_table_matches_examples_dir(self):
+        """README's examples table lists exactly the scripts under
+        ``examples/``."""
+        readme = (ROOT / "README.md").read_text()
+        listed = set(re.findall(r"^\| `(\w+\.py)` \|", readme, re.M))
+        assert listed, "README has no examples table"
+        present = {path.name for path in (ROOT / "examples").glob("*.py")}
+        assert listed == present
 
 
 class TestExperimentsDoc:

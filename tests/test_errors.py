@@ -18,7 +18,6 @@ from repro.errors import (
     DeadlineExceeded,
     EXIT_DEADLINE,
     EXIT_DEGRADED,
-    EXIT_FLEET_LOSSY,
     EXIT_OK,
     EXIT_QUARANTINE,
     EXIT_RACES,
@@ -94,12 +93,18 @@ class TestExitCodeConstants:
             EXIT_QUARANTINE: 4,
             EXIT_USAGE: 5,
             EXIT_DEGRADED: 6,
-            EXIT_FLEET_LOSSY: 7,
             EXIT_UNCONFIRMED: 8,
         }
         for constant, value in codes.items():
             assert constant == value
-        assert len(set(codes)) == 9
+        assert len(set(codes)) == 8
+
+    def test_retired_code_7_is_not_reused(self):
+        """Code 7 is retired: no ``EXIT_*`` constant takes it, so
+        scripts testing ``$? -eq 8`` keep their meaning."""
+        values = {getattr(errors_module, name)
+                  for name in dir(errors_module) if name.startswith("EXIT_")}
+        assert values == set(range(9)) - {7}
 
     def test_docstring_table_covers_every_code(self):
         """The human-facing table documents rows 0 through 8."""

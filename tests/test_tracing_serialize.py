@@ -6,8 +6,16 @@ import struct
 import pytest
 
 from repro.analysis import OfflinePipeline
+from repro.faults import clock_plans
 from repro.isa import assemble
-from repro.tracing import TraceFormatError, read_trace, trace_run, write_trace
+from repro.tracing import (
+    TraceFormatError,
+    read_trace,
+    trace_run,
+    trace_to_bytes,
+    write_trace,
+)
+from repro.workloads import RACE_BUGS, WorkloadScale
 
 from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM, rows
 
@@ -129,6 +137,18 @@ class TestVersions:
         _, bundle = traced
         with pytest.raises(ValueError, match="version"):
             write_trace(bundle, tmp_path / "t.prtr", version=5)
+
+    def test_negative_timestamp_raises_value_error(self):
+        """Clock skew pushes this bundle's timestamps below zero, which
+        the unsigned timestamp fields cannot hold: the writer raises its
+        documented ValueError naming the section, not a struct.error."""
+        program = RACE_BUGS["pfscan"].build(
+            WorkloadScale(iterations=8, threads=4))
+        bundle = trace_run(program, period=100, seed=1)
+        skewed, _ = clock_plans(0.2, seed=1)["clock-skew"].apply(bundle)
+        assert min(r.tsc for r in skewed.sync_records) < 0
+        with pytest.raises(ValueError, match="pebs section"):
+            trace_to_bytes(skewed)
 
     def test_v1_has_no_salvage(self, clean_program, tmp_path):
         """allow_partial needs per-section CRCs; a corrupt v1 file is
