@@ -3,9 +3,9 @@
 The paper argues the offline stage "can be easily parallelized"; the
 detection sweep is the embarrassingly parallel end of that claim — every
 (bug, period, seed) trial is an independent trace + analysis.  This
-benchmark times ``detection_sweep`` serially and fanned out over a
-process pool on one Table 2 bug, verifies the two grids are identical,
-and reports the speedup.
+benchmark times ``detection_sweep`` serially and fanned out over
+worker processes on one Table 2 bug, verifies the two grids are
+identical, and reports the speedup.
 
 Run directly::
 
@@ -45,7 +45,7 @@ def run_speedup(jobs: int):
 
     begin = time.perf_counter()
     parallel = detection_sweep(bugs, SCALE, periods=PERIODS, runs=RUNS,
-                               jobs=jobs, executor="process")
+                               jobs=jobs)
     parallel_s = time.perf_counter() - begin
     return serial_s, parallel_s, serial, parallel
 

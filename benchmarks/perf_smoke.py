@@ -1,4 +1,4 @@
-"""CI perf smoke: tracing, replay, planning and detection gates.
+"""CI perf smoke: tracing, replay, planning, detection and fan-out gates.
 
 A deliberately small, fast guard (seconds, not minutes) run on every CI
 build; the full measurements live in ``perfbench/``,
@@ -12,7 +12,8 @@ witness planner plans the ``table2-confirm`` streams below
 detector-backend registry's indirection makes FastTrack's ``access``
 path measurably slower than constructing FastTrack directly (the
 backend refactor's <5% contract against the BENCH_replay.json
-fast-path numbers).
+fast-path numbers), or if ``supervised_map`` fans work out more than
+:data:`MAX_FANOUT_OVERHEAD` slower than ideal parallelism.
 
 Run directly: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
@@ -30,6 +31,7 @@ from repro.detector.fasttrack import FastTrack
 from repro.detector.registry import create_backend
 from repro.detector.witness import WitnessPlanner
 from repro.machine import Machine, ScheduleController
+from repro.supervise import supervised_map
 from repro.workloads import PARSEC_WORKLOADS, WorkloadScale
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +108,36 @@ MAX_CLOCK_KEY_OVERHEAD = 0.05
 #: and then free-runs the whole program) must cost <10% wall clock over
 #: an identical controller-free run.
 MAX_CONTROLLER_OVERHEAD = 0.10
+#: Ceiling on what the fan-out costs over ideal parallelism: a
+#: zero-retry ``supervised_map`` of :data:`FANOUT_ITEMS` sleeps of
+#: :data:`FANOUT_SLEEP_S` at ``jobs=2`` (the fastest of
+#: :data:`FANOUT_PASSES` calls), as a fraction of the ideal 0.32 s.
+#: Readings on a shared 2-vCPU VM: workers reused across items +3.6 to
+#: +5.2% (14 readings), the process pool they replaced +5.1 to +8.9%
+#: (14), a worker forked per item +32 to +55% (6).
+MAX_FANOUT_OVERHEAD = 0.15
+FANOUT_ITEMS = 32
+FANOUT_SLEEP_S = 0.02
+FANOUT_PASSES = 3
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+
+
+def _fanout_overhead():
+    """The fastest of :data:`FANOUT_PASSES` ``supervised_map`` calls
+    over :data:`FANOUT_ITEMS` sleeps at ``jobs=2``, and its overhead
+    over the ideal half of their total."""
+    ideal = FANOUT_ITEMS * FANOUT_SLEEP_S / 2
+    best = None
+    for _ in range(FANOUT_PASSES):
+        t0 = time.perf_counter()
+        supervised_map(_nap, [FANOUT_SLEEP_S] * FANOUT_ITEMS, jobs=2)
+        elapsed = time.perf_counter() - t0
+        if best is None or elapsed < best:
+            best = elapsed
+    return best, best / ideal - 1.0
 
 
 def _perfbench_replay_rate(workload):
@@ -432,7 +464,18 @@ def main():
           f"free {free_s * 1e3:.1f} ms, controlled {driven_s * 1e3:.1f} ms "
           f"-> {100 * controller_overhead:+.1f}%")
 
+    fanout_s, fanout_overhead = _fanout_overhead()
+    print(f"fan-out of {FANOUT_ITEMS} x {FANOUT_SLEEP_S * 1e3:.0f} ms "
+          f"sleeps at jobs=2 (best of {FANOUT_PASSES}): "
+          f"{fanout_s * 1e3:.1f} ms -> {100 * fanout_overhead:+.1f}% over "
+          f"ideal (ceiling {100 * MAX_FANOUT_OVERHEAD:+.0f}%)")
+
     failures = []
+    if fanout_overhead > MAX_FANOUT_OVERHEAD:
+        failures.append(
+            f"supervised_map costs {100 * fanout_overhead:.1f}% over ideal "
+            f"parallelism (ceiling {100 * MAX_FANOUT_OVERHEAD:.0f}%) — "
+            f"workers are supposed to be forked once per call and reused")
     if trace_overhead > MAX_TRACE_OVERHEAD:
         failures.append(
             f"trace_run costs {100 * trace_overhead:.1f}% over the bare "

@@ -1,8 +1,8 @@
 """Parallel detection sweep: ≥2x wall-clock speedup at jobs=4 (§7.6).
 
 Requires a machine with at least 4 CPUs — the claim is about real
-parallel hardware, and a process pool on a 1-core container can only
-add overhead.  The identity half of the claim (bit-identical grids) is
+parallel hardware, and worker processes on a 1-core container can
+only add overhead.  The identity half of the claim (bit-identical grids) is
 covered unconditionally by tier-1 ``tests/test_parallel_pipeline.py``.
 """
 
@@ -22,7 +22,7 @@ def test_detection_sweep_speedup(results_dir):
     assert serial.cells == parallel.cells
     speedup = serial_s / parallel_s
     write_table(results_dir, "parallel_speedup", [
-        f"detection_sweep, jobs=4 process pool, {os.cpu_count()} cpus",
+        f"detection_sweep, jobs=4 worker processes, {os.cpu_count()} cpus",
         f"serial:   {serial_s:8.2f}s",
         f"parallel: {parallel_s:8.2f}s",
         f"speedup:  {speedup:8.2f}x",

@@ -45,7 +45,6 @@ from .errors import (
     TraceError,
     UsageError,
     WorkerCrash,
-    WorkerError,
     exit_code_for,
 )
 from .isa import Imm, Mem, Op, Program, ProgramBuilder, Reg, assemble
@@ -110,7 +109,6 @@ __all__ = [
     "UsageError",
     "VANILLA_DRIVER",
     "WorkerCrash",
-    "WorkerError",
     "WorkloadScale",
     "assemble",
     "estimate_overhead",

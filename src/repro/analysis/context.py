@@ -59,15 +59,13 @@ import os
 import pickle
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..detector.batch import BATCH_RUN, BATCH_SYNC, EventBatch
 from ..detector.events import (
-    EVENT_KIND_ACCESS,
-    EVENT_KIND_SYNC,
     Access,
     AccessKind,
     EventKey,
@@ -101,9 +99,8 @@ from .timeline import ThreadTimeline, build_timeline
 # The total event order (EVENT_KIND_ACCESS/EVENT_KIND_SYNC, EventKey,
 # access_sort_key, sync_sort_key) lives in repro.detector.events — the
 # one shared definition every consumer of the merged stream (pipeline,
-# sweeps, tests) uses, so backends cannot drift on event ordering.  The
-# names are re-exported from this module (see the imports above) for
-# the analysis-layer callers.
+# sweeps, tests) uses, so backends cannot drift on event ordering.
+# ``repro.analysis`` re-exports the two sort keys from this module.
 
 
 @dataclass

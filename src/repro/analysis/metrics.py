@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..isa.program import Program
-from ..parallel import parallel_map
 from ..pmu.drivers import DriverModel, PRORACE_DRIVER
-from ..pmu.governor import GovernorConfig, effective_period
-from ..supervise import RunLedger, SupervisorConfig, open_journal, supervised_map
+from ..supervise import supervised_map
 from ..tracing.bundle import TraceBundle, trace_run
 from .costs import SIMULATED_CLOCK_HZ
-from .pipeline import DetectionResult, OfflinePipeline
+from .pipeline import OfflinePipeline
 
 
 @dataclass
@@ -32,10 +29,6 @@ class DetectionTrial:
     detected: bool
     races: int
     samples: int
-    #: Harmonic-mean sampling period actually in force over the run.
-    #: Equals the configured period for ungoverned runs; under a
-    #: governor it reflects the piecewise-variable period epochs.
-    effective_period: float = 0.0
 
 
 def wilson_interval(hits: int, runs: int,
@@ -64,8 +57,6 @@ class DetectionProbability:
     """Detection probability over many seeded runs (one Table 2 cell)."""
 
     trials: List[DetectionTrial] = field(default_factory=list)
-    #: Supervised-runtime accounting (None for an unsupervised measure).
-    ledger: Optional[RunLedger] = None
 
     @property
     def runs(self) -> int:
@@ -94,18 +85,16 @@ class DetectionProbability:
 
 
 def _run_probability_trial(work: tuple) -> DetectionTrial:
-    """Module-level trial worker (picklable for the process executor).
+    """Module-level trial worker (picklable where workers cannot fork).
 
     Each trial is fully independent: its own seeded trace and its own
     pipeline run.  The parallelism budget is spent at the trial level;
     each trial's analysis runs serially inside its worker.
     """
-    (program, targets, period, mode, driver, seed, num_cores, entry,
-     governor, load_bursts) = work
+    program, targets, period, mode, driver, seed, num_cores, entry = work
     bundle = trace_run(
         program, period=period, driver=driver, seed=seed,
         num_cores=num_cores, entry=entry,
-        governor=governor, load_bursts=load_bursts,
     )
     analysis = OfflinePipeline(program, mode=mode).analyze(bundle)
     return DetectionTrial(
@@ -113,9 +102,6 @@ def _run_probability_trial(work: tuple) -> DetectionTrial:
         detected=bool(targets & analysis.racy_addresses),
         races=len(analysis.races),
         samples=len(bundle.samples),
-        effective_period=effective_period(
-            bundle.period_epochs, bundle.run.tsc, period,
-        ),
     )
 
 
@@ -130,69 +116,27 @@ def measure_detection_probability(
     num_cores: int = 4,
     entry: str = "main",
     jobs: int = 1,
-    executor: str = "process",
-    supervisor: Optional[SupervisorConfig] = None,
-    fault_plan=None,
-    checkpoint_dir: Optional[Path | str] = None,
-    resume: bool = False,
-    governor: Optional[GovernorConfig] = None,
-    load_bursts=None,
 ) -> DetectionProbability:
     """Run *runs* seeded traces and count those whose analysis reports a
     race on any of *racy_addresses* — the Table 2 methodology ("collected
     100 traces for each PEBS sampling period ... and counted how many
     times ProRace can report the data race").
 
-    With *jobs* > 1 the seeded trials fan out over the executor; results
-    are folded back in seed order, so the returned trial list is
-    bit-identical to the serial one.
-
-    With *supervisor* (or *fault_plan*/*checkpoint_dir*) the trials run
-    under the supervised runtime: failed/crashed/hung trials retry per
-    the config, completed trials journal to *checkpoint_dir*, and
-    *resume* restores journaled trials instead of re-running them.
-
-    With *governor* each trace runs under the closed-loop overhead
-    governor (the trial's ``effective_period`` then reports the
-    harmonic-mean period across its epochs); *load_bursts* injects
-    seeded access-weight bursts so governed and fixed-period runs can
-    be compared under the same contention chaos.
+    The seeded trials fan out through
+    :func:`~repro.supervise.supervised_map` over *jobs* worker
+    processes, each trial run once; results are folded back in seed
+    order, so the returned trial list is bit-identical to the serial
+    one.
     """
     targets = frozenset(racy_addresses)
     work = [
         (program, targets, period, mode, driver, seed_base + i,
-         num_cores, entry, governor, load_bursts)
+         num_cores, entry)
         for i in range(runs)
     ]
-    supervised = (supervisor is not None or fault_plan is not None
-                  or checkpoint_dir is not None)
-    if supervised:
-        key_parts = [
-            program.name, sorted(targets), period, runs, mode,
-            driver.name, seed_base, num_cores, entry,
-        ]
-        # Governed/chaotic measures journal under a distinct key; the
-        # plain-measure key stays byte-identical to previous releases
-        # so existing checkpoints still resume.
-        if governor is not None:
-            key_parts.append(governor)
-        if load_bursts is not None:
-            key_parts.append(load_bursts)
-        key = "|".join(str(part) for part in key_parts)
-        journal = open_journal(checkpoint_dir, "probability", key, resume)
-        try:
-            trials, ledger = supervised_map(
-                _run_probability_trial, work, jobs=jobs,
-                executor=executor, config=supervisor,
-                fault_plan=fault_plan, journal=journal,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        return DetectionProbability(trials=list(trials), ledger=ledger)
-    trials = parallel_map(_run_probability_trial, work, jobs=jobs,
-                          executor=executor)
-    return DetectionProbability(trials=list(trials))
+    trials, _ledger = supervised_map(_run_probability_trial, work,
+                                     jobs=jobs)
+    return DetectionProbability(trials=trials)
 
 
 @dataclass

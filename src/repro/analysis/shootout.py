@@ -26,11 +26,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from ..detector.registry import resolve_detectors
-from ..parallel import parallel_map
 from ..pmu.drivers import DriverModel, PRORACE_DRIVER
+from ..supervise import supervised_map
 from ..tracing.bundle import trace_run
 from ..workloads.common import WorkloadScale
 from ..workloads.racebugs import RaceBug
@@ -234,7 +234,6 @@ def run_shootout(
     mode: str = "full",
     driver: DriverModel = PRORACE_DRIVER,
     jobs: int = 1,
-    executor: str = "process",
 ) -> ShootoutResult:
     """Grade registry backends and baselines over the race-bug corpus.
 
@@ -243,6 +242,8 @@ def run_shootout(
     *baseline* re-runs the program under its own observation model.
     Unknown detector names fail eagerly (exit-2 usage error at the CLI);
     unknown baseline names raise :class:`ValueError` before any work.
+    Trials fan out through :func:`~repro.supervise.supervised_map` over
+    *jobs* worker processes, each trial run once.
     """
     detectors = resolve_detectors(detectors)
     baselines = tuple(dict.fromkeys(baselines))
@@ -268,8 +269,8 @@ def run_shootout(
         for seed in range(runs)
     ]
     start = time.perf_counter()
-    backend_graded = parallel_map(_backend_trial, backend_work, jobs=jobs,
-                                  executor=executor)
+    backend_graded, _ledger = supervised_map(_backend_trial, backend_work,
+                                             jobs=jobs)
     backend_seconds = time.perf_counter() - start
     cursor = 0
     for bug_name in bugs:
@@ -300,8 +301,8 @@ def run_shootout(
             for seed in range(runs)
         ]
         start = time.perf_counter()
-        graded_runs = parallel_map(_baseline_trial, work, jobs=jobs,
-                                   executor=executor)
+        graded_runs, _ledger = supervised_map(_baseline_trial, work,
+                                              jobs=jobs)
         score = result.scores[baseline]
         score.seconds = time.perf_counter() - start
         cursor = 0

@@ -13,19 +13,13 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..detector.registry import DEFAULT_DETECTOR, resolve_detectors
-from ..isa.program import Program
-from ..parallel import parallel_map
 from ..pmu.drivers import DriverModel, PRORACE_DRIVER
 from ..supervise import RunLedger, SupervisorConfig, open_journal, supervised_map
 from ..tracing.bundle import trace_run
 from ..workloads.common import Workload, WorkloadScale
 from ..workloads.racebugs import RaceBug
 from .costs import estimate_overhead, trace_rate_mb_per_s
-from .metrics import (
-    DetectionProbability,
-    geometric_mean,
-    measure_detection_probability,
-)
+from .metrics import geometric_mean
 from .pipeline import OfflinePipeline
 
 DEFAULT_PERIODS: Tuple[int, ...] = (10, 100, 1_000, 10_000, 100_000)
@@ -124,7 +118,8 @@ class DetectionSweepResult:
     periods: Tuple[int, ...]
     #: bug name -> period -> detections.
     cells: Dict[str, Dict[int, int]] = field(default_factory=dict)
-    #: Supervised-runtime accounting (None for an unsupervised sweep).
+    #: The supervised run's accounting (None only for a result built
+    #: by hand).
     ledger: Optional[RunLedger] = None
 
     def totals(self) -> Dict[int, int]:
@@ -197,7 +192,6 @@ def detection_sweep(
     driver: DriverModel = PRORACE_DRIVER,
     detector_name: Optional[str] = None,
     jobs: int = 1,
-    executor: str = "process",
     supervisor: Optional[SupervisorConfig] = None,
     fault_plan=None,
     checkpoint_dir: Optional[Path | str] = None,
@@ -211,26 +205,22 @@ def detection_sweep(
     eagerly, before any trial is traced.
 
     The bug × period × seed grid is embarrassingly parallel (every trial
-    is an independent trace + analysis), so with *jobs* > 1 the whole
-    flattened grid fans out over the executor at once — processes by
-    default, since trials are pure-Python CPU-bound work.  Results fold
-    back in grid order, making the sweep bit-identical to the serial one.
+    is an independent trace + analysis), so the whole flattened grid
+    fans out through :func:`~repro.supervise.supervised_map` at once,
+    over *jobs* worker processes.  Results fold back in grid order,
+    making the sweep bit-identical to the serial one.
 
-    With *supervisor* (or *fault_plan*/*checkpoint_dir*) the grid runs
-    under the supervised runtime: crashed/hung/failed trials are retried
-    per the config, completed trials are journaled to *checkpoint_dir*,
-    and *resume* restores journaled trials instead of re-running them.
-    The returned result then carries the :class:`RunLedger`.
+    *supervisor* is the retry/timeout/deadline policy (None runs each
+    trial once, and a failing trial raises
+    :class:`~repro.errors.QuarantinedWork`); *fault_plan* perturbs the
+    workers; completed trials are journaled to *checkpoint_dir*, and
+    *resume* restores journaled trials instead of re-running them.  The
+    returned result carries the :class:`RunLedger`.
     """
     detectors = resolve_detectors(detectors)
     default_label = f"{driver.name}/{mode}"
     if detectors != (DEFAULT_DETECTOR,):
         default_label += "/" + "+".join(detectors)
-    result = DetectionSweepResult(
-        detector=detector_name or default_label,
-        runs=runs,
-        periods=tuple(periods),
-    )
     work = []
     for name, bug in bugs.items():
         program = bug.build(scale)
@@ -239,26 +229,25 @@ def detection_sweep(
                 work.append(
                     (program, bug, period, seed, mode, driver, detectors)
                 )
-    supervised = (supervisor is not None or fault_plan is not None
-                  or checkpoint_dir is not None)
-    if supervised:
-        key = "|".join(str(part) for part in (
-            sorted(bugs), scale, tuple(periods), runs, mode, driver.name,
-            detectors,
-        ))
-        journal = open_journal(checkpoint_dir, "sweep", key, resume)
-        try:
-            hits, ledger = supervised_map(
-                _run_detection_trial, work, jobs=jobs, executor=executor,
-                config=supervisor, fault_plan=fault_plan, journal=journal,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        result.ledger = ledger
-    else:
-        hits = parallel_map(_run_detection_trial, work, jobs=jobs,
-                            executor=executor)
+    key = "|".join(str(part) for part in (
+        sorted(bugs), scale, tuple(periods), runs, mode, driver.name,
+        detectors,
+    ))
+    journal = open_journal(checkpoint_dir, "sweep", key, resume)
+    try:
+        hits, ledger = supervised_map(
+            _run_detection_trial, work, jobs=jobs, config=supervisor,
+            fault_plan=fault_plan, journal=journal,
+        )
+    finally:
+        if journal is not None:
+            journal.close()
+    result = DetectionSweepResult(
+        detector=detector_name or default_label,
+        runs=runs,
+        periods=tuple(periods),
+        ledger=ledger,
+    )
     cursor = 0
     for name in bugs:
         row = {}

@@ -17,8 +17,8 @@ consistent with how all cost models in this reproduction work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from ..isa.program import Program
 from ..machine.machine import Machine

@@ -18,7 +18,7 @@ shared FastTrack detector online.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from ..detector.events import Access, AccessKind, SyncOp

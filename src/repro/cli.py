@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import traceback
 from typing import Callable, Dict, Optional
 
 from .analysis import (
@@ -45,9 +46,7 @@ from .errors import (
     EXIT_UNCONFIRMED,
     DeadlineExceeded,
     QuarantinedWork,
-    TraceError,
-    UsageError,
-    WorkerCrash,
+    ReproError,
     exit_code_for,
 )
 from .detector.registry import DEFAULT_DETECTOR, backend_names, \
@@ -55,9 +54,8 @@ from .detector.registry import DEFAULT_DETECTOR, backend_names, \
 from .isa.assembler import assemble
 from .isa.program import Program
 from .machine import Machine
-from .parallel import parallel_map
 from .pmu import GovernorConfig, PRORACE_DRIVER, VANILLA_DRIVER
-from .supervise import SupervisorConfig
+from .supervise import SupervisorConfig, open_journal, supervised_map
 from .tracing import TraceFormatError, read_trace, trace_run, write_trace
 from .workloads import (
     ALL_WORKLOADS,
@@ -161,9 +159,7 @@ def _confirmation_for(program, pipeline, bundle, result,
     )
     return confirm_races(
         program, result.races, events, config=config,
-        jobs=args.jobs,
-        executor="serial" if args.jobs <= 1 else "process",
-        supervisor=_supervisor_from(args),
+        jobs=args.jobs, supervisor=_supervisor_from(args, retries=2),
     )
 
 
@@ -209,15 +205,26 @@ def _check_resume(args: argparse.Namespace) -> None:
         raise _bad_command_line("repro: --resume requires --checkpoint-dir")
 
 
-def _supervisor_from(args: argparse.Namespace) -> Optional[SupervisorConfig]:
-    """A SupervisorConfig when any supervision flag was given, else None
-    (the command then runs on the plain executor, exactly as before)."""
+def _supervision_flagged(args: argparse.Namespace) -> bool:
+    """Whether ``--retries``, ``--task-timeout`` or ``--deadline`` was
+    given."""
+    return (args.retries is not None or args.task_timeout is not None
+            or args.deadline is not None)
+
+
+def _supervisor_from(args: argparse.Namespace,
+                     retries: int = 0) -> SupervisorConfig:
+    """The command's supervision policy.  *retries* is the command's
+    budget when no supervision flag is given (0: each item runs once);
+    ``--task-timeout``, ``--deadline`` or ``--checkpoint-dir`` without
+    ``--retries`` raise it to 2."""
     _check_resume(args)
-    if (args.retries is None and args.task_timeout is None
-            and args.deadline is None):
-        return None
+    if args.retries is not None:
+        retries = args.retries
+    elif _supervision_flagged(args) or args.checkpoint_dir is not None:
+        retries = 2
     return SupervisorConfig(
-        retries=args.retries if args.retries is not None else 2,
+        retries=retries,
         task_timeout=args.task_timeout,
         deadline=args.deadline,
         seed=getattr(args, "seed", 0),
@@ -508,7 +515,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.runs == 1:
         # One run analyzes in this process; --jobs and the supervision
         # flags reach only the --confirm replays.
-        if supervisor is not None and not args.confirm:
+        if _supervision_flagged(args) and not args.confirm:
             print("repro detect: --retries/--task-timeout/--deadline "
                   "apply to --runs > 1 and --confirm; ignoring them for "
                   "one run", file=sys.stderr)
@@ -542,45 +549,36 @@ def cmd_detect(args: argparse.Namespace) -> int:
          args.reconcile_clock)
         for run_index in range(args.runs)
     ]
-    if supervisor is not None or args.checkpoint_dir is not None:
-        from .supervise import open_journal, supervised_map
-
-        key_parts = [
-            program.name, args.mode, args.period, args.driver,
-            args.seed, args.runs,
-        ]
-        # Non-default backend selections journal under a distinct key;
-        # the default key stays identical so old checkpoints resume.
-        if detectors != (DEFAULT_DETECTOR,):
-            key_parts.append(detectors)
-        # Governed runs journal under a distinct key; the ungoverned key
-        # stays identical so existing checkpoints still resume.
-        if governor is not None:
-            key_parts.append(governor)
-        # Likewise reconciled runs: default checkpoints stay resumable.
-        if args.reconcile_clock:
-            key_parts.append("reconcile-clock")
-        key = "|".join(str(part) for part in key_parts)
-        journal = open_journal(args.checkpoint_dir, "detect", key,
-                               args.resume)
-        try:
-            results, ledger = supervised_map(
-                _detect_one, work, jobs=args.jobs, executor="process",
-                config=supervisor, journal=journal,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        for result in results:
-            summary.add(result)
-        print(summary.render(program))
-        if ledger.eventful:
-            print(ledger.render())
-        return 1 if summary.race_sites else 0
-    for result in parallel_map(_detect_one, work, jobs=args.jobs,
-                               executor="process"):
+    key_parts = [
+        program.name, args.mode, args.period, args.driver,
+        args.seed, args.runs,
+    ]
+    # Non-default backend selections journal under a distinct key;
+    # the default key stays identical so old checkpoints resume.
+    if detectors != (DEFAULT_DETECTOR,):
+        key_parts.append(detectors)
+    # Governed runs journal under a distinct key; the ungoverned key
+    # stays identical so existing checkpoints still resume.
+    if governor is not None:
+        key_parts.append(governor)
+    # Likewise reconciled runs: default checkpoints stay resumable.
+    if args.reconcile_clock:
+        key_parts.append("reconcile-clock")
+    key = "|".join(str(part) for part in key_parts)
+    journal = open_journal(args.checkpoint_dir, "detect", key, args.resume)
+    try:
+        results, ledger = supervised_map(
+            _detect_one, work, jobs=args.jobs, config=supervisor,
+            journal=journal,
+        )
+    finally:
+        if journal is not None:
+            journal.close()
+    for result in results:
         summary.add(result)
     print(summary.render(program))
+    if ledger.eventful:
+        print(ledger.render())
     return 1 if summary.race_sites else 0
 
 
@@ -644,9 +642,7 @@ def _cmd_chaos_runtime(args: argparse.Namespace) -> int:
             f"repro chaos: worker-fault mode needs a race bug name "
             f"(one of {', '.join(RACE_BUGS)}), got {args.program!r}"
         )
-    supervisor = _supervisor_from(args)
-    if supervisor is None:
-        supervisor = SupervisorConfig(seed=args.seed)
+    supervisor = _supervisor_from(args, retries=2)
     if args.hang_workers > 0 and supervisor.task_timeout is None:
         # A hung worker is only recoverable if something times it out.
         supervisor = SupervisorConfig(
@@ -657,7 +653,7 @@ def _cmd_chaos_runtime(args: argparse.Namespace) -> int:
     result = detection_sweep(
         {args.program: RACE_BUGS[args.program]}, _scale_from(args),
         periods=[args.period], runs=args.runs, mode=args.mode,
-        driver=_DRIVERS[args.driver], jobs=args.jobs, executor="process",
+        driver=_DRIVERS[args.driver], jobs=args.jobs,
         supervisor=supervisor, fault_plan=plan,
         checkpoint_dir=args.checkpoint_dir, resume=args.resume,
     )
@@ -670,7 +666,7 @@ def _cmd_chaos_runtime(args: argparse.Namespace) -> int:
               f"{args.runs} runs  plan kill={plan.kill} "
               f"hang={plan.hang} fail={plan.fail}")
         print(result.render())
-        if result.ledger is not None and not result.ledger.eventful:
+        if not result.ledger.eventful:
             print("run ledger: nothing eventful (no faults fired)")
         print("runtime chaos complete: all trials accounted for.")
     return 0
@@ -1320,7 +1316,9 @@ def _unknown_command_error(argv: list) -> Optional[str]:
 def main(argv: Optional[list] = None) -> int:
     """Dispatch a command and map structured runtime errors onto the
     documented exit codes (see :mod:`repro.errors`): 2 unusable input,
-    3 deadline exceeded, 4 quarantine/worker crash, 5 usage bug."""
+    3 deadline exceeded, 4 quarantine/worker crash, 5 an API contract
+    broken in library code.  Any other exception prints its traceback
+    and exits 2, never 1 ("races reported")."""
     if argv is None:
         argv = sys.argv[1:]
     message = _unknown_command_error(argv)
@@ -1337,8 +1335,11 @@ def main(argv: Optional[list] = None) -> int:
         if error.ledger is not None:
             print(error.ledger.render(), file=sys.stderr)
         return exit_code_for(error)
-    except (WorkerCrash, UsageError, TraceError) as error:
+    except ReproError as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)
+        return exit_code_for(error)
+    except Exception as error:  # noqa: BLE001 - a crash is no verdict
+        traceback.print_exc()
         return exit_code_for(error)
 
 

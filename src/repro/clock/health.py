@@ -12,8 +12,8 @@ declared refuses to call itself clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from .model import ClockModel
 from .repair import RepairStats

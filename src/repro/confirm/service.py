@@ -298,7 +298,7 @@ def _distinct_reports(races: Sequence[RaceReport]) -> List[RaceReport]:
     return distinct
 
 
-def _run_replays(items, jobs: int, executor: str,
+def _run_replays(items, jobs: int,
                  supervisor: Optional[SupervisorConfig]):
     """Supervised fan-out over replay items; quarantined replays come
     back as None results (counted as non-firing attempts)."""
@@ -307,7 +307,7 @@ def _run_replays(items, jobs: int, executor: str,
     config = supervisor if supervisor is not None else SupervisorConfig()
     try:
         results, _ledger = supervised_map(
-            _replay_one, items, jobs=jobs, executor=executor, config=config,
+            _replay_one, items, jobs=jobs, config=config,
         )
     except QuarantinedWork as exc:
         results = exc.partial or [None] * len(items)
@@ -320,7 +320,6 @@ def confirm_races(
     events,
     config: Optional[ConfirmConfig] = None,
     jobs: int = 1,
-    executor: str = "serial",
     supervisor: Optional[SupervisorConfig] = None,
 ) -> ConfirmationReport:
     """Confirm every distinct race in *races* by schedule-controlled
@@ -333,8 +332,9 @@ def confirm_races(
             ``Access``/``SyncOp`` objects or the ``(sort_key, event)``
             pairs :meth:`OfflinePipeline.events_for` returns.
         config: confirmation policy (:class:`ConfirmConfig`).
-        jobs / executor: fan-out of the replay batches (``"serial"``,
-            ``"thread"``, ``"process"``).
+        jobs: worker processes for the replay batches; at one job the
+            replays run inline unless *supervisor* sets a task timeout,
+            which needs a killable worker.
         supervisor: optional supervised-runtime policy (timeouts, crash
             isolation); defaults to :class:`SupervisorConfig` defaults.
     """
@@ -428,7 +428,7 @@ def confirm_races(
         attempt_item(report, plans[(report.address, report.pair)], 1)
         for report in planned
     ]
-    first_results = _run_replays(first_items, jobs, executor, supervisor)
+    first_results = _run_replays(first_items, jobs, supervisor)
 
     # Pass 2: unfired races walk the remaining attempt ladder —
     # deterministic pair targeting first, then seeded perturbation.
@@ -445,7 +445,7 @@ def confirm_races(
                 continue
             retry_specs.append((index, attempt))
             retry_items.append(item)
-    retry_results = _run_replays(retry_items, jobs, executor, supervisor)
+    retry_results = _run_replays(retry_items, jobs, supervisor)
     retries_of: Dict[int, List[Tuple[int, Optional[dict]]]] = {}
     for (index, attempt), result in zip(retry_specs, retry_results):
         retries_of.setdefault(index, []).append((attempt, result))

@@ -28,13 +28,14 @@ with or without a clock model.
 Workers and memory
 ------------------
 
-Workers fan out through :func:`repro.parallel.parallel_map`.  On
-platforms whose multiprocessing start method is ``fork`` (Linux), the
-materialized merge plan — sync ops plus columnar batch runs — is
-published in a module global before the pool is created and inherited
-by the forked workers for free; each worker ships back only its report
-list and counters.  Elsewhere the runner falls back to the thread
-executor (shared memory, still deterministic; no GIL-free scaling).
+Workers fan out through :func:`repro.supervise.supervised_map`, each
+shard run once.  On platforms whose multiprocessing start method is
+``fork`` (Linux), the materialized merge plan — sync ops plus columnar
+batch runs — is published in a module global before the workers are
+forked and inherited by them for free; each worker ships back only its
+report list and counters.  Elsewhere the runner falls back to the
+thread executor (shared memory, still deterministic; no GIL-free
+scaling).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import multiprocessing
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from ..parallel import parallel_map
+from ..supervise import supervised_map
 from .base import DetectorBackend
 from .batch import BATCH_SYNC
 from .fasttrack import FastTrack
@@ -61,7 +62,7 @@ def shard_of_address(address: int, nshards: int) -> int:
 
 def _shard_worker(shard: int):
     """Run one shard's FastTrack over the published plan (module-level:
-    importable by pool workers)."""
+    picklable where workers cannot fork)."""
     assert _PLAN is not None, "shard plan not published (non-fork start?)"
     items, nshards = _PLAN
     detector = FastTrack()
@@ -119,10 +120,9 @@ def run_sharded_fasttrack(
                     else "thread")
     _PLAN = (items, shards)
     try:
-        results = parallel_map(
+        results, _ledger = supervised_map(
             _shard_worker, list(range(shards)),
-            jobs=jobs if jobs is not None else shards,
-            executor=executor if shards > 1 else "serial",
+            jobs=jobs if jobs is not None else shards, executor=executor,
         )
     finally:
         _PLAN = None

@@ -16,13 +16,17 @@ code  meaning
 2     unusable input: :class:`TraceError` / :class:`DecodeError`
       (missing, corrupted, or undecodable trace data), or an
       :class:`UnknownDetectorError` — a ``--detector`` name not in
-      the backend registry (argparse's bad-argument convention)
+      the backend registry (argparse's bad-argument convention);
+      also any unclassified failure (an exception that is no
+      :class:`ReproError`: ``repro`` prints its traceback)
 3     :class:`DeadlineExceeded` — the supervised run's whole-call
       wall-clock budget ran out
 4     :class:`QuarantinedWork` / :class:`WorkerCrash` — work items
-      exhausted their retry budget or a worker death escaped the
-      supervisor
-5     :class:`UsageError` — an API/CLI invocation bug, not a fault
+      exhausted their retry budget (by default a fan-out runs each
+      item once, so one failing item suffices) or a worker death
+      escaped the supervisor
+5     :class:`UsageError` — library code broke an API contract; a
+      bug in the calling code, which no command line reaches
 6     watchdog-degraded run: ``repro trace`` completed, but the
       tracing governor's watchdog tripped (stalled PEBS engine or
       sync tracer), so part of the trace is sync-only or truncated
@@ -51,7 +55,7 @@ class → code mapping exhaustively.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 EXIT_OK = 0
 EXIT_RACES = 1
@@ -155,27 +159,6 @@ class WorkerCrash(ReproError):
         self.exitcode = exitcode
 
 
-class WorkerError(ReproError):
-    """An item of a parallel fan-out raised.
-
-    Unlike a bare ``pool.map`` exception, this names *which* input index
-    failed and keeps every result completed before the failure, so a
-    supervisor can retry exactly the failed item.  Escaping to the CLI
-    it is runtime misfortune, not bad input: the item is retry-worthy,
-    so it maps to the quarantine code (4), not the trace code (2) it
-    used to inherit silently.
-    """
-
-    exit_code = EXIT_QUARANTINE
-
-    def __init__(self, index: int, message: str,
-                 completed: Optional[Dict[int, object]] = None) -> None:
-        super().__init__(f"item {index} failed: {message}")
-        self.index = index
-        self.message = message
-        self.completed: Dict[int, object] = dict(completed or {})
-
-
 class DeadlineExceeded(ReproError):
     """The whole-call deadline of a supervised run expired before every
     item finished.  Carries the run ledger and the partial results (by
@@ -210,6 +193,6 @@ class QuarantinedWork(ReproError):
 
 
 def exit_code_for(error: BaseException) -> int:
-    """The documented CLI exit code for *error* (2 for any unclassified
-    trace-shaped failure)."""
+    """The documented CLI exit code for *error*: 2 for any unclassified
+    failure, so a crash never reads as code 1, "races reported"."""
     return getattr(error, "exit_code", EXIT_TRACE_ERROR)

@@ -1,25 +1,33 @@
-"""Supervised execution runtime: retries, deadlines, crash isolation,
-quarantine, and checkpointed fan-outs.
+"""The offline service's one fan-out: :func:`supervised_map` with
+retries, deadlines, crash isolation, quarantine and checkpoints.
 
-:func:`repro.parallel.parallel_map` gives the offline service its
-*speed*; this module gives it *survival*.  The dedicated analysis
-machines of §7.6 meet failures the plain executor turns into
-catastrophes: one OOM-killed worker raises ``BrokenProcessPool``
-and throws away a whole detection sweep, one hung replay stalls an
-analysis forever, and a multi-hour sweep interrupted at 99% restarts
-from zero.  :func:`supervised_map` keeps the exact calling convention
-(map a function over items, results in input order, bit-identical to
-the serial run) and adds the supervision a long-lived service needs:
+§7.6 observes that PT decode and memory reconstruction "can be easily
+parallelized" across analysis machines.  The unit of that parallelism
+is a whole trace: one analysis decodes and replays its threads serially
+in one process, and every fan-out over whole units of work goes through
+:func:`supervised_map` — the seeded runs of a detection sweep,
+:func:`repro.analysis.measure_detection_probability`, multi-run
+``repro detect``, the shoot-out's trials, the confirmation replays of
+:func:`repro.confirm.confirm_races`, and the shards of address-sharded
+detection.  Results come back in input order whatever the completion
+order, so ``jobs=4`` is bit-identical to ``jobs=1`` by construction.
+
+The dedicated analysis machines meet failures a plain process pool
+turns into catastrophes: one OOM-killed worker raises
+``BrokenProcessPool`` and throws away a whole detection sweep, one hung
+replay stalls an analysis forever, and a multi-hour sweep interrupted
+at 99% restarts from zero.  So the map is supervised:
 
 * **per-item retries** with seeded exponential backoff and jitter —
   deterministic given the :class:`SupervisorConfig` seed, so a chaos
-  test can replay the exact schedule;
+  test can replay the exact schedule.  A call with no policy runs each
+  item once, and a failing item ends the call in quarantine;
 * **per-item timeouts** and a **whole-call deadline** — a hung worker
   is killed and its item retried; a blown deadline raises
   :class:`~repro.errors.DeadlineExceeded` carrying the partial results;
-* **crash isolation** — process-executor items each run in their own
-  forked worker, so a SIGKILL/OOM fails only the in-flight item; every
-  completed result is kept and the dead worker slot is respawned;
+* **crash isolation** — a SIGKILL/OOM fails only the item its worker
+  was running; every completed result is kept and the dead worker is
+  replaced;
 * **quarantine** — an item that exhausts its retry budget is recorded
   and reported via :class:`~repro.errors.QuarantinedWork` instead of
   silently poisoning the fold;
@@ -35,28 +43,32 @@ are deterministic per item, so a supervised run under any fault plan
 that retries to success is bit-identical to the serial no-fault run —
 the property test in ``tests/test_property_faults.py`` pins this.
 
-Executor semantics mirror :mod:`repro.parallel`, with one addition:
-per-item *process* isolation uses one forked worker per in-flight item
-(a worker-slot model rather than a shared pool), which is what makes a
-SIGKILL attributable to exactly one item.  Thread workers cannot be
-killed, so a timed-out thread item is abandoned (daemon thread) and
-retried; true kill faults on the thread executor are *simulated* by
-raising :class:`~repro.errors.WorkerCrash`.  The inline path (serial
-executor, or one job with nothing to isolate) applies retries, backoff
-and the deadline but cannot enforce per-item timeouts.
+Executors: ``"process"`` (the default; the work is pure-Python and
+CPU-bound, so it only scales past the GIL in separate interpreters)
+forks each worker once per call, with *fn* and the work list, and
+sends it item indices over its pipe; the supervisor waits on the
+workers' pipes and kills and replaces a worker only when its item
+crashes or times out.  ``"thread"`` runs the same workers on daemon
+threads (for platforms without ``fork``); a thread cannot be killed, so
+a timed-out thread item is abandoned and retried, and kill faults are
+*simulated* by raising :class:`~repro.errors.WorkerCrash`.  The inline
+path (``"serial"``, or one job or one item with neither a task timeout
+nor a fault plan to isolate) applies retries, backoff and the deadline
+but cannot enforce per-item timeouts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import multiprocessing
+import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
-    Dict,
     Iterable,
     List,
     Optional,
@@ -66,17 +78,23 @@ from typing import (
 )
 
 from .errors import DeadlineExceeded, QuarantinedWork, WorkerCrash
-from .parallel import EXECUTORS, resolve_jobs
 
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: Recognized execution strategies.
+EXECUTORS = ("serial", "thread", "process")
+
 #: Sentinel for a result slot not yet produced.
 _UNSET = object()
 
-#: Poll interval of the supervision loop (seconds).  Coarse on purpose:
-#: supervised work items are whole trials/replays, not micro-tasks.
-_TICK = 0.01
+
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a jobs request: ``None``/``0`` means one worker per
+    available CPU; negative values are clamped to 1."""
+    if not jobs:
+        return max(1, os.cpu_count() or 1)
+    return max(1, jobs)
 
 
 @dataclass(frozen=True)
@@ -275,125 +293,117 @@ class RunLedger:
 
 
 # ---------------------------------------------------------------------------
-# Worker slots
+# Workers
 # ---------------------------------------------------------------------------
 
 
-def _run_in_child(conn, fn, item, index, attempt, fault_plan) -> None:
-    """Process-worker body: run the item, ship ('ok', result) or
-    ('err', message) back over the pipe.  A kill fault (or a real
-    SIGKILL/OOM) simply never sends — the parent sees EOF."""
+def _serve(conn, fn, work, fault_plan, in_process, inherited) -> None:
+    """Worker body: run the items whose ``(index, attempt)`` the
+    supervisor sends, answering each with ``("ok", result)``,
+    ``("err", message)`` or ``("crash", message)``, until the supervisor
+    closes its end.  A kill fault (or a real SIGKILL/OOM) never
+    answers: the supervisor reads EOF instead."""
+    # A forked worker holds copies of the supervisor's pipe ends; close
+    # them so a supervisor's exit reads as EOF here.
+    for other in inherited:
+        other.close()
     try:
-        if fault_plan is not None:
-            fault_plan.perturb(index, attempt, in_process=True)
-        payload = ("ok", fn(item))
-    except BaseException as error:  # noqa: BLE001 - isolation boundary
-        payload = ("err", f"{type(error).__name__}: {error}")
-    try:
-        conn.send(payload)
-    except Exception:
-        pass
+        while True:
+            try:
+                index, attempt = conn.recv()
+            except (EOFError, OSError):
+                return
+            try:
+                if fault_plan is not None:
+                    fault_plan.perturb(index, attempt, in_process=in_process)
+                payload = ("ok", fn(work[index]))
+            except WorkerCrash as error:
+                payload = ("crash", str(error))
+            except Exception as error:  # noqa: BLE001 - isolation boundary
+                payload = ("err", f"{type(error).__name__}: {error}")
+            try:
+                conn.send(payload)
+            except OSError:
+                return  # the supervisor gave up on this worker
+            except Exception as error:  # noqa: BLE001 - unpicklable result
+                conn.send(("err", f"result not sendable: "
+                                  f"{type(error).__name__}: {error}"))
     finally:
         conn.close()
 
 
-def _run_in_thread(box, fn, item, index, attempt, fault_plan) -> None:
-    """Thread-worker body: same protocol, results into a shared box."""
-    try:
-        if fault_plan is not None:
-            fault_plan.perturb(index, attempt, in_process=False)
-        box.append(("ok", fn(item)))
-    except WorkerCrash as error:
-        box.append(("crash", str(error)))
-    except BaseException as error:  # noqa: BLE001 - isolation boundary
-        box.append(("err", f"{type(error).__name__}: {error}"))
+class _Worker:
+    """A worker reused for every item of one call: a forked process
+    when *ctx* is given, else a daemon thread.
 
+    A process worker is what makes crash isolation attributable: a
+    SIGKILL takes down exactly the item it was running, the supervisor
+    reads EOF on this worker's pipe, and no sibling result is lost (a
+    shared pool's ``BrokenProcessPool`` fails every pending future)."""
 
-class _ProcessSlot:
-    """One in-flight item in its own forked worker process.
-
-    Process-per-item is what makes crash isolation *attributable*: a
-    SIGKILL takes down exactly this item's worker, the supervisor sees
-    EOF on this pipe, and no sibling result is lost (the shared-pool
-    alternative, ``BrokenProcessPool``, fails every pending future)."""
-
-    isolation = "process"
-
-    def __init__(self, ctx, fn, item, index, attempt, fault_plan):
-        self.index = index
-        self.attempt = attempt
-        self.started = time.monotonic()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        self.conn = parent_conn
+    def __init__(self, ctx, fn, work, fault_plan, live) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.index = self.attempt = -1
+        self.started = 0.0
+        if ctx is None:
+            self.proc = None
+            threading.Thread(
+                target=_serve,
+                args=(child, fn, work, fault_plan, False, ()),
+                daemon=True,
+            ).start()
+            return
+        inherited = [self.conn] + [worker.conn for worker in live]
         self.proc = ctx.Process(
-            target=_run_in_child,
-            args=(child_conn, fn, item, index, attempt, fault_plan),
+            target=_serve,
+            args=(child, fn, work, fault_plan, True,
+                  inherited if ctx.get_start_method() == "fork" else ()),
             daemon=True,
         )
         self.proc.start()
-        child_conn.close()
+        child.close()
 
-    def finished(self) -> bool:
-        # A dead child closes (or never writes) its pipe end, which
-        # also makes poll() return True (EOF is readable).
-        return self.conn.poll(0) or not self.proc.is_alive()
+    def start(self, index: int, attempt: int) -> None:
+        self.index, self.attempt = index, attempt
+        self.started = time.monotonic()
+        try:
+            self.conn.send((index, attempt))
+        except OSError:
+            pass  # died while idle: its pipe reads EOF, a crash
 
     def outcome(self) -> Tuple[str, object]:
+        """The answer waiting on the pipe, or a crash on EOF."""
         try:
-            if self.conn.poll(0):
-                return self.conn.recv()
+            return self.conn.recv()
         except (EOFError, OSError):
-            pass
-        code = self.proc.exitcode
-        return ("crash", f"worker died without a result (exit {code})")
+            code = None
+            if self.proc is not None:
+                self.proc.join(timeout=5)
+                code = self.proc.exitcode
+            return ("crash", f"worker died without a result (exit {code})")
+
+    def stop(self) -> None:
+        """Let the worker exit: it reads EOF once this end closes."""
+        self.conn.close()
+        if self.proc is not None:
+            self.proc.join(timeout=5)
+            if self.proc.is_alive():
+                self.kill()
 
     def kill(self) -> None:
-        try:
+        """Kill a process worker; a thread cannot be killed, so it is
+        abandoned (its answer finds the pipe closed)."""
+        if self.proc is not None:
             self.proc.kill()
-        except Exception:
-            pass
-        self.close()
-
-    def close(self) -> None:
-        self.proc.join(timeout=5)
-        try:
-            self.conn.close()
-        except Exception:
-            pass
+            self.proc.join(timeout=5)
+        self.conn.close()
 
 
-class _ThreadSlot:
-    """One in-flight item on a daemon thread.  Threads cannot be
-    killed: a timed-out item is abandoned (the daemon thread keeps
-    running to completion but its result is discarded) and retried."""
-
-    isolation = "thread"
-
-    def __init__(self, fn, item, index, attempt, fault_plan):
-        self.index = index
-        self.attempt = attempt
-        self.started = time.monotonic()
-        self.box: List[Tuple[str, object]] = []
-        self.thread = threading.Thread(
-            target=_run_in_thread,
-            args=(self.box, fn, item, index, attempt, fault_plan),
-            daemon=True,
-        )
-        self.thread.start()
-
-    def finished(self) -> bool:
-        return bool(self.box) or not self.thread.is_alive()
-
-    def outcome(self) -> Tuple[str, object]:
-        if self.box:
-            return self.box[0]
-        return ("crash", "worker thread died without a result")
-
-    def kill(self) -> None:  # abandoned, not killed
-        pass
-
-    def close(self) -> None:
-        pass
+def _context():
+    """The process context: ``fork`` where the platform has it, so a
+    worker inherits *fn* and the work list instead of unpickling them."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +422,20 @@ def supervised_map(
 ) -> Tuple[List[R], RunLedger]:
     """Map *fn* over *items* under supervision.
 
-    Same contract as :func:`repro.parallel.parallel_map` — results come
-    back in input order, bit-identical to the serial run — plus the
-    retry/timeout/deadline/quarantine semantics of *config*.
+    Results come back in input order, bit-identical to the serial run,
+    under the retry/timeout/deadline/quarantine semantics of *config*.
 
     Args:
-        fn: deterministic per-item work function (module-level and
-            picklable for the process executor).
+        fn: deterministic per-item work function.  Results from
+            thread or process workers come back over a pipe, so they
+            must pickle; where the process executor cannot fork, *fn*
+            and the items must pickle too.
         items: the work list.
-        jobs: worker-slot count.
+        jobs: worker count (``None``/``0``: one per CPU).
         executor: ``"serial"``, ``"thread"``, or ``"process"`` (see
             module docstring for isolation semantics).
-        config: retry/deadline policy; defaults to
-            ``SupervisorConfig()``.
+        config: retry/deadline policy; None runs each item once, with
+            no timeout and no deadline.
         fault_plan: optional :class:`~repro.faults.WorkerFaultPlan`
             injected into workers (chaos testing).
         journal: optional
@@ -443,7 +454,7 @@ def supervised_map(
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}: {executor!r}")
     work: Sequence[T] = items if isinstance(items, list) else list(items)
-    config = config or SupervisorConfig()
+    config = config or SupervisorConfig(retries=0)
     jobs = resolve_jobs(jobs)
     n = len(work)
     records = [ItemRecord(index=i) for i in range(n)]
@@ -464,7 +475,7 @@ def supervised_map(
     start = time.monotonic()
     # Process isolation is mandatory whenever faults must not take the
     # supervisor down with them (kill plans) or hung workers must be
-    # killable (task timeouts) — even with a single worker slot.
+    # killable (task timeouts) — even with a single worker.
     needs_isolation = executor == "process" and (
         fault_plan is not None or config.task_timeout is not None
     )
@@ -476,9 +487,10 @@ def supervised_map(
             _run_inline(fn, work, todo, results, records, ledger,
                         config, fault_plan, journal, start)
         else:
-            _run_slots(fn, work, todo, results, records, ledger,
-                       config, fault_plan, journal, start,
-                       workers=min(jobs, len(todo)), executor=executor)
+            _run_workers(fn, work, todo, results, records, ledger,
+                         config, fault_plan, journal, start,
+                         workers=min(jobs, len(todo)),
+                         ctx=_context() if executor == "process" else None)
     finally:
         ledger.wall_seconds = time.monotonic() - start
 
@@ -580,79 +592,88 @@ def _run_inline(fn, work, todo, results, records, ledger, config,
                 break
 
 
-def _run_slots(fn, work, todo, results, records, ledger, config,
-               fault_plan, journal, start, workers, executor) -> None:
-    """Slot-based supervision for the thread and process executors."""
-    if executor == "process":
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-
-        def spawn(index, attempt):
-            return _ProcessSlot(ctx, fn, work[index], index, attempt,
-                                fault_plan)
-    else:
-        def spawn(index, attempt):
-            return _ThreadSlot(fn, work[index], index, attempt, fault_plan)
+def _run_workers(fn, work, todo, results, records, ledger, config,
+                 fault_plan, journal, start, workers, ctx) -> None:
+    """Supervision over at most *workers* reused workers (processes
+    from *ctx*, else threads), waiting on their pipes between events."""
+    # Loaded on the first fan-out only: it adds about 0.7 MB to every
+    # process that imports repro, and most never fan out.
+    from multiprocessing.connection import wait
 
     # (not_before, index, attempt) — index tiebreak keeps launch order
     # deterministic when several items share a ready time.
     queue: List[Tuple[float, int, int]] = [(0.0, i, 1) for i in todo]
-    heapq.heapify(queue)
-    slots: List[object] = []
+    idle: List[_Worker] = []
+    busy: List[_Worker] = []
 
     def requeue(index: int, attempt: int) -> None:
         not_before = time.monotonic() + config.backoff(index, attempt)
         heapq.heappush(queue, (not_before, index, attempt))
 
     try:
-        while queue or slots:
-            now = time.monotonic()
+        while queue or busy:
             _check_deadline(config, start, results, ledger)
-            progressed = False
-            while (len(slots) < workers and queue
-                   and queue[0][0] <= now):
+            now = time.monotonic()
+            while len(busy) < workers and queue and queue[0][0] <= now:
                 _, index, attempt = heapq.heappop(queue)
+                worker = (idle.pop() if idle else
+                          _Worker(ctx, fn, work, fault_plan, busy + idle))
                 records[index].attempts += 1
-                slots.append(spawn(index, attempt))
-                progressed = True
-            for slot in list(slots):
-                now = time.monotonic()
-                if slot.finished():
-                    kind, payload = slot.outcome()
-                    slots.remove(slot)
-                    slot.close()
-                    elapsed = now - slot.started
+                worker.start(index, attempt)
+                busy.append(worker)
+            ready = wait([worker.conn for worker in busy],
+                         _wait_seconds(config, start, queue, busy, workers))
+            now = time.monotonic()
+            for worker in list(busy):
+                elapsed = now - worker.started
+                if worker.conn in ready:
+                    busy.remove(worker)
+                    kind, payload = worker.outcome()
                     if kind == "ok":
-                        _note_success(slot.index, payload, elapsed,
+                        idle.append(worker)
+                        _note_success(worker.index, payload, elapsed,
                                       results, records, journal)
+                        continue
+                    if kind == "err":
+                        idle.append(worker)
                     else:
-                        _note_failure(
-                            slot.index, slot.attempt,
-                            "crash" if kind == "crash" else "failure",
-                            str(payload), elapsed, records, ledger,
-                            config, requeue,
-                        )
-                    progressed = True
-                elif (config.task_timeout is not None
-                        and now - slot.started > config.task_timeout):
-                    slots.remove(slot)
-                    slot.kill()
+                        worker.kill()
                     _note_failure(
-                        slot.index, slot.attempt, "timeout",
-                        f"task timeout after {config.task_timeout}s",
-                        now - slot.started, records, ledger, config,
+                        worker.index, worker.attempt,
+                        "crash" if kind == "crash" else "failure",
+                        str(payload), elapsed, records, ledger, config,
                         requeue,
                     )
-                    progressed = True
-            if not progressed:
-                time.sleep(_TICK)
+                elif (config.task_timeout is not None
+                        and elapsed > config.task_timeout):
+                    busy.remove(worker)
+                    worker.kill()
+                    _note_failure(
+                        worker.index, worker.attempt, "timeout",
+                        f"task timeout after {config.task_timeout}s",
+                        elapsed, records, ledger, config, requeue,
+                    )
     finally:
-        for slot in slots:
-            slot.kill()
+        for worker in busy:
+            worker.kill()
+        for worker in idle:
+            worker.stop()
+
+
+def _wait_seconds(config, start, queue, busy, workers) -> Optional[float]:
+    """How long the supervisor may wait for an answer before the next
+    thing it must act on: the deadline, a task timeout, or a queued
+    retry's backoff running out while a worker is free."""
+    moments = []
+    if config.deadline is not None:
+        moments.append(start + config.deadline)
+    if config.task_timeout is not None:
+        moments.extend(w.started + config.task_timeout for w in busy)
+    if queue and len(busy) < workers:
+        moments.append(queue[0][0])
+    if not moments:
+        return None
+    return max(0.0, min(moments) - time.monotonic())
 
 
 # ---------------------------------------------------------------------------

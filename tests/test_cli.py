@@ -188,9 +188,43 @@ class TestChaos:
 
 class TestSupervisedExitCodes:
     """The documented exit-code taxonomy: 2 = bad input (covered by
-    TestAnalyzeErrors), 3 = deadline, 4 = quarantine, 5 = usage bug —
-    each distinct so a job scheduler can requeue/quarantine/discard
-    without parsing messages."""
+    TestAnalyzeErrors) or an unclassified crash, 3 = deadline,
+    4 = quarantine, 5 = usage bug — each distinct so a job scheduler
+    can requeue/quarantine/discard without parsing messages, and none
+    of them 1, "races reported"."""
+
+    def test_crash_exits_2_with_traceback(self, capsys, tmp_path):
+        """A program that unlocks a mutex it never locked makes the
+        machine raise SyncError, which is no ReproError."""
+        source = tmp_path / "bad.s"
+        source.write_text(
+            ".global lockvar 0\nmain:\n    unlock $lockvar\n    halt\n")
+        assert main(["detect", "bad", "--source", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "SyncError" in err
+
+    def test_failing_trial_exits_4_with_ledger(self, capsys, monkeypatch):
+        """A fan-out with no supervision flag runs each trial once: one
+        failing trial quarantines, and the ledger goes to stderr."""
+        from repro import cli
+
+        real = cli._detect_one
+
+        def fails_on_second_seed(work):
+            if work[4] == 1:
+                raise RuntimeError("trial exploded")
+            return real(work)
+
+        monkeypatch.setattr(cli, "_detect_one", fails_on_second_seed)
+        code = main(["detect", "aget-bug2", "--runs", "2", "--jobs", "2",
+                     "--iterations", "8"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "run ledger: 2 items, 2 attempts" in captured.err
+        assert "quarantined items: [1]" in captured.err
+        assert "RuntimeError: trial exploded" in captured.err
 
     def test_deadline_exits_3(self, capsys):
         code = main([

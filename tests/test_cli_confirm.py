@@ -89,3 +89,26 @@ class TestDetectConfirm:
                             "--suppress-schedules")
         assert code == 8
 
+
+class TestConfirmSupervision:
+    def test_task_timeout_holds_at_one_job(self, capsys, monkeypatch):
+        """``--task-timeout`` needs a killable worker, so even at
+        ``--jobs 1`` the replays run in one: every replay here sleeps
+        past the timeout, none fires, and the command exits 8."""
+        import time
+
+        from repro.confirm import service
+
+        real = service._replay_one
+
+        def slow_replay(item):
+            time.sleep(1.0)
+            return real(item)
+
+        monkeypatch.setattr(service, "_replay_one", slow_replay)
+        code = main(["confirm", "server:1", "--seed", "1", "--period", "7",
+                     "--jobs", "1", "--task-timeout", "0.2",
+                     "--retries", "0", "--confirm-retries", "1"])
+        out = capsys.readouterr().out
+        assert code == 8
+        assert "fired on replay" not in out

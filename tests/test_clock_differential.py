@@ -16,7 +16,7 @@ Differential evidence for the uncertainty-aware merge keys
 import pytest
 
 from repro.analysis import OfflinePipeline
-from repro.faults import FaultPlan, clock_plans
+from repro.faults import clock_plans
 from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
 

@@ -3,14 +3,12 @@ verdict, true races confirm, synchronized pairs never do, and the
 whole pass is deterministic (satellite: same seed + same schedules →
 bit-identical verdicts across runs and across ``--jobs``)."""
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import OfflinePipeline
 from repro.confirm import (
     ConfirmConfig,
-    ConfirmationReport,
     RaceVerdict,
     confirm_races,
 )
@@ -29,8 +27,8 @@ from repro.workloads import (
 from tests.helpers import CLEAN_COUNTER_ASM
 
 GEN_CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
-#: The generated program whose confirmation is also run in worker
-#: processes (14 replays at this seed).
+#: A generated program every jobs-invariance run includes: 14 replays,
+#: enough to spread over both worker processes.
 PROCESS_SEED = 11
 
 
@@ -162,26 +160,19 @@ class TestDeterminism:
     @example(seed=PROCESS_SEED)
     @settings(max_examples=4, deadline=None)
     def test_jobs_invariance(self, seed):
-        """Fan-out width must not leak into verdicts: serial and
-        2-way threaded confirmation produce identical reports.  So does
-        the process executor ``repro confirm --jobs N`` uses, which
-        pickles the program into every replay item (so a program must
-        stay picklable); it is compared on one fixed seed only, since
-        each comparison starts a process pool."""
+        """Fan-out width must not leak into verdicts: inline replays
+        (one job) and the two worker processes ``repro confirm --jobs 2``
+        uses produce identical reports."""
         program, _ = generate_racy_program(seed, GEN_CONFIG)
         result, events = detect(program, seed=seed)
         config = ConfirmConfig(seed=seed, machine_seed=seed)
         serial = confirm_races(program, result.races, events,
-                               config=config, jobs=1, executor="serial")
-        threaded = confirm_races(program, result.races, events,
-                                 config=config, jobs=2, executor="thread")
-        assert serial.to_dict() == threaded.to_dict()
+                               config=config, jobs=1)
+        fanned = confirm_races(program, result.races, events,
+                               config=config, jobs=2)
+        assert serial.to_dict() == fanned.to_dict()
         if seed == PROCESS_SEED:
             assert serial.replays_total > 1
-            pooled = confirm_races(program, result.races, events,
-                                   config=config, jobs=2,
-                                   executor="process")
-            assert serial.to_dict() == pooled.to_dict()
 
     def test_digest_stability_pins_event_stream(self):
         """The digest is over the matched-event stream, so two runs

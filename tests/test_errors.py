@@ -31,7 +31,6 @@ from repro.errors import (
     UnknownDetectorError,
     UsageError,
     WorkerCrash,
-    WorkerError,
     exit_code_for,
 )
 from repro.tracing.serialize import TraceFormatError
@@ -48,7 +47,6 @@ EXPECTED_CODES = {
     UsageError: EXIT_USAGE,
     UnknownDetectorError: EXIT_TRACE_ERROR,
     WorkerCrash: EXIT_QUARANTINE,
-    WorkerError: EXIT_QUARANTINE,
     DeadlineExceeded: EXIT_DEADLINE,
     QuarantinedWork: EXIT_QUARANTINE,
 }
@@ -59,7 +57,6 @@ INSTANCES = {
         "fasttrak", ["fasttrack", "lockset"], suggestion="fasttrack"
     ),
     WorkerCrash: lambda: WorkerCrash("worker 3 died", index=3, exitcode=-9),
-    WorkerError: lambda: WorkerError(2, "boom"),
     DeadlineExceeded: lambda: DeadlineExceeded("out of time"),
     QuarantinedWork: lambda: QuarantinedWork([1, 4]),
 }
@@ -162,11 +159,6 @@ class TestCarriedContext:
         assert err.name == "fasttrak"
         assert err.suggestion == "fasttrack"
         assert "did you mean" in str(err)
-
-    def test_worker_error_names_the_index(self):
-        err = WorkerError(7, "exploded", completed={0: "ok"})
-        assert err.index == 7
-        assert err.completed == {0: "ok"}
 
     def test_quarantined_work_sorts_indices(self):
         err = QuarantinedWork([4, 1])

@@ -1,15 +1,28 @@
-"""The executor abstraction: ordering, determinism, validation."""
+"""The fan-out's mapping contract: ordering, determinism, validation.
+
+Every fan-out over whole units of work goes through
+:func:`repro.supervise.supervised_map`; these tests pin what a caller
+with no supervision policy relies on (each item run once, results in
+input order on every executor).  Retries, timeouts, crashes and
+checkpoints are ``tests/test_supervise.py``'s.
+"""
 
 import os
 
 import pytest
 
-from repro.parallel import EXECUTORS, parallel_map, resolve_jobs
+from repro.supervise import EXECUTORS, resolve_jobs, supervised_map
 
 
 def _square(x):
     """Module-level so the process executor can pickle it."""
     return x * x
+
+
+def _results(fn, items, **kwargs):
+    results, ledger = supervised_map(fn, items, **kwargs)
+    assert ledger.attempts == len(results)
+    return results
 
 
 class TestResolveJobs:
@@ -29,24 +42,25 @@ class TestParallelMap:
     @pytest.mark.parametrize("jobs", [1, 2, 8])
     def test_preserves_input_order(self, executor, jobs):
         items = list(range(17))
-        assert parallel_map(_square, items, jobs=jobs,
-                            executor=executor) == [x * x for x in items]
+        assert _results(_square, items, jobs=jobs,
+                        executor=executor) == [x * x for x in items]
 
     def test_empty(self):
-        assert parallel_map(_square, [], jobs=4) == []
+        assert _results(_square, [], jobs=4) == []
 
     def test_single_item_runs_inline(self):
-        assert parallel_map(_square, [7], jobs=4, executor="process") == [49]
+        assert _results(lambda x: (x * x, os.getpid()), [7], jobs=4,
+                        executor="process") == [(49, os.getpid())]
 
     def test_generator_input(self):
-        assert parallel_map(_square, (x for x in range(5)), jobs=2) == \
+        assert _results(_square, (x for x in range(5)), jobs=2) == \
             [0, 1, 4, 9, 16]
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
-            parallel_map(_square, [1, 2], jobs=2, executor="gpu")
+            supervised_map(_square, [1, 2], jobs=2, executor="gpu")
 
     def test_closures_allowed_on_threads(self):
         offset = 10
-        assert parallel_map(lambda x: x + offset, [1, 2, 3], jobs=2,
-                            executor="thread") == [11, 12, 13]
+        assert _results(lambda x: x + offset, [1, 2, 3], jobs=2,
+                        executor="thread") == [11, 12, 13]

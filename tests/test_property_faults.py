@@ -88,7 +88,7 @@ _SWEEP_RUNS = 2
 # One serial, fault-free baseline shared by every Hypothesis example.
 _SWEEP_BASELINE = detection_sweep(
     _SWEEP_BUGS, _SWEEP_SCALE, periods=_SWEEP_PERIODS, runs=_SWEEP_RUNS,
-    jobs=1, executor="serial",
+    jobs=1,
 ).to_dict()
 
 worker_plans = st.builds(
@@ -113,12 +113,12 @@ def test_supervised_sweep_transparent_to_worker_faults(plan):
     with tempfile.TemporaryDirectory() as checkpoint:
         first = detection_sweep(
             _SWEEP_BUGS, _SWEEP_SCALE, periods=_SWEEP_PERIODS,
-            runs=_SWEEP_RUNS, jobs=2, executor="process",
+            runs=_SWEEP_RUNS, jobs=2,
             supervisor=config, fault_plan=plan, checkpoint_dir=checkpoint,
         )
         resumed = detection_sweep(
             _SWEEP_BUGS, _SWEEP_SCALE, periods=_SWEEP_PERIODS,
-            runs=_SWEEP_RUNS, jobs=2, executor="process",
+            runs=_SWEEP_RUNS, jobs=2,
             supervisor=config, checkpoint_dir=checkpoint, resume=True,
         )
     for result in (first, resumed):

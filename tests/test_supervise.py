@@ -6,8 +6,13 @@ runs, never *what* it computes — every scenario here checks the final
 results against the plain serial run bit-for-bit.
 """
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +22,9 @@ from repro.errors import (
     CheckpointError,
     DeadlineExceeded,
     QuarantinedWork,
-    WorkerError,
     exit_code_for,
 )
 from repro.faults import WorkerFaultPlan
-from repro.parallel import parallel_map
 from repro.supervise import (
     SupervisorConfig,
     journal_path,
@@ -48,6 +51,28 @@ def _slow_square(x):
     return x * x
 
 
+def _fails_on_two(x):
+    if x == 2:
+        raise ValueError("two")
+    return x * x
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _running(pid):
+    """Whether *pid* is a live process (an unreaped zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestHappyPath:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     @pytest.mark.parametrize("jobs", [1, 4])
@@ -67,6 +92,70 @@ class TestHappyPath:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             supervised_map(_square, [1], executor="gpu")
+
+
+class TestReusedWorkers:
+    """Process workers are forked once per call and fed item after
+    item; only a crash or a timeout costs a worker."""
+
+    def test_two_jobs_use_at_most_two_workers(self):
+        results, ledger = supervised_map(_square_and_pid, list(range(16)),
+                                         jobs=2, executor="process")
+        assert [square for square, _ in results] == \
+            [x * x for x in range(16)]
+        pids = {pid for _, pid in results}
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
+        assert ledger.respawns == 0
+
+    def test_kill_replaces_the_worker_and_costs_only_its_item(self):
+        plan = WorkerFaultPlan(seed=3, kill=0.3)
+        items = list(range(12))
+        killed = [i for i in items if plan.action(i, 1) == "kill"]
+        assert 0 < len(killed) < len(items), "seed must kill some items"
+        results, ledger = supervised_map(_square_and_pid, items, jobs=2,
+                                         executor="process", config=FAST,
+                                         fault_plan=plan)
+        assert [square for square, _ in results] == [x * x for x in items]
+        assert [r.attempts for r in ledger.items] == \
+            [2 if i in killed else 1 for i in items]
+        assert ledger.crashes == ledger.respawns == len(killed)
+        # Each kill forks at most one replacement worker.
+        assert len({pid for _, pid in results}) <= 2 + len(killed)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_the_supervisor_dies(self, tmp_path):
+        """A SIGKILLed supervisor leaves no worker behind: the idle one
+        reads EOF at once, the busy one when it tries to answer."""
+        script = tmp_path / "supervisor.py"
+        script.write_text(
+            "import os, time\n"
+            "from repro.supervise import supervised_map\n"
+            "def item(seconds):\n"
+            "    os.write(1, b'%d\\n' % os.getpid())\n"
+            "    time.sleep(seconds)\n"
+            "supervised_map(item, [0.0, 0.0, 0.0, 2.0], jobs=2)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        supervisor = subprocess.Popen([sys.executable, str(script)],
+                                      stdout=subprocess.PIPE, env=env)
+        pids = set()
+        try:
+            for _ in range(4):
+                pids.add(int(supervisor.stdout.readline()))
+            supervisor.kill()
+            supervisor.wait(timeout=10)
+            deadline = time.monotonic() + 15
+            while any(_running(pid) for pid in pids) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            supervisor.kill()
+            supervisor.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestFaultRecovery:
@@ -153,6 +242,20 @@ class TestQuarantine:
             expected = None if i in faulty else i * i
             assert error.partial[i] == expected
         assert error.ledger.quarantined == tuple(faulty)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_no_policy_runs_each_item_once(self, executor):
+        """Without a config a failing item is not retried: the call ends
+        in QuarantinedWork naming its index and the exception, with
+        every other result kept."""
+        with pytest.raises(QuarantinedWork) as excinfo:
+            supervised_map(_fails_on_two, [0, 1, 2, 3], jobs=2,
+                           executor=executor)
+        error = excinfo.value
+        assert error.indices == (2,)
+        assert error.partial == [0, 1, None, 9]
+        assert error.ledger.attempts == 4
+        assert error.ledger.items[2].error == "ValueError: two"
 
     def test_plain_exceptions_quarantine_too(self):
         with pytest.raises(QuarantinedWork) as excinfo:
@@ -315,47 +418,6 @@ class TestLedger:
             supervised_map(_square, [1], config=config, fault_plan=plan)
         text = excinfo.value.ledger.render()
         assert "quarantined" in text
-
-
-class TestParallelMapErrors:
-    def test_worker_error_names_index(self):
-        with pytest.raises(WorkerError) as excinfo:
-            parallel_map(_boom, [1], jobs=1)
-        assert excinfo.value.index == 0
-        assert "ValueError" in str(excinfo.value)
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_worker_error_keeps_completed(self, executor):
-        def fails_on_two(x):
-            if x == 2:
-                raise ValueError("two")
-            return x * x
-
-        fn = _fails_on_two if executor == "process" else fails_on_two
-        with pytest.raises(WorkerError) as excinfo:
-            parallel_map(fn, [0, 1, 2, 3], jobs=2, executor=executor)
-        error = excinfo.value
-        assert error.index == 2
-        assert error.completed.get(0) == 0
-        assert error.completed.get(1) == 1
-        assert 2 not in error.completed
-
-    def test_inline_error_carries_prefix(self):
-        def fails_on_one(x):
-            if x == 1:
-                raise ValueError("one")
-            return x
-
-        with pytest.raises(WorkerError) as excinfo:
-            parallel_map(fails_on_one, [0, 1, 2], jobs=1)
-        assert excinfo.value.index == 1
-        assert excinfo.value.completed == {0: 0}
-
-
-def _fails_on_two(x):
-    if x == 2:
-        raise ValueError("two")
-    return x * x
 
 
 class TestBackoffDerivation:

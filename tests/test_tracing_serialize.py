@@ -17,7 +17,7 @@ from repro.tracing import (
 )
 from repro.workloads import RACE_BUGS, WorkloadScale
 
-from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM, rows
+from tests.helpers import rows
 
 
 @pytest.fixture
