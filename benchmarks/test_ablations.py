@@ -13,7 +13,7 @@ Not figures from the paper, but quantifications of its design decisions:
 from repro.analysis import OfflinePipeline
 from repro.pmu import PRORACE_DRIVER, PTConfig, PTPacketizer, VANILLA_DRIVER
 from repro.machine import Machine
-from repro.replay import ReplayEngine, WindowReplayer
+from repro.replay import ReplayEngine
 from repro.tracing import trace_run
 from repro.workloads import PARSEC_WORKLOADS, RACE_BUGS
 

@@ -1,11 +1,7 @@
 """Offline pipeline, cost model, and experiment metrics."""
 
-from .context import (
-    AnalysisContext,
-    ContextStats,
-    access_sort_key,
-    sync_sort_key,
-)
+from ..detector.events import access_sort_key, sync_sort_key
+from .context import AnalysisContext, ContextStats
 from .costs import (
     OverheadEstimate,
     PT_CYCLES_PER_BYTE,

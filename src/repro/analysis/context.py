@@ -25,11 +25,15 @@ state into what a round can and cannot change:
   re-replays only the threads whose ``touched`` set intersects the newly
   poisoned addresses and reuses every other thread's cached
   :class:`~repro.replay.engine.ThreadReplay` verbatim;
-* per-thread lowered event streams, pre-sorted by the global event key.
+* per-thread columnar access batches
+  (:class:`~repro.detector.batch.EventBatch`), each sorted by the global
+  event key and lowered with the truncation rule applied.
 
-The merged happens-before-consistent stream is produced by a k-way
-``heapq.merge`` over the pre-sorted per-thread streams — no global
-materialize-and-sort — and the detector consumes it incrementally.
+The merged happens-before-consistent stream is one splice merge of the
+sync stream and the batches (:meth:`AnalysisContext.merged_batches`) —
+no global materialize-and-sort — and the detectors consume its runs
+incrementally.  :meth:`AnalysisContext.merged_events` is a view of that
+same merge, one ``(key, event)`` pair at a time.
 
 Event ordering
 --------------
@@ -47,8 +51,8 @@ Events sort by the total key ``(tsc, kind_rank, tid, seq)``:
   order (the seed left this to sort stability over dict iteration).
 
 Within one thread the key is strictly increasing in the step index
-(timelines are strictly monotone), so per-thread streams are sorted by
-construction and the k-way merge is valid.
+(timelines are strictly monotone), so per-thread batches are sorted by
+construction and the splice merge is valid.
 """
 
 from __future__ import annotations
@@ -66,11 +70,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..detector.batch import BATCH_RUN, BATCH_SYNC, EventBatch
 from ..detector.events import (
-    Access,
-    AccessKind,
     EventKey,
     SyncOp,
-    access_sort_key,
     sync_sort_key,
     uncertain_merge_tsc,
 )
@@ -100,7 +101,6 @@ from .timeline import ThreadTimeline, build_timeline
 # access_sort_key, sync_sort_key) lives in repro.detector.events — the
 # one shared definition every consumer of the merged stream (pipeline,
 # sweeps, tests) uses, so backends cannot drift on event ordering.
-# ``repro.analysis`` re-exports the two sort keys from this module.
 
 
 @dataclass
@@ -166,7 +166,7 @@ class AnalysisContext:
         self.decode_failures: Dict[int, str] = {}
         self.replay_failures: Dict[int, str] = {}
         #: Accesses suppressed by the conservative truncation cutoff in
-        #: the last merged_events() pass (see :meth:`merged_events`).
+        #: the last merged stream (see :meth:`merged_batches`).
         self.suppressed_accesses = 0
 
         self._paths: Optional[Dict[int, DecodedPath]] = None
@@ -177,7 +177,6 @@ class AnalysisContext:
         self._timelines: Optional[Dict[int, ThreadTimeline]] = None
         self._sync_events: Optional[List[Tuple[EventKey, SyncOp]]] = None
         self._threads: Dict[int, ThreadReplay] = {}
-        self._access_events: Dict[int, List[Tuple[EventKey, Access]]] = {}
         self._access_batches: Dict[int, EventBatch] = {}
         self._last_poisoned: Optional[FrozenSet[int]] = None
         #: Reconciled clock model (None = identity = clock path off).
@@ -483,7 +482,6 @@ class AnalysisContext:
         else:
             tids = sorted(paths)
             self._threads.clear()
-            self._access_events.clear()
             self._access_batches.clear()
         engine = ReplayEngine(
             self.program, mode=self.replay_mode,
@@ -497,7 +495,6 @@ class AnalysisContext:
                 # carry on with every other thread's analysis.
                 self.replay_failures[replay.tid] = replay.error
                 self._threads.pop(replay.tid, None)
-                self._access_events.pop(replay.tid, None)
                 self._access_batches.pop(replay.tid, None)
                 changed = True
                 continue
@@ -509,7 +506,6 @@ class AnalysisContext:
             # would cost an extra regeneration round.
             if old is None or old.accesses != replay.accesses:
                 changed = True
-                self._access_events.pop(replay.tid, None)
                 self._access_batches.pop(replay.tid, None)
             self._threads[replay.tid] = replay
         self.stats.threads_replayed += len(tids)
@@ -534,79 +530,14 @@ class AnalysisContext:
         )
 
     # ------------------------------------------------------------------
-    # Streaming event merge
-    # ------------------------------------------------------------------
-
-    def access_events(self, tid: int) -> List[Tuple[EventKey, Access]]:
-        """One thread's lowered access events, pre-sorted by the global
-        key (strictly increasing: replays emit accesses in step order and
-        timelines are strictly monotone in the step index)."""
-        cached = self._access_events.get(tid)
-        if cached is not None:
-            return cached
-        timeline = self.timelines[tid]
-        generation_of = self.alloc_index.generation
-        key_fn = self.merge_key_fn(tid)
-        events: List[Tuple[EventKey, Access]] = []
-        for access in self._threads[tid].accesses:
-            tsc = timeline.tsc_of(access.step_index)
-            key_tsc = (key_fn(access.step_index, tsc)
-                       if key_fn is not None else tsc)
-            events.append(
-                (
-                    access_sort_key(key_tsc, tid, access.step_index),
-                    Access(
-                        tid=tid,
-                        var=(access.address,
-                             generation_of(access.address, tsc)),
-                        kind=(
-                            AccessKind.WRITE
-                            if access.is_store
-                            else AccessKind.READ
-                        ),
-                        ip=access.ip,
-                        tsc=tsc,
-                        provenance=access.provenance,
-                        taint=access.taint,
-                    ),
-                )
-            )
-        self._access_events[tid] = events
-        return events
-
-    def merged_events(self) -> Iterator[Tuple[EventKey, object]]:
-        """The happens-before-consistent event stream: a k-way streaming
-        merge of the sync stream and every thread's pre-sorted access
-        stream.  Nothing is materialized or globally sorted; the detector
-        consumes the iterator incrementally.
-
-        When the bundle's sync/alloc log is known-truncated
-        (``defects.log_truncated_at_tsc``), accesses after the cutoff
-        are suppressed: happens-before edges there may be missing, and a
-        lost edge must degrade detection power, never fabricate a race.
-        """
-        if self.stats.replay_rounds == 0:
-            raise UsageError("call replay() before merged_events()")
-        streams = [self.sync_events]
-        for tid in sorted(self._threads):
-            streams.append(self.access_events(tid))
-        merged = heapq.merge(*streams, key=itemgetter(0))
-        self.suppressed_accesses = 0
-        cutoff = self._effective_cutoff()
-        if cutoff is None:
-            return merged
-        return self._suppress_after(merged, cutoff)
-
-    # ------------------------------------------------------------------
-    # Columnar batch merge
+    # The merged event stream
     # ------------------------------------------------------------------
 
     def access_batch(self, tid: int) -> EventBatch:
         """One thread's access events as a columnar
         :class:`~repro.detector.batch.EventBatch` — lowered straight
-        from the replayed accesses (no intermediate ``Access`` objects),
-        with truncation suppression baked into the columns at build
-        time.  Cached and invalidated alongside :meth:`access_events`.
+        from the replayed accesses, with the truncation rule applied at
+        build time.  Cached until the thread is replayed anew.
         """
         cached = self._access_batches.get(tid)
         if cached is not None:
@@ -623,23 +554,22 @@ class AnalysisContext:
         return batch
 
     def merged_batches(self) -> Iterator[tuple]:
-        """The batched twin of :meth:`merged_events`: the same totally
-        ordered event stream, delivered as spliced runs instead of
-        single events.  Yields ``(BATCH_SYNC, sync_op, gindex)`` and
+        """The happens-before-consistent event stream, delivered as
+        spliced runs.  Yields ``(BATCH_SYNC, sync_op, gindex)`` and
         ``(BATCH_RUN, batch, start, stop, gindex_base)`` items, where
-        the global index numbers events exactly as the scalar merge
-        would enumerate them.
+        the global index is an event's position in the merged stream
+        (race tags are these positions).
 
         Instead of heap-popping every event, the merge pops only stream
         *heads*: the minimum head's stream emits its entire contiguous
         run up to the next-smallest head (found by bisection on the tsc
         column), so per-event merge cost vanishes for the long
-        single-thread stretches sampled traces are made of.  Correctness
-        rests on the same strict total order the scalar merge uses —
-        keys never collide across streams, so the run boundary is
-        unambiguous.  Truncation suppression is applied at batch build;
-        this pass refreshes :attr:`suppressed_accesses` to the same
-        total the scalar pass would count.
+        single-thread stretches sampled traces are made of.  Keys are a
+        strict total order and never collide across streams, so the run
+        boundary is unambiguous.  When the bundle's sync/alloc log is
+        known-truncated, accesses after the cutoff were dropped at batch
+        build (:meth:`~repro.detector.batch.EventBatch.build`); this
+        call refreshes :attr:`suppressed_accesses` to their total.
         """
         if self.stats.replay_rounds == 0:
             raise UsageError("call replay() before merged_batches()")
@@ -647,6 +577,28 @@ class AnalysisContext:
         batches = [self.access_batch(tid) for tid in sorted(self._threads)]
         self.suppressed_accesses = sum(b.suppressed for b in batches)
         return self._splice_merge(sync_events, batches)
+
+    def merged_events(self) -> Iterator[Tuple[EventKey, object]]:
+        """A view of :meth:`merged_batches` one ``(key, event)`` pair at
+        a time — the stream race confirmation plans witnesses on.  Sync
+        pairs come from :attr:`sync_events` in order; each run's
+        accesses are materialized by
+        :meth:`~repro.detector.batch.EventBatch.access_at`.
+        """
+        return self._pairs_of(self.merged_batches())
+
+    def _pairs_of(self, items: Iterator[tuple]
+                  ) -> Iterator[Tuple[EventKey, object]]:
+        syncs = iter(self.sync_events)
+        for item in items:
+            if item[0] == BATCH_SYNC:
+                yield next(syncs)
+            else:
+                _, batch, start, stop, _base = item
+                key_at = batch.key_at
+                access_at = batch.access_at
+                for i in range(start, stop):
+                    yield key_at(i), access_at(i)
 
     @staticmethod
     def _splice_merge(
@@ -697,8 +649,8 @@ class AnalysisContext:
 
     def _effective_cutoff(self) -> Optional[int]:
         """The truncation cutoff after jitter widening, or None for a
-        complete log — one definition shared by the scalar suppression
-        pass and the batch builder."""
+        complete log (the *cutoff* of
+        :meth:`~repro.detector.batch.EventBatch.build`)."""
         cutoff = self.truncation_cutoff
         if cutoff is None:
             return None
@@ -720,21 +672,6 @@ class AnalysisContext:
         if defects is None:
             return None
         return defects.log_truncated_at_tsc
-
-    def _suppress_after(
-        self, merged: Iterator[Tuple[EventKey, object]], cutoff: int
-    ) -> Iterator[Tuple[EventKey, object]]:
-        for key, event in merged:
-            if isinstance(event, Access):
-                # A degraded timeline may *understate* an access's true
-                # time (lost sync anchors pull interpolation early), so
-                # keep only accesses provably before the cutoff: the
-                # next exact anchor bounds the true time from above.
-                bound = self.timelines[event.tid].upper_bound(key[3])
-                if bound > cutoff:
-                    self.suppressed_accesses += 1
-                    continue
-            yield key, event
 
     # ------------------------------------------------------------------
     # Checkpoint: snapshot/restore the round-variant state
@@ -798,9 +735,8 @@ class AnalysisContext:
         self._last_poisoned = payload["last_poisoned"]
         self.replay_failures = payload["replay_failures"]
         self.stats.replay_rounds = payload["replay_rounds"]
-        # Lowered event streams depend on timelines/alloc-index identity;
+        # Lowered batches depend on timelines/alloc-index identity;
         # cheap to relower, unsafe to splice.
-        self._access_events.clear()
         self._access_batches.clear()
         return payload["poisoned"], payload["rounds"]
 

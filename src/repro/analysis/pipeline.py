@@ -7,13 +7,15 @@ trace, with per-phase wall-clock timing for the Figure 12 breakdown.
 
 The heavy lifting lives in :class:`~repro.analysis.context.AnalysisContext`:
 round-invariant artifacts (decoded paths, located records, timelines,
-pre-sorted event streams) are computed once per bundle, regeneration
+the sorted sync stream) are computed once per bundle, regeneration
 rounds re-replay only the threads whose program maps touched poisoned
-addresses, and the detector consumes a streaming k-way merge instead of
-a globally re-sorted event list.  ``analyze()`` and ``events_for()`` are
-two consumers of the same context — not two divergent copies of the
-lowering logic — and ``events_for()`` on the bundle ``analyze()`` just
-finished reuses that very context instead of building a second one.
+addresses, and the detectors consume the splice merge of columnar
+access batches (:meth:`~repro.analysis.context.AnalysisContext.merged_batches`)
+instead of a globally re-sorted event list.  ``analyze()`` and
+``events_for()`` read that one merge — ``events_for()`` through its
+``(key, event)`` view — and ``events_for()`` on the bundle
+``analyze()`` just finished reuses that very context instead of
+building a second one.
 """
 
 from __future__ import annotations
@@ -217,9 +219,6 @@ class DetectionResult:
     #: the pipeline ran without ``reconcile_clock``.
     clock: Optional[object] = None
 
-    def races_on(self, address: int) -> List[RaceReport]:
-        return [r for r in self.races if r.address == address]
-
     def detected(self, address: int) -> bool:
         return address in self.racy_addresses
 
@@ -301,38 +300,35 @@ class OfflinePipeline:
         context.clock_repair = clock_repair
         return context
 
-    def events_for(self, bundle: TraceBundle,
-                   poisoned: Optional[FrozenSet[int]] = None):
+    def events_for(self, bundle: TraceBundle):
         """Produce the HB-consistent event stream for *bundle* — the
         stream race confirmation plans witnesses on, and the hook
         alternative detectors (lockset, reference) consume in tests and
         ablations.
 
         Returns ``(events, replay_result)`` where *events* is the sorted
-        list of ``(sort_key, Access | SyncOp)`` pairs, materialized from
-        the same streaming merge ``analyze()`` consumes.
+        list of ``(sort_key, Access | SyncOp)`` pairs,
+        :meth:`~repro.analysis.context.AnalysisContext.merged_events`
+        materialized: the very merge ``analyze()`` consumes.
 
         When *bundle* is the very object this pipeline's last
-        ``analyze()`` finished on (matched by identity, not by content)
-        and *poisoned* is omitted, that analysis's context is reused:
-        its decoded paths, located records, timelines and per-thread
-        replays, with no decode or replay run again.  The stream is
-        then the one the detectors ran on, replayed under the poison
-        set of ``analyze()``'s final §5.1 round, and *replay_result* is
-        that round's result (``DetectionResult.replay``).  Any other
-        bundle object, even an equal copy, and any explicit *poisoned*
-        (``frozenset()`` for the unpoisoned stream) get a fresh context
-        that decodes and replays *bundle* for one round under
-        *poisoned*.  The reused context is held until the next
-        ``analyze()``.
+        ``analyze()`` finished on (matched by identity, not by content),
+        that analysis's context is reused: its decoded paths, located
+        records, timelines, per-thread replays and batches, with no
+        decode or replay run again.  The stream is then the one the
+        detectors ran on, replayed under the poison set of
+        ``analyze()``'s final §5.1 round, and *replay_result* is that
+        round's result (``DetectionResult.replay``).  Any other bundle
+        object, even an equal copy, gets a fresh context that decodes
+        and replays *bundle* for one unpoisoned round.  The reused
+        context is held until the next ``analyze()``.
         """
         analyzed = self._analyzed
-        if (poisoned is None and analyzed is not None
-                and analyzed[0] is bundle):
+        if analyzed is not None and analyzed[0] is bundle:
             _bundle, context, replay_result = analyzed
         else:
             context = self.context_for(bundle)
-            replay_result = context.replay(poisoned or frozenset())
+            replay_result = context.replay()
         events = list(context.merged_events())
         return events, replay_result
 

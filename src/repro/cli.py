@@ -498,10 +498,10 @@ def _analyze_profiled(pipeline, bundle, args):
 def _detect_one(work: tuple):
     """Module-level detect worker (picklable for the process executor):
     one seeded trace + analysis."""
-    program, mode, period, driver, seed, governor, load_bursts, \
-        detectors, reconcile_clock = work
+    program, mode, period, driver, seed, governor, detectors, \
+        reconcile_clock = work
     bundle = trace_run(program, period=period, driver=driver, seed=seed,
-                       governor=governor, load_bursts=load_bursts)
+                       governor=governor)
     return OfflinePipeline(program, mode=mode, detectors=detectors,
                            reconcile_clock=reconcile_clock).analyze(bundle)
 
@@ -545,7 +545,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     # and fold the results back in seed order.
     work = [
         (program, args.mode, args.period, _DRIVERS[args.driver],
-         args.seed + run_index, governor, None, detectors,
+         args.seed + run_index, governor, detectors,
          args.reconcile_clock)
         for run_index in range(args.runs)
     ]

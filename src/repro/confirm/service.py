@@ -4,10 +4,12 @@ verdict.
 For each distinct :class:`~repro.detector.events.RaceReport` the
 service
 
-1. plans a **full** witness schedule over the bundle's event stream
-   (the shared :class:`~repro.detector.witness.WitnessPlanner` — the
-   same search the predictive backend uses, un-truncated so it can be
-   driven);
+1. plans a **full** witness schedule over the bundle's event stream —
+   the ``(key, event)`` pairs of
+   :meth:`~repro.analysis.pipeline.OfflinePipeline.events_for`, a view
+   of the very merge the detectors ran on — with the shared
+   :class:`~repro.detector.witness.WitnessPlanner` (the same search the
+   predictive backend uses, un-truncated so it can be driven);
 2. re-executes the traced program on a fresh
    :class:`~repro.machine.machine.Machine` under schedule control —
    attempt 1 drives the exact witness schedule with a
@@ -328,9 +330,10 @@ def confirm_races(
     Args:
         program: the traced :class:`~repro.isa.program.Program`.
         races: the detector's reports (any backend).
-        events: the bundle's merged event stream — either plain
-            ``Access``/``SyncOp`` objects or the ``(sort_key, event)``
-            pairs :meth:`OfflinePipeline.events_for` returns.
+        events: the bundle's merged event stream, the
+            ``(sort_key, event)`` pairs
+            :meth:`~repro.analysis.pipeline.OfflinePipeline.events_for`
+            returns.
         config: confirmation policy (:class:`ConfirmConfig`).
         jobs: worker processes for the replay batches; at one job the
             replays run inline unless *supervisor* sets a task timeout,
@@ -339,17 +342,12 @@ def confirm_races(
             isolation); defaults to :class:`SupervisorConfig` defaults.
     """
     cfg = config if config is not None else ConfirmConfig()
-    # events_for() hands back (sort_key, event) pairs; accept those or
-    # plain event objects.
-    plain_events = [
-        item[1] if isinstance(item, tuple) else item for item in events
-    ]
     distinct = _distinct_reports(races)
 
     plans: Dict[Tuple[int, Tuple[int, int]], object] = {}
     if not cfg.suppress_schedules and distinct:
-        planner = WitnessPlanner(plain_events, max_nodes=cfg.max_nodes,
-                                 tail=None)
+        planner = WitnessPlanner([event for _key, event in events],
+                                 max_nodes=cfg.max_nodes, tail=None)
         for report in distinct:
             key = (report.address, report.pair)
             schedule = planner.schedule_for(report)

@@ -1,35 +1,34 @@
 """Columnar (struct-of-arrays) access-event batches.
 
-The scalar detection path materializes one frozen :class:`Access`
-dataclass per recovered access and heap-pops them one at a time through
-``heapq.merge`` into per-event detector method calls — at ~1.4M
-events/sec the object churn *is* the bottleneck, not the FastTrack
-algorithm.  An :class:`EventBatch` is the columnar twin of one thread's
-lowered access stream: parallel arrays of tsc/step/ip/kind packed as
-:mod:`array` buffers, variable identities as pre-built ``(address,
-generation)`` tuples, provenance strings interned to one byte per
-access, and taints kept sparse (almost every access has none).
+An :class:`EventBatch` is one thread's lowered access stream: parallel
+arrays of tsc/step/ip/kind packed as :mod:`array` buffers, variable
+identities as pre-built ``(address, generation)`` tuples, provenance
+strings interned to one byte per access, and taints kept sparse (almost
+every access has none).  Building one object per access and heap-popping
+them one at a time cost more than the FastTrack algorithm itself; the
+columns and the splice merge below remove both.
 
 Batches are built directly from the replayed
-:class:`~repro.replay.window.RecoveredAccess` stream — no intermediate
-``Access`` objects — and consumed by the batch detector protocol
-(:meth:`~repro.detector.base.DetectorBackend.feed_batch`).  Individual
-``Access`` objects are materialized lazily (:meth:`EventBatch.access_at`)
-only where a scalar object is genuinely needed: the slow paths that
-report races, and backends without a batch fast path.
+:class:`~repro.replay.window.RecoveredAccess` stream by
+:meth:`EventBatch.build`, the one lowering of replayed accesses, which
+also applies the truncation rule.  The detectors consume them through
+the batch protocol (:meth:`~repro.detector.base.DetectorBackend.feed_batch`).
+A scalar :class:`Access` is materialized (:meth:`EventBatch.access_at`)
+only where one is genuinely needed: the slow paths that report races,
+backends without a batch fast path, and the ``(key, event)`` view
+:meth:`AnalysisContext.merged_events` that race confirmation plans on.
 
 Ordering: one batch holds one thread's accesses in step order, so its
 keys ``(tsc, EVENT_KIND_ACCESS, tid, step)`` are strictly increasing by
-construction (timelines are strictly monotone in the step index) — the
-same invariant the scalar per-thread streams rely on.  Under clock
-reconciliation the key timestamps come from a separate ``key_tscs``
-column (uncertainty-shifted, clamped at the thread's next own sync
-record, monotone-nondecreasing); the step tie-break keeps the full keys
-strictly increasing, so the merge invariant is unchanged.  That makes the
-splice merge in :meth:`AnalysisContext.merged_batches` valid:
-:meth:`EventBatch.run_end` finds, by bisection on the tsc column, how
-far this batch's head run extends before the next-smallest head of any
-other stream, and the whole run is handed to the detector as one
+construction (timelines are strictly monotone in the step index).
+Under clock reconciliation the key timestamps come from a separate
+``key_tscs`` column (uncertainty-shifted, clamped at the thread's next
+own sync record, monotone-nondecreasing); the step tie-break keeps the
+full keys strictly increasing, so the merge invariant is unchanged.
+That makes the splice merge in :meth:`AnalysisContext.merged_batches`
+valid: :meth:`EventBatch.run_end` finds, by bisection on the tsc column,
+how far this batch's head run extends before the next-smallest head of
+any other stream, and the whole run is handed to the detector as one
 ``(batch, start, stop)`` span instead of per-event heap traffic.
 """
 
@@ -94,8 +93,8 @@ class EventBatch:
         self.prov_codes = array("b")
         self.prov_table: List[str] = []
         self.taints: Dict[int, object] = {}
-        #: Accesses dropped at build time by the truncation cutoff (the
-        #: scalar path's ``_suppress_after``, baked into the columns).
+        #: Accesses dropped at build time by the truncation cutoff (see
+        #: :meth:`build`).
         self.suppressed = 0
         self._nxt: Optional[array] = None
 
@@ -112,10 +111,15 @@ class EventBatch:
         """Lower one thread's :class:`RecoveredAccess` stream straight
         into columns (no intermediate ``Access`` objects).
 
-        With a truncation *cutoff*, accesses not provably before it are
-        suppressed exactly as the scalar ``_suppress_after`` does — the
-        next exact timeline anchor bounds the true time from above — and
-        counted in :attr:`suppressed`.
+        With a truncation *cutoff* (the bundle's sync/alloc log is
+        known-truncated, so happens-before edges after it may be
+        missing), only accesses provably before the cutoff are kept: a
+        lost edge must cost detection power, never fabricate a race.  A
+        degraded timeline may *understate* an access's true time (lost
+        sync anchors pull interpolation early), so an access is kept
+        only when its next exact timeline anchor — an upper bound on its
+        true time — lies at or before the cutoff.  The rest are counted
+        in :attr:`suppressed`.
 
         With *merge_key* (an uncertainty merge-key closure
         ``(step, tsc) -> key_tsc`` from clock reconciliation), the batch
@@ -169,13 +173,13 @@ class EventBatch:
         return len(self.tscs)
 
     def key_at(self, i: int) -> EventKey:
-        """The total-order key of event *i* (same key the scalar stream
-        sorts by)."""
+        """The total-order key of event *i*
+        (:func:`~repro.detector.events.access_sort_key`)."""
         return access_sort_key(self.key_tscs[i], self.tid, self.steps[i])
 
     def access_at(self, i: int) -> Access:
-        """Materialize event *i* as a scalar :class:`Access` —
-        field-identical to what the scalar lowering produces."""
+        """Materialize event *i* as a scalar :class:`Access` — the only
+        place a replayed access becomes one."""
         return Access(
             tid=self.tid,
             var=self.vars[i],
@@ -185,10 +189,6 @@ class EventBatch:
             provenance=self.prov_table[self.prov_codes[i]],
             taint=self.taints.get(i),
         )
-
-    def keys(self) -> List[EventKey]:
-        """All keys, for merge-parity tests."""
-        return [self.key_at(i) for i in range(len(self))]
 
     @property
     def next_change(self) -> array:

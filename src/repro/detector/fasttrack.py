@@ -355,6 +355,8 @@ class FastTrack(HBDetectorBackend):
         i = start
         while i < stop:
             var = vars_col[i]
+            # Word-granular shards: the low three address bits are
+            # within-word offsets, never variable identity.
             if (var[0] >> 3) % nshards != shard:
                 # Foreign shard: the whole repeat group is foreign.
                 j = nxt[i]

@@ -54,12 +54,6 @@ from .fasttrack import FastTrack
 _PLAN: Optional[Tuple[list, int]] = None
 
 
-def shard_of_address(address: int, nshards: int) -> int:
-    """Stable shard of one variable address.  Word-granular: the low
-    three bits are within-word offsets, never variable identity."""
-    return (address >> 3) % nshards
-
-
 def _shard_worker(shard: int):
     """Run one shard's FastTrack over the published plan (module-level:
     picklable where workers cannot fork)."""

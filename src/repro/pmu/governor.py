@@ -237,13 +237,6 @@ class GovernorReport:
     final_overhead: float = 0.0
     epochs: List[PeriodEpoch] = field(default_factory=list)
 
-    @property
-    def shed_anything(self) -> bool:
-        """True if any tier action actually lost data (period adaptation
-        alone loses nothing)."""
-        return bool(self.pt_sheds or self.hard_drop_bursts
-                    or self.watchdog_trips or self.sync_stalls)
-
 
 class TracingGovernor(MachineObserver):
     """Closed-loop controller over one run's online tracers.

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import io
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 from unittest import mock
 
@@ -18,9 +20,12 @@ from repro.clock.repair import repair_monotonic
 from repro.detector.base import DetectionFindings
 from repro.detector.events import (
     Access,
+    AccessKind,
+    EventKey,
     RaceReport,
     SyncOp,
     WitnessSchedule,
+    access_sort_key,
 )
 from repro.detector.registry import create_backend
 from repro.detector.sharded import run_sharded_fasttrack
@@ -595,15 +600,71 @@ def reference_trace_run(program, seed=0, num_cores=4, machine=None,
             program, seed=seed, machine=machine, **kwargs)
 
 
+def reference_merged_events(context):
+    """The scalar reference for the merged stream of a replayed
+    :class:`~repro.analysis.context.AnalysisContext`: every replayed
+    access lowered to its own ``(key, Access)`` pair, the per-thread
+    lists ``heapq.merge``-d with the sync stream, and the truncation
+    rule applied one event at a time.  Shares only the sync stream and
+    the effective cutoff with the context.
+
+    Returns ``(events, suppressed)``: the ``(key, event)`` pairs in
+    stream order and the number of accesses the truncation rule
+    dropped.
+    """
+    streams: List[List[Tuple[EventKey, object]]] = [context.sync_events]
+    generation_of = context.alloc_index.generation
+    for tid in sorted(context._threads):
+        timeline = context.timelines[tid]
+        key_fn = context.merge_key_fn(tid)
+        events = []
+        for access in context._threads[tid].accesses:
+            step = access.step_index
+            tsc = timeline.tsc_of(step)
+            key_tsc = key_fn(step, tsc) if key_fn is not None else tsc
+            events.append((
+                access_sort_key(key_tsc, tid, step),
+                Access(
+                    tid=tid,
+                    var=(access.address, generation_of(access.address, tsc)),
+                    kind=(AccessKind.WRITE if access.is_store
+                          else AccessKind.READ),
+                    ip=access.ip,
+                    tsc=tsc,
+                    provenance=access.provenance,
+                    taint=access.taint,
+                ),
+            ))
+        streams.append(events)
+    merged = heapq.merge(*streams, key=itemgetter(0))
+    cutoff = context._effective_cutoff()
+    if cutoff is None:
+        return list(merged), 0
+    kept = []
+    suppressed = 0
+    for key, event in merged:
+        # Keep only accesses provably before the cutoff: the next exact
+        # timeline anchor bounds an access's true time from above.
+        if (isinstance(event, Access)
+                and context.timelines[event.tid].upper_bound(key[3])
+                > cutoff):
+            suppressed += 1
+            continue
+        kept.append((key, event))
+    return kept, suppressed
+
+
 def scalar_findings(pipeline, bundle):
     """The scalar reference for the batched detection feed.
 
-    Feeds the final stream of ``pipeline.analyze(bundle)`` — which must
-    have run on this very bundle object — through fresh backends'
-    ``sync()``/``access()`` one event at a time, and returns their
-    findings keyed by backend name.
+    Feeds :func:`reference_merged_events` of the final round of
+    ``pipeline.analyze(bundle)`` — which must have run on this very
+    bundle object — through fresh backends' ``sync()``/``access()`` one
+    event at a time, and returns their findings keyed by backend name.
     """
-    events, _replay = pipeline.events_for(bundle)
+    analyzed, context, _replay = pipeline._analyzed
+    assert analyzed is bundle, "analyze() this bundle first"
+    events, _suppressed = reference_merged_events(context)
     backends = [create_backend(name) for name in pipeline.detectors]
     for _key, event in events:
         for backend in backends:

@@ -142,11 +142,9 @@ class TestEventsForReusesAnalysis:
             assert (second.tid, second.ip) == \
                 (race.second.tid, race.second.ip)
 
-        unpoisoned, _ = pipeline.events_for(bundle, frozenset())
         plain_context = OfflinePipeline(program).context_for(bundle)
         plain_context.replay(frozenset())
-        assert unpoisoned == list(plain_context.merged_events())
-        assert unpoisoned != events
+        assert list(plain_context.merged_events()) != events
 
     def test_other_bundle_object_gets_fresh_context(self, racy_program,
                                                     racy_bundle,

@@ -6,9 +6,6 @@ from repro.analysis import OfflinePipeline
 from repro.detector import Access, SyncOp
 from repro.tracing import trace_run
 
-from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM
-from repro.isa import assemble
-
 
 @pytest.fixture
 def events_and_replay(racy_program):

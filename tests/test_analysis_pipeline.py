@@ -6,8 +6,6 @@ from repro.analysis import OfflinePipeline
 from repro.isa import assemble
 from repro.tracing import trace_run
 
-from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM
-
 
 class TestPrecision:
     """No false positives: the paper chooses happens-before detection

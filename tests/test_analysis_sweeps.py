@@ -1,10 +1,6 @@
 """Sweep-API tests."""
 
-import pytest
-
 from repro.analysis.sweeps import (
-    DetectionSweepResult,
-    SweepResult,
     detection_sweep,
     overhead_sweep,
     tracesize_sweep,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines import (
     DataCollider,
-    LiteRace,
     MAX_WATCHPOINTS,
     Pacer,
     RaceZ,

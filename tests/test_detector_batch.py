@@ -4,13 +4,16 @@ Three layers of differential evidence:
 
 * **pipeline-level**: the batched feed, address-sharded
   ``detect_shards > 1`` and the scalar reference
-  (:func:`tests.helpers.scalar_findings`, the final stream fed one
-  event at a time) produce bit-identical findings over the Table 2
-  corpus, pristine and degraded — including crash-truncated bundles,
-  where suppression is baked into the batch columns instead of
+  (:func:`tests.helpers.scalar_findings`, the scalar reference stream
+  fed one event at a time) produce bit-identical findings over the
+  Table 2 corpus, pristine and degraded — including crash-truncated
+  bundles, where suppression is baked into the batch columns instead of
   filtered per event;
-* **stream-level**: the spliced batch merge enumerates exactly the
-  events (and keys, and global indices) the scalar heap merge does;
+* **stream-level**: the spliced batch merge and its ``merged_events``
+  view enumerate exactly the events (and keys, and global indices) of
+  the scalar lowering and heap merge
+  (:func:`tests.helpers.reference_merged_events`), with the same
+  truncation-suppression count;
 * **detector-level** (hypothesis): on random multi-thread access/sync
   streams, ``feed_batch`` and per-shard ``feed_batch_shard`` + merge
   agree with the scalar ``access()`` loop report-for-report, in order.
@@ -24,16 +27,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import OfflinePipeline
-from repro.analysis.context import AnalysisContext
 from repro.detector.batch import BATCH_SYNC, EventBatch
 from repro.detector.events import ACCESS_READ, ACCESS_WRITE, SyncOp
 from repro.detector.fasttrack import FastTrack
 from repro.detector.vectorclock import Epoch, VectorClock
-from repro.faults import builtin_plans
+from repro.faults import builtin_plans, clock_plans
 from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
 
-from tests.helpers import scalar_findings, thread_sharded_findings
+from tests.helpers import (
+    reference_merged_events,
+    scalar_findings,
+    thread_sharded_findings,
+)
 
 SCALE = WorkloadScale(iterations=8, threads=4)
 CORPUS = ("pfscan", "mysql-791", "apache-25520")
@@ -44,7 +50,9 @@ def _bundle(name, seed, plan_name=None):
     program = RACE_BUGS[name].build(SCALE)
     bundle = trace_run(program, period=100, seed=seed)
     if plan_name is not None:
-        bundle, _ = builtin_plans(0.2, seed=seed)[plan_name].apply(bundle)
+        plans = {**builtin_plans(0.2, seed=seed),
+                 **clock_plans(0.2, seed=seed)}
+        bundle, _ = plans[plan_name].apply(bundle)
     return program, bundle
 
 
@@ -128,21 +136,31 @@ def test_sharded_matches_serial_on_truncated_bundle():
 
 
 # ----------------------------------------------------------------------
-# Stream-level: the splice merge IS the scalar merge
+# Stream-level: one merge, checked against the scalar reference
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("plan_name", [None, "crash-truncation"])
-def test_merged_batches_enumerates_merged_events(plan_name):
-    """Flattening the batch runs must reproduce the scalar stream
-    exactly: same events, same keys, contiguous global indices, and the
-    same truncation-suppression count."""
-    program, bundle = _bundle("pfscan", 0, plan_name)
-    ctx = AnalysisContext(program, bundle)
+@pytest.mark.parametrize("seed,plan_name,options", [
+    pytest.param(0, None, {}, id="None"),
+    pytest.param(0, "crash-truncation", {}, id="crash-truncation"),
+    # The truncation rule fires here: 3 accesses are suppressed.
+    pytest.param(2, "combined", {}, id="combined-seed2"),
+    # A fitted clock model: every batch carries its own key column.
+    pytest.param(0, "clock-combined", {"reconcile_clock": True},
+                 id="clock-combined"),
+    pytest.param(0, None, {"mode": "sampled"}, id="sampled"),
+])
+def test_merged_batches_enumerates_merged_events(seed, plan_name, options):
+    """``merged_events()``, the flattened ``merged_batches()`` and the
+    scalar reference are one stream: same events, same keys, contiguous
+    global indices, and the same truncation-suppression count."""
+    program, bundle = _bundle("pfscan", seed, plan_name)
+    ctx = OfflinePipeline(program, **options).context_for(bundle)
     ctx.replay()
+    reference, suppressed = reference_merged_events(ctx)
 
-    scalar = list(ctx.merged_events())
-    scalar_suppressed = ctx.suppressed_accesses
+    assert list(ctx.merged_events()) == reference
+    assert ctx.suppressed_accesses == suppressed
 
     flat = []
     for item in ctx.merged_batches():
@@ -155,15 +173,22 @@ def test_merged_batches_enumerates_merged_events(plan_name):
             for i in range(start, stop):
                 flat.append((gindex + i - start, batch.key_at(i),
                              batch.access_at(i)))
-    assert ctx.suppressed_accesses == scalar_suppressed
+    assert ctx.suppressed_accesses == suppressed
 
-    assert len(flat) == len(scalar)
-    assert [g for g, _, _ in flat] == list(range(len(scalar)))
-    for (gindex, key, event), (scalar_key, scalar_event) in zip(flat,
-                                                                scalar):
+    assert len(flat) == len(reference)
+    assert [g for g, _, _ in flat] == list(range(len(reference)))
+    for (gindex, key, event), (ref_key, ref_event) in zip(flat, reference):
         if key is not None:
-            assert key == scalar_key
-        assert event == scalar_event
+            assert key == ref_key
+        assert event == ref_event
+
+    if plan_name == "combined":
+        assert suppressed > 0, "the truncation rule must fire here"
+    if options.get("reconcile_clock"):
+        assert ctx.clock is not None, "the clock model must be fitted"
+        batches = [ctx.access_batch(tid) for tid in ctx._threads]
+        assert batches
+        assert all(b.key_tscs is not b.tscs for b in batches)
 
 
 def test_default_feed_batch_fallback_is_scalar():

@@ -2,7 +2,6 @@
 vector-clock representation the algorithm is named for)."""
 
 from repro.detector import Access, AccessKind, FastTrack, SyncOp
-from repro.detector.fasttrack import _VarState
 
 VAR = (0x1000, 0)
 

@@ -1,8 +1,6 @@
 """Lockset (Eraser) comparator tests — including the false positives
 that motivate the paper's happens-before choice (§4.3)."""
 
-import pytest
-
 from repro.detector import (
     Access,
     AccessKind,

@@ -3,7 +3,6 @@
 import re
 from pathlib import Path
 
-import pytest
 
 ROOT = Path(__file__).parent.parent
 

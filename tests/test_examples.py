@@ -1,10 +1,7 @@
 """Smoke tests: the shipped examples must run and make their point."""
 
 import importlib.util
-import sys
 from pathlib import Path
-
-import pytest
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 

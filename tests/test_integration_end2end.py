@@ -1,7 +1,5 @@
 """End-to-end integration: the full ProRace flow on realistic scenarios."""
 
-import pytest
-
 from repro import (
     OfflinePipeline,
     PRORACE_DRIVER,

@@ -1,7 +1,5 @@
 """Unit tests for instruction classification and dataflow metadata."""
 
-import pytest
-
 from repro.isa.instructions import Instruction, Op
 from repro.isa.operands import Imm, Mem, Reg
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import OfflinePipeline
 from repro.isa import Op, assemble
-from repro.machine import Machine, MachineError
+from repro.machine import MachineError
 from repro.tracing import trace_run
 
 from tests.helpers import run_machine

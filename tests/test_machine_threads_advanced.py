@@ -1,8 +1,6 @@
 """Advanced threading semantics: nested spawns, multi-waiter joins,
 core-private PEBS counters, scheduler knobs."""
 
-import pytest
-
 from repro.isa import assemble
 from repro.machine import Machine
 from repro.pmu import PEBSConfig, PEBSEngine

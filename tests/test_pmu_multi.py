@@ -1,14 +1,11 @@
 """Multiple PMU consumers and configuration interplay."""
 
-import pytest
-
 from repro.isa import assemble
 from repro.machine import Machine
 from repro.pmu import (
     PEBSConfig,
     PEBSEngine,
     PRORACE_DRIVER,
-    PTConfig,
     PTPacketizer,
     VANILLA_DRIVER,
 )

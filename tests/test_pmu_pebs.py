@@ -13,8 +13,6 @@ from repro.pmu import (
     VANILLA_DRIVER,
 )
 
-from tests.helpers import CLEAN_COUNTER_ASM
-
 
 def _sample(program_src, period, driver=PRORACE_DRIVER, seed=0, **cfg):
     program = assemble(program_src)

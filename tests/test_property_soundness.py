@@ -9,7 +9,6 @@ multiple schedules/sampling phases, along with decode fidelity and the
 recovery-monotonicity ordering.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -6,14 +6,10 @@ offline.  The pipeline must degrade — losing coverage past the first
 filtered branch — without corrupting anything it can still see.
 """
 
-import pytest
-
 from repro.analysis import OfflinePipeline
 from repro.isa import assemble
 from repro.pmu import PTConfig
 from repro.tracing import trace_run
-
-from tests.helpers import RACY_ASM
 
 
 def traced_with_filter(program, filters, seed=1, period=3):

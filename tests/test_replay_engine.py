@@ -6,8 +6,6 @@ from repro.isa import Op, assemble
 from repro.replay import PROV_SAMPLED, ReplayEngine
 from repro.tracing import trace_run
 
-from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM
-
 
 def observable(ins):
     """Accesses the machine reports (CALL/RET stack slots excluded)."""

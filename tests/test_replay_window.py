@@ -1,15 +1,7 @@
 """Window replay unit tests, including the paper's Figure 5 example."""
 
-import pytest
-
 from repro.isa import assemble
-from repro.machine import Machine
-from repro.replay import (
-    PROV_BACKWARD,
-    PROV_FORWARD,
-    WindowReplayer,
-)
-from repro.replay.program_map import Known
+from repro.replay import PROV_BACKWARD, WindowReplayer
 
 from tests.helpers import record_states
 

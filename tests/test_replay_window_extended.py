@@ -1,11 +1,8 @@
 """Extended window-replay coverage: stack traffic, taint propagation,
 window statistics, cross-window memory carry-over."""
 
-import pytest
-
 from repro.isa import assemble
-from repro.replay import PROV_BACKWARD, PROV_FORWARD, WindowReplayer
-from repro.replay.program_map import Known
+from repro.replay import PROV_BACKWARD, WindowReplayer
 
 from tests.helpers import record_states
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis import BackendScore, ShootoutResult, run_shootout
+from repro.analysis import BackendScore, run_shootout
 from repro.analysis.shootout import grade_pairs
 from repro.workloads import RACE_BUGS, WorkloadScale
 

@@ -6,8 +6,6 @@ addressing class the way the paper's 100-trace methodology does, and
 checks the relationships that should hold with statistical headroom.
 """
 
-import pytest
-
 from repro.analysis import OfflinePipeline, wilson_interval
 from repro.tracing import trace_run
 from repro.workloads import (
