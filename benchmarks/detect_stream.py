@@ -1,24 +1,22 @@
-"""Shared synthetic detector stream for the throughput gate and bench.
+"""Shared synthetic detector stream for the shard projection and the
+clock-key gate.
 
-The shape models what the replay stage actually hands the detector: a
-PEBS sample expands into an instruction window, so the access stream is
-long single-thread stretches full of loop locality — a few hot
-variables re-read several times then written back — punctuated by reads
-of shared state and the occasional unsynchronized write (the races).
-That locality is precisely what the columnar fast path exploits
-(same-epoch repeat groups skipped by the ``next_change`` index).  The
-speedup reported on it is therefore *not* the speedup the pipeline
-sees: the merged streams of the perfbench workloads hold about one
-access per (variable, kind) repeat group (25,149 accesses in 25,059
-groups on ``table2-confirm`` at seed 0), so there the index skips
-almost nothing.  It is the fast path's synthetic ceiling, not a best
-case manufactured from a single variable.
+The shape models a PEBS sample expanded into an instruction window: long
+single-thread stretches full of loop locality — a few hot variables
+re-read several times then written back — punctuated by reads of shared
+state and the occasional unsynchronized write (the races).  No perfbench
+workload looks like this: their merged streams hold about one access
+per (variable, kind) repeat group (25,149 accesses in 25,059 groups on
+``table2-confirm`` at seed 0).  So detection throughput is gated on
+those real streams (``perf_smoke.detect_rate``), and this stream serves
+only where a synthetic one is the point: the projected address-shard
+curve of ``benchmarks/test_detect_throughput.py`` and the clock
+merge-key gate of ``benchmarks/perf_smoke.py``, which times the splice
+merge's bisections on a layout it controls.
 
 Both representations of the *same* stream are returned:
 
-* a pre-materialized ``Access`` list — what the scalar path consumes
-  (object lowering happens upstream either way, so the scalar pass
-  times the detector, not dataclass construction);
+* a pre-materialized ``Access`` list;
 * the stream's maximal single-thread segments as :class:`EventBatch`
   runs — exactly the spans ``AnalysisContext.merged_batches`` emits.
 """
@@ -98,11 +96,3 @@ def chunk_batches(accesses):
         batch.prov_codes.append(code)
     return chunks
 
-
-def warm(chunks):
-    """Pre-build every chunk's lazy ``next_change`` index so timed
-    passes measure the feed loops, not one-time index construction
-    (the pipeline builds it once per batch and reuses it across
-    regeneration rounds and shards)."""
-    for batch, _base in chunks:
-        batch.next_change

@@ -8,12 +8,19 @@ loudly if tracing the ``table2-confirm`` programs costs more than
 any perfbench workload drops below its floor
 in :data:`MIN_REPLAY_KSTEPS_PER_S` (``replay.ksteps_per_s``), if the
 witness planner plans the ``table2-confirm`` streams below
-:data:`MIN_PLAN_KSTEPS_PER_S`, or if the
+:data:`MIN_PLAN_KSTEPS_PER_S`, if FastTrack detects the merged streams
+of a perfbench workload below its floor in
+:data:`MIN_DETECT_MEVENTS_PER_S` (or reports other races than the
+oracle ``tests.helpers.ReferenceFastTrack``), if the
 detector-backend registry's indirection makes FastTrack's ``access``
 path measurably slower than constructing FastTrack directly (the
 backend refactor's <5% contract against the BENCH_replay.json
-fast-path numbers), or if ``supervised_map`` fans work out more than
-:data:`MAX_FANOUT_OVERHEAD` slower than ideal parallelism.
+fast-path numbers), if a separate clock merge-key column slows the
+columnar feed by more than :data:`MAX_CLOCK_KEY_OVERHEAD`, if a
+diverging schedule controller costs more than
+:data:`MAX_CONTROLLER_OVERHEAD`, or if ``supervised_map`` fans work
+out more than :data:`MAX_FANOUT_OVERHEAD` slower than ideal
+parallelism.
 
 Run directly: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
@@ -25,7 +32,8 @@ import sys
 import time
 from pathlib import Path
 
-from detect_stream import locality_stream, warm
+from detect_stream import locality_stream
+from repro.detector.batch import BATCH_SYNC
 from repro.detector.events import Access, AccessKind, WitnessStep
 from repro.detector.fasttrack import FastTrack
 from repro.detector.registry import create_backend
@@ -88,13 +96,25 @@ MAX_REGISTRY_OVERHEAD = 0.05
 REGISTRY_PAIRS = 20
 CLOCK_KEY_PAIRS = 100
 CONTROLLER_PAIRS = 30
-#: The columnar feed_batch fast path must decisively beat the scalar
-#: access() loop on the replay-shaped locality stream (measured locally
-#: ~3.3x; BENCH_detect.json tracks the full number) — it is the feed of
-#: every single-backend analysis, so it must never be *slower* than
-#: the same events fed one at a time.  The floor leaves room for noisy
-#: CI runners while still catching any real regression.
-MIN_BATCH_SPEEDUP = 1.5
+#: Floors on FastTrack detection throughput, in merged-stream events
+#: (accesses plus sync operations) per second, over the seed-0 inputs
+#: of a perfbench workload (:func:`detect_rate`).  ``table2-confirm``
+#: takes the same-epoch fast path on 96% of its accesses, ``clean-long``
+#: on none, so the two bound both sides of the access routine.  Nine
+#: readings per side, alternating, on a shared 2-vCPU VM: the routine
+#: that builds an ``Access`` only for a report read 0.51-0.90 Mevents/s
+#: on ``clean-long`` (median 0.83), and the mirror-table loop it
+#: replaced, which built one per fast-path miss, 0.23-0.39 (median
+#: 0.37; 0.40 at most in five more), so the floor sits above every
+#: reading of that loop.  On ``table2-confirm`` the two overlapped
+#: (0.75-1.42 and 0.86-1.54); its floor fails a feed that builds an
+#: ``Access`` per event, which read 0.21 there.
+MIN_DETECT_MEVENTS_PER_S = {
+    "table2-confirm": 0.55,
+    "clean-long": 0.42,
+}
+#: Detection passes per reading; the reading is the fastest of them.
+DETECT_PASSES = 10
 BATCH_STREAM_EVENTS = 30_000
 #: Clock reconciliation keys the merged stream on a separate
 #: ``key_tscs`` column (uncertainty-clamped merge keys); with the flag
@@ -159,28 +179,110 @@ def _perfbench_replay_rate(workload):
     return result["metrics"]["replay.ksteps_per_s"]["value"]
 
 
-def _table2_streams():
-    """The merged event streams and reported races of perfbench's
-    ``table2-confirm`` inputs at seed 0, built as its flow builds them:
-    traced, through the trace container, analyzed, then
-    ``events_for``."""
+def _perfbench_inputs(name):
+    """``(pipeline, bundle)`` for each of perfbench workload *name*'s
+    inputs at seed 0, traced, degraded and sent through the trace
+    container as its flow does."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import flows
     from repro.tracing import read_trace_bytes, trace_run, trace_to_bytes
 
-    workload = flows.WORKLOADS["table2-confirm"]
-    streams = []
+    workload = flows.WORKLOADS[name]
+    inputs = []
     for item in flows.setup(workload, 0):
         program = item.program
-        traced = trace_run(program, period=workload.period,
+        bundle = trace_run(program, period=workload.period,
                            seed=flows.SAMPLING_SEED,
                            machine=Machine(program, seed=item.trace_seed))
-        bundle = read_trace_bytes(trace_to_bytes(traced), program=program)
-        pipeline = flows.pipeline_for(workload, program)
+        if item.plan is not None:
+            bundle, _defects = item.plan.apply(bundle)
+        if workload.container:
+            bundle = read_trace_bytes(trace_to_bytes(bundle),
+                                      program=program)
+        inputs.append((flows.pipeline_for(workload, program), bundle))
+    return inputs
+
+
+def _table2_streams():
+    """The merged event streams and reported races of perfbench's
+    ``table2-confirm`` inputs at seed 0, as its flow builds them:
+    analyzed, then ``events_for``."""
+    streams = []
+    for pipeline, bundle in _perfbench_inputs("table2-confirm"):
         races = pipeline.analyze(bundle).races
         events, _replay = pipeline.events_for(bundle)
         streams.append(([event for _, event in events], races))
     return streams
+
+
+def detect_streams(name):
+    """The merged batch streams of perfbench workload *name*'s seed-0
+    inputs: ``list(context.merged_batches())`` of a context built by
+    ``context_for`` and ``replay()``, one list per input."""
+    streams = []
+    for pipeline, bundle in _perfbench_inputs(name):
+        context = pipeline.context_for(bundle)
+        context.replay()
+        streams.append(list(context.merged_batches()))
+    return streams
+
+
+def _detect_pass(streams):
+    """One FastTrack per stream, fed as the detection pass feeds it;
+    returns the seconds and the detectors."""
+    detectors = []
+    t0 = time.perf_counter()
+    for items in streams:
+        detector = FastTrack()
+        d_sync = detector.sync
+        d_feed = detector.feed_batch
+        for item in items:
+            if item[0] == BATCH_SYNC:
+                d_sync(item[1])
+            else:
+                _, batch, start, stop, base = item
+                d_feed(batch, start, stop, base)
+        detectors.append(detector)
+    return time.perf_counter() - t0, detectors
+
+
+def _reports(detector):
+    return (detector.races, detector.race_indices,
+            detector.accesses_processed, detector.sync_processed)
+
+
+def _reference_reports(items):
+    """``ReferenceFastTrack``'s reports over one stream, each tagged
+    with its global stream index."""
+    from tests.helpers import ReferenceFastTrack
+
+    reference = ReferenceFastTrack()
+    for item in items:
+        if item[0] == BATCH_SYNC:
+            reference.sync(item[1])
+        else:
+            _, batch, start, stop, base = item
+            for i in range(start, stop):
+                reference.access(batch.access_at(i), base + i - start)
+    return _reports(reference)
+
+
+def detect_rate(streams, passes=DETECT_PASSES):
+    """FastTrack's detection rate over *streams* (:func:`detect_streams`)
+    in Mevents/s: the fastest of *passes* passes, each checked against
+    the oracle's reports; returns the rate and the events of a pass."""
+    sys.path.insert(0, str(ROOT))
+    events = sum(1 if item[0] == BATCH_SYNC else item[3] - item[2]
+                 for items in streams for item in items)
+    expected = [_reference_reports(items) for items in streams]
+    best = None
+    for _ in range(passes):
+        elapsed, detectors = _detect_pass(streams)
+        got = [_reports(detector) for detector in detectors]
+        assert got == expected, "FastTrack diverged from the oracle"
+        if best is None or elapsed < best:
+            best = elapsed
+    return events / best / 1e6, events
 
 
 def _trace_seconds():
@@ -290,43 +392,11 @@ def _detector_seconds(accesses):
     )
 
 
-def _batch_gate_seconds(repeats=5):
-    """Best-of-N (scalar seconds, batched seconds) for one FastTrack
-    pass over the shared replay-shaped locality stream — the batched
-    pass runs the exact ``feed_batch`` spans the pipeline's splice
-    merge emits, and both passes must agree report-for-report."""
-    accesses, chunks = locality_stream(events=BATCH_STREAM_EVENTS)
-    warm(chunks)
-    best_scalar = best_batched = None
-    for _ in range(repeats):
-        scalar = FastTrack()
-        d_access = scalar.access
-        t0 = time.perf_counter()
-        for access in accesses:
-            d_access(access)
-        elapsed = time.perf_counter() - t0
-        if best_scalar is None or elapsed < best_scalar:
-            best_scalar = elapsed
-
-        batched = FastTrack()
-        d_feed = batched.feed_batch
-        t0 = time.perf_counter()
-        for batch, base in chunks:
-            d_feed(batch, 0, len(batch), base)
-        elapsed = time.perf_counter() - t0
-        if best_batched is None or elapsed < best_batched:
-            best_batched = elapsed
-        assert batched.races == scalar.races, "batched verdicts diverged"
-        assert batched.accesses_processed == scalar.accesses_processed
-    return len(accesses), best_scalar, best_batched
-
-
 def _clock_key_chunks(chunks):
     """The locality chunks re-laid-out the way an engaged clock model
     builds them: ``key_tscs`` a *separate* identity-populated column
-    instead of aliasing ``tscs``.  Every other column (and the warmed
-    ``next_change`` index) is shared, so a timing delta isolates the
-    cost of the second timestamp array."""
+    instead of aliasing ``tscs``.  Every other column is shared, so a
+    timing delta isolates the cost of the second timestamp array."""
     from array import array
 
     from repro.detector.batch import EventBatch
@@ -343,7 +413,6 @@ def _clock_key_chunks(chunks):
         clone.prov_codes = batch.prov_codes
         clone.prov_table = batch.prov_table
         clone.taints = batch.taints
-        clone._nxt = batch._nxt
         keyed.append((clone, base))
     return keyed
 
@@ -357,7 +426,6 @@ def _clock_key_gate_seconds():
     from repro.detector.events import EVENT_KIND_SYNC
 
     _accesses, chunks = locality_stream(events=BATCH_STREAM_EVENTS)
-    warm(chunks)
     keyed = _clock_key_chunks(chunks)
     last_bound = (float("inf"), EVENT_KIND_SYNC, -1)
 
@@ -444,11 +512,13 @@ def main():
           f"{100 * registry_overhead:+.1f}% "
           f"({len(accesses) / registered:,.0f} events/sec)")
 
-    events, scalar_s, batched_s = _batch_gate_seconds()
-    batch_speedup = scalar_s / batched_s
-    print(f"columnar feed_batch: scalar {scalar_s * 1e3:.1f} ms, "
-          f"batched {batched_s * 1e3:.1f} ms -> {batch_speedup:.2f}x "
-          f"({events / batched_s:,.0f} events/sec)")
+    detect_rates = {}
+    for workload, floor in MIN_DETECT_MEVENTS_PER_S.items():
+        detect_rates[workload], events = detect_rate(
+            detect_streams(workload))
+        print(f"fasttrack detection on {workload} (best of "
+              f"{DETECT_PASSES}): {events:,} events at "
+              f"{detect_rates[workload]:.2f} Mevents/s (floor {floor})")
 
     key_events, (aliased_s, keyed_s, clock_key_overhead) = \
         _clock_key_gate_seconds()
@@ -496,11 +566,13 @@ def main():
             f"{100 * clock_key_overhead:.1f}% on the columnar feed path "
             f"(budget {100 * MAX_CLOCK_KEY_OVERHEAD:.0f}%) — corrected-"
             f"key ordering is supposed to ride the same bisects")
-    if batch_speedup < MIN_BATCH_SPEEDUP:
-        failures.append(
-            f"columnar feed_batch only {batch_speedup:.2f}x vs the "
-            f"scalar access loop (floor {MIN_BATCH_SPEEDUP}x) — the "
-            f"pipeline default is supposed to be the fast path")
+    for workload, floor in MIN_DETECT_MEVENTS_PER_S.items():
+        if detect_rates[workload] < floor:
+            failures.append(
+                f"FastTrack detects only {detect_rates[workload]:.2f} "
+                f"Mevents/s on the {workload} streams (floor {floor}) — "
+                f"an event is supposed to become an Access only when it "
+                f"is reported")
     if registry_overhead > MAX_REGISTRY_OVERHEAD:
         failures.append(
             f"registry indirection costs {100 * registry_overhead:.1f}% "

@@ -70,10 +70,6 @@ class DetectionProbability:
     def probability(self) -> float:
         return self.detections / self.runs if self.trials else 0.0
 
-    def confidence_interval(self, z: float = 1.96) -> Tuple[float, float]:
-        """95% (by default) Wilson interval on the detection probability."""
-        return wilson_interval(self.detections, self.runs, z)
-
     def expected_runs_to_detection(self) -> float:
         """Expected number of production runs until the first detection
         (geometric distribution) — the fleet-sizing quantity the paper's

@@ -344,23 +344,6 @@ def _add_clock_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _clock_fault_plan_from(args: argparse.Namespace):
-    """A clock-fault FaultPlan when any ``--clock-*`` chaos flag was
-    given, else None."""
-    if not (args.clock_skew or args.clock_drift or args.clock_step
-            or args.clock_regress):
-        return None
-    from .faults import FaultPlan
-
-    return FaultPlan(
-        seed=getattr(args, "seed", 0),
-        clock_skew=args.clock_skew,
-        clock_drift=args.clock_drift,
-        clock_step=args.clock_step,
-        clock_regress=args.clock_regress,
-    )
-
-
 def _add_program_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("program", help="workload/bug name, or - with "
                                         "--source")

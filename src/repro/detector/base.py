@@ -137,12 +137,12 @@ class DetectorBackend:
 
         The default materializes each event and delegates to
         :meth:`access`, so every backend accepts batches with verdicts
-        bit-identical to the scalar stream; backends with a columnar
-        fast path (FastTrack) override this.  *base* is the global
-        merged-stream index of the run's **first** event, so batch
-        position ``i`` has global index ``base + i - start`` — used by
-        the sharded runner to restore stream order when merging
-        per-shard reports.
+        bit-identical to the scalar stream; FastTrack overrides this to
+        read the columns and materialize only the events it reports.
+        *base* is the global merged-stream index of the run's **first**
+        event, so batch position ``i`` has global index
+        ``base + i - start`` — used by the sharded runner to restore
+        stream order when merging per-shard reports.
         """
         if stop is None:
             stop = len(batch)

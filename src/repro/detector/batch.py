@@ -14,8 +14,8 @@ Batches are built directly from the replayed
 also applies the truncation rule.  The detectors consume them through
 the batch protocol (:meth:`~repro.detector.base.DetectorBackend.feed_batch`).
 A scalar :class:`Access` is materialized (:meth:`EventBatch.access_at`)
-only where one is genuinely needed: the slow paths that report races,
-backends without a batch fast path, and the ``(key, event)`` view
+only where one is genuinely needed: FastTrack's race reports, backends
+without a columnar feed, and the ``(key, event)`` view
 :meth:`AnalysisContext.merged_events` that race confirmation plans on.
 
 Ordering: one batch holds one thread's accesses in step order, so its
@@ -75,7 +75,7 @@ class EventBatch:
 
     __slots__ = ("tid", "tscs", "key_tscs", "vars", "kinds", "ips",
                  "steps", "prov_codes", "prov_table", "taints",
-                 "suppressed", "_nxt")
+                 "suppressed")
 
     def __init__(self, tid: int) -> None:
         self.tid = tid
@@ -96,7 +96,6 @@ class EventBatch:
         #: Accesses dropped at build time by the truncation cutoff (see
         #: :meth:`build`).
         self.suppressed = 0
-        self._nxt: Optional[array] = None
 
     @classmethod
     def build(
@@ -189,35 +188,6 @@ class EventBatch:
             provenance=self.prov_table[self.prov_codes[i]],
             taint=self.taints.get(i),
         )
-
-    @property
-    def next_change(self) -> array:
-        """Run-length index over the (var, kind) columns:
-        ``next_change[i]`` is the first position ``> i`` whose (variable,
-        kind) differs (or ``len(self)``).  Replayed instruction windows
-        are full of loop-local repeats — consecutive accesses to the same
-        variable with the same kind — and a repeat provably satisfies the
-        detector fast path given its predecessor's postcondition, so the
-        batch loops skip whole repeat groups with one index jump instead
-        of comparing per event.  Computed lazily once per batch and
-        cached (regeneration rounds and every shard of a sharded pass
-        reuse it)."""
-        nxt = self._nxt
-        if nxt is None:
-            vars_col = self.vars
-            kinds = self.kinds
-            n = len(vars_col)
-            nxt = array("q", bytes(8 * n))
-            run_next = n
-            for i in range(n - 1, 0, -1):
-                nxt[i] = run_next
-                if (vars_col[i] != vars_col[i - 1]
-                        or kinds[i] != kinds[i - 1]):
-                    run_next = i
-            if n:
-                nxt[0] = run_next
-            self._nxt = nxt
-        return nxt
 
     def run_end(self, start: int, bound: EventKey) -> int:
         """First index ``>= start`` whose key exceeds *bound* — the end

@@ -17,7 +17,7 @@ from repro.analysis.pipeline import MAX_REGENERATIONS, OfflinePipeline
 from repro.clock.faults import _Regressor, plan_core_faults
 from repro.clock.model import core_of_map
 from repro.clock.repair import repair_monotonic
-from repro.detector.base import DetectionFindings
+from repro.detector.base import DetectionFindings, HBDetectorBackend
 from repro.detector.events import (
     Access,
     AccessKind,
@@ -27,8 +27,10 @@ from repro.detector.events import (
     WitnessSchedule,
     access_sort_key,
 )
+from repro.detector.fasttrack import _VarState
 from repro.detector.registry import create_backend
 from repro.detector.sharded import run_sharded_fasttrack
+from repro.detector.vectorclock import VectorClock
 from repro.detector.witness import WITNESS_TAIL, step_of
 from repro.faults import FaultPlan
 from repro.machine import Machine
@@ -654,6 +656,116 @@ def reference_merged_events(context):
     return kept, suppressed
 
 
+class ReferenceFastTrack(HBDetectorBackend):
+    """The reference for FastTrack's column access routine: the scalar
+    path as it was when every event arrived as an :class:`Access`.
+
+    :meth:`access` checks the same-epoch fast path and runs the race
+    logic on the access's fields, and every report's ``second`` is the
+    access itself.  *gidx*, the event's global stream index, tags each
+    report in :attr:`race_indices` (-1 when not given).  The
+    differential tests assert that ``FastTrack`` gives the same
+    ``races``, ``race_indices``, ``accesses_processed`` and
+    ``sync_processed`` through every feed.
+    """
+
+    name = "fasttrack"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._vars: Dict[Tuple[int, int], _VarState] = {}
+        self.race_indices: List[int] = []
+
+    def access(self, access: Access, gidx: int = -1) -> None:
+        if access.is_write:
+            self._write(access, gidx)
+        else:
+            self._read(access, gidx)
+
+    def _report(self, access, gidx, first_tid, first_kind, first_ip):
+        self.race_indices.append(gidx)
+        self.races.append(RaceReport(
+            var=access.var, first_tid=first_tid, first_kind=first_kind,
+            first_ip=first_ip, second=access))
+
+    def _read(self, access: Access, gidx: int) -> None:
+        self.accesses_processed += 1
+        tid = access.tid
+        clock = self._clock(tid)
+        current = clock.get(tid)
+        state = self._vars.get(access.var)
+        if state is not None:
+            read_vc = state.read_vc
+            if read_vc is None:
+                if state.read_clock == current and state.read_tid == tid:
+                    return
+            elif read_vc.get(tid) == current:
+                return
+        else:
+            state = self._vars[access.var] = _VarState()
+
+        write_tid = state.write_tid
+        if write_tid >= 0 and state.write_clock > clock.get(write_tid):
+            self._report(access, gidx, write_tid, AccessKind.WRITE,
+                         state.write_ip)
+        if state.read_vc is None:
+            read_tid = state.read_tid
+            if read_tid < 0 or state.read_clock <= clock.get(read_tid):
+                state.read_clock = current
+                state.read_tid = tid
+                state.read_ip = access.ip
+            else:
+                vc = VectorClock()
+                vc.set(read_tid, state.read_clock)
+                vc.set(tid, current)
+                state.read_vc = vc
+                state.read_ips = {
+                    read_tid: (state.read_ip
+                               if state.read_ip is not None else -1),
+                    tid: access.ip,
+                }
+        else:
+            state.read_vc.set(tid, current)
+            state.read_ips[tid] = access.ip
+
+    def _write(self, access: Access, gidx: int) -> None:
+        self.accesses_processed += 1
+        tid = access.tid
+        clock = self._clock(tid)
+        current = clock.get(tid)
+        state = self._vars.get(access.var)
+        if state is not None:
+            if state.write_clock == current and state.write_tid == tid:
+                return
+        else:
+            state = self._vars[access.var] = _VarState()
+
+        write_tid = state.write_tid
+        if write_tid >= 0 and state.write_clock > clock.get(write_tid):
+            self._report(access, gidx, write_tid, AccessKind.WRITE,
+                         state.write_ip)
+        read_vc = state.read_vc
+        if read_vc is None:
+            read_tid = state.read_tid
+            if read_tid >= 0 and state.read_clock > clock.get(read_tid):
+                self._report(access, gidx, read_tid, AccessKind.READ,
+                             state.read_ip)
+        else:
+            if not clock.covers(read_vc):
+                for rtid, rclock in read_vc.items():
+                    if rclock > clock.get(rtid):
+                        self._report(access, gidx, rtid, AccessKind.READ,
+                                     (state.read_ips or {}).get(rtid))
+            state.read_vc = None
+            state.read_ips = None
+            state.read_clock = 0
+            state.read_tid = -1
+            state.read_ip = None
+        state.write_clock = current
+        state.write_tid = tid
+        state.write_ip = access.ip
+
+
 def scalar_findings(pipeline, bundle):
     """The scalar reference for the batched detection feed.
 
@@ -661,11 +773,13 @@ def scalar_findings(pipeline, bundle):
     ``pipeline.analyze(bundle)`` — which must have run on this very
     bundle object — through fresh backends' ``sync()``/``access()`` one
     event at a time, and returns their findings keyed by backend name.
+    ``fasttrack`` is :class:`ReferenceFastTrack`.
     """
     analyzed, context, _replay = pipeline._analyzed
     assert analyzed is bundle, "analyze() this bundle first"
     events, _suppressed = reference_merged_events(context)
-    backends = [create_backend(name) for name in pipeline.detectors]
+    backends = [ReferenceFastTrack() if name == "fasttrack"
+                else create_backend(name) for name in pipeline.detectors]
     for _key, event in events:
         for backend in backends:
             if isinstance(event, SyncOp):

@@ -15,12 +15,16 @@ Three layers of differential evidence:
   (:func:`tests.helpers.reference_merged_events`), with the same
   truncation-suppression count;
 * **detector-level** (hypothesis): on random multi-thread access/sync
-  streams, ``feed_batch`` and per-shard ``feed_batch_shard`` + merge
-  agree with the scalar ``access()`` loop report-for-report, in order.
+  streams, whole and split ``feed_batch`` runs, per-shard
+  ``feed_batch_shard`` + merge and the ``access()`` adapter agree with
+  the oracle :class:`tests.helpers.ReferenceFastTrack` report for
+  report, in order and stream index for stream index; a report builds
+  its ``Access`` once per reported event.
 """
 
 import heapq
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +32,13 @@ from hypothesis import strategies as st
 
 from repro.analysis import OfflinePipeline
 from repro.detector.batch import BATCH_SYNC, EventBatch
-from repro.detector.events import ACCESS_READ, ACCESS_WRITE, SyncOp
+from repro.detector.events import (
+    ACCESS_READ,
+    ACCESS_WRITE,
+    Access,
+    AccessKind,
+    SyncOp,
+)
 from repro.detector.fasttrack import FastTrack
 from repro.detector.vectorclock import Epoch, VectorClock
 from repro.faults import builtin_plans, clock_plans
@@ -36,6 +46,7 @@ from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
 
 from tests.helpers import (
+    ReferenceFastTrack,
     reference_merged_events,
     scalar_findings,
     thread_sharded_findings,
@@ -222,26 +233,6 @@ def _hand_batch(tid, triples):
     return batch
 
 
-@given(pairs=st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3), st.booleans()),
-    max_size=60,
-))
-@settings(max_examples=60, deadline=None)
-def test_next_change_is_first_differing_position(pairs):
-    triples = [(8 * var, ACCESS_WRITE if is_write else ACCESS_READ, i)
-               for i, (var, is_write) in enumerate(pairs)]
-    batch = _hand_batch(0, triples)
-    nxt = batch.next_change
-    n = len(pairs)
-    assert len(nxt) == n
-    for i in range(n):
-        expected = next(
-            (j for j in range(i + 1, n) if pairs[j] != pairs[i]), n)
-        assert nxt[i] == expected
-    # Cached: the second access returns the same array object.
-    assert batch.next_change is nxt
-
-
 @given(
     entries=st.dictionaries(
         st.integers(min_value=0, max_value=4),
@@ -310,7 +301,23 @@ def _lower(stream):
     return batches, plan
 
 
-def _run_scalar(plan):
+def _run_reference(plan, tagged=True):
+    """The oracle: every event through ``ReferenceFastTrack.access``,
+    tagged with its global stream index when *tagged*."""
+    detector = ReferenceFastTrack()
+    for item in plan:
+        if item[0] == "sync":
+            detector.sync(item[1])
+        else:
+            _, batch, start, stop, base = item
+            for i in range(start, stop):
+                detector.access(batch.access_at(i),
+                                base + i - start if tagged else -1)
+    return detector
+
+
+def _run_access(plan):
+    """FastTrack's ``access()`` adapter, one event at a time."""
     detector = FastTrack()
     for item in plan:
         if item[0] == "sync":
@@ -322,14 +329,21 @@ def _run_scalar(plan):
     return detector
 
 
-def _run_batched(plan):
+def _run_batched(plan, cuts=frozenset()):
+    """``feed_batch`` over each run, split before every global stream
+    index in *cuts*."""
     detector = FastTrack()
     for item in plan:
         if item[0] == "sync":
             detector.sync(item[1])
-        else:
-            _, batch, start, stop, base = item
-            detector.feed_batch(batch, start, stop, base)
+            continue
+        _, batch, start, stop, base = item
+        lo = start
+        for i in range(start + 1, stop):
+            if base + i - start in cuts:
+                detector.feed_batch(batch, lo, i, base + lo - start)
+                lo = i
+        detector.feed_batch(batch, lo, stop, base + lo - start)
     return detector
 
 
@@ -345,33 +359,87 @@ def _run_sharded(plan, nshards):
                 detector.feed_batch_shard(batch, start, stop, base,
                                           shard, nshards)
         per_shard.append(detector)
-    merged = heapq.merge(
+    merged = list(heapq.merge(
         *(list(zip(d.race_indices, d.races)) for d in per_shard),
-        key=itemgetter(0))
+        key=itemgetter(0)))
     races = [report for _gidx, report in merged]
+    indices = [gidx for gidx, _report in merged]
     accesses = sum(d.accesses_processed for d in per_shard)
-    return races, accesses
+    return races, indices, accesses, per_shard[0].sync_processed
+
+
+def _assert_same(detector, reference):
+    assert detector.races == reference.races
+    assert detector.race_indices == reference.race_indices
+    assert detector.accesses_processed == reference.accesses_processed
+    assert detector.sync_processed == reference.sync_processed
 
 
 @given(stream=_STREAM)
 @settings(max_examples=120, deadline=None)
 def test_feed_batch_matches_scalar_access_loop(stream):
-    batches, plan = _lower(stream)
-    scalar = _run_scalar(plan)
-    batched = _run_batched(plan)
-    assert batched.races == scalar.races
-    assert batched.accesses_processed == scalar.accesses_processed
-    assert batched.sync_processed == scalar.sync_processed
+    _batches, plan = _lower(stream)
+    _assert_same(_run_batched(plan), _run_reference(plan))
+
+
+@given(stream=_STREAM,
+       cuts=st.frozensets(st.integers(min_value=1, max_value=79)))
+@settings(max_examples=80, deadline=None)
+def test_split_feed_batch_matches_reference(stream, cuts):
+    _batches, plan = _lower(stream)
+    _assert_same(_run_batched(plan, cuts), _run_reference(plan))
+
+
+@given(stream=_STREAM)
+@settings(max_examples=80, deadline=None)
+def test_access_adapter_matches_reference(stream):
+    _batches, plan = _lower(stream)
+    _assert_same(_run_access(plan), _run_reference(plan, tagged=False))
 
 
 @given(stream=_STREAM, nshards=st.integers(min_value=1, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_sharded_merge_matches_scalar_order(stream, nshards):
     _batches, plan = _lower(stream)
-    scalar = _run_scalar(plan)
-    races, accesses = _run_sharded(plan, nshards)
-    assert races == scalar.races
-    assert accesses == scalar.accesses_processed
+    reference = _run_reference(plan)
+    races, indices, accesses, syncs = _run_sharded(plan, nshards)
+    assert races == reference.races
+    assert indices == reference.race_indices
+    assert accesses == reference.accesses_processed
+    assert syncs == reference.sync_processed
+
+
+def test_access_at_runs_once_per_reported_event():
+    """Only a report builds an ``Access``, and a write racing two
+    shared readers builds one for both of its reports.  Threads 0 and 1
+    read v0 (no report; the reads go shared), thread 2 writes it (two
+    reports), then threads 0 and 1 write v1 (one report)."""
+    stream = [("access", 0, 0, False), ("access", 1, 0, False),
+              ("access", 2, 0, True), ("access", 0, 1, True),
+              ("access", 1, 1, True)]
+    _batches, plan = _lower(stream)
+    reference = _run_reference(plan)
+    access_at = EventBatch.access_at
+    with mock.patch.object(EventBatch, "access_at", autospec=True,
+                           side_effect=access_at) as spy:
+        batched = _run_batched(plan)
+    _assert_same(batched, reference)
+    assert batched.race_indices == [2, 2, 4]
+    assert spy.call_count == 2
+
+
+def test_access_reports_the_access_itself():
+    """The adapter reports the very object it was given: the predictive
+    backend's witness planner finds the reported access by identity."""
+    first = Access(tid=1, var=(0x10, 0), kind=AccessKind.WRITE, ip=1,
+                   tsc=1.0, provenance="sampled")
+    second = Access(tid=2, var=(0x10, 0), kind=AccessKind.WRITE, ip=2,
+                    tsc=2.0, provenance="sampled")
+    detector = FastTrack()
+    detector.access(first)
+    detector.access(second)
+    [report] = detector.races
+    assert report.second is second
 
 
 def test_race_indices_are_global_stream_positions():
@@ -390,7 +458,9 @@ def test_race_indices_are_global_stream_positions():
     _batches, plan = _lower(stream)
     batched = _run_batched(plan)
     assert batched.race_indices == [51, 52]
-    scalar = _run_scalar(plan)
+    reference = _run_reference(plan)
+    _assert_same(batched, reference)
     for nshards in (2, 3):
-        races, _ = _run_sharded(plan, nshards)
-        assert races == scalar.races == batched.races
+        races, indices, _, _ = _run_sharded(plan, nshards)
+        assert races == reference.races
+        assert indices == [51, 52]
