@@ -60,11 +60,16 @@ MIN_REPLAY_KSTEPS_PER_S = {
 }
 #: Floor on witness steps planned per second over the
 #: ``table2-confirm`` seed-0 streams (:func:`_planning_rate`: a planner
-#: per stream and a full schedule per reported race, 32,828 steps, as
+#: per stream and a full schedule per reported race, 6,705 steps, as
 #: ``confirm_races`` plans them).  1.15x the median rate of the planner
 #: that rescanned the stream for every race and hashed six tuples per
 #: DFS node (12 runs on a shared 2-vCPU VM: 60-85 ksteps/s, median 70;
-#: the planner that indexes the stream once read 302-558).
+#: the planner that indexes the stream once read 302-558).  Those rates
+#: were read while the planner planned each pair's last occurrence in
+#: the stream, 32,828 steps; planned at the reported instance, the
+#: steps fall 4.9x and the planner's per-stream index stays, so the
+#: reading went from 299-562 to 198-465 ksteps/s (9 and 10 readings
+#: on the same VM).
 MIN_PLAN_KSTEPS_PER_S = 81
 #: Planning passes per reading; the reading is the fastest of them.
 PLAN_PASSES = 3
@@ -80,9 +85,9 @@ MAX_TRACE_OVERHEAD = 0.19
 #: Pairs of passes per tracing reading; a pair takes about 0.3 s.
 TRACE_PAIRS = 10
 #: Registry indirection budget over direct FastTrack on its per-event
-#: ``access`` path, which the multi-backend detection feed and the
-#: default ``feed_batch`` call (both loops pre-bind the method, so
-#: anything above this is a real protocol regression, not noise).
+#: ``access`` path, which the default ``feed_batch`` calls (the loop
+#: pre-binds the method, so anything above this is a real protocol
+#: regression, not noise).
 MAX_REGISTRY_OVERHEAD = 0.05
 #: The registry, clock-key and controller gates each compare two sides
 #: whose passes take a few milliseconds.  Timed as two blocks, one after
@@ -247,13 +252,13 @@ def _detect_pass(streams):
 
 
 def _reports(detector):
-    return (detector.races, detector.race_indices,
+    return (detector.races, [report.index for report in detector.races],
             detector.accesses_processed, detector.sync_processed)
 
 
 def _reference_reports(items):
-    """``ReferenceFastTrack``'s reports over one stream, each tagged
-    with its global stream index."""
+    """``ReferenceFastTrack``'s reports over one stream, each carrying
+    its stream position."""
     from tests.helpers import ReferenceFastTrack
 
     reference = ReferenceFastTrack()
@@ -372,7 +377,7 @@ def _paired_passes(first, second, pairs):
 
 def _detector_pass(factory, accesses):
     """Seconds for one full detector pass through a pre-bound ``access``
-    method, the per-event call of the multi-backend detection feed."""
+    method, the per-event call the default ``feed_batch`` makes."""
     detector = factory()
     d_access = detector.access
     t0 = time.perf_counter()

@@ -23,7 +23,7 @@ shape-level with slack for CI-runner noise.
 import heapq
 import json
 import time
-from operator import itemgetter
+from operator import attrgetter
 
 from repro.detector.fasttrack import FastTrack
 
@@ -79,19 +79,17 @@ def measure():
     for nshards in SHARD_COUNTS:
         shard_seconds = []
         shard_events = []
-        tagged = []
+        shard_races = []
         for shard in range(nshards):
             seconds, detector = _best(
                 lambda s=shard: _shard_pass(chunks, s, nshards),
                 repeats=max(3, REPEATS - 2))
             shard_seconds.append(seconds)
             shard_events.append(detector.accesses_processed)
-            tagged.append(list(zip(detector.race_indices,
-                                   detector.races)))
-        merged = [report for _gidx, report in
-                  heapq.merge(*tagged, key=itemgetter(0))]
-        # Exactness: the union of per-shard verdicts, merged on global
-        # stream index, IS the serial verdict list — order included.
+            shard_races.append(detector.races)
+        merged = list(heapq.merge(*shard_races, key=attrgetter("index")))
+        # Exactness: the union of per-shard verdicts, merged on their
+        # stream positions, IS the serial verdict list — order included.
         assert merged == serial.races
         assert sum(shard_events) == n
         critical = max(shard_seconds)

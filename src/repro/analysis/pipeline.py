@@ -338,13 +338,14 @@ class OfflinePipeline:
         """One detection pass over *context*'s merged stream with fresh
         backends; returns ``(backends, events_processed)``.
 
-        The splice merge (:meth:`AnalysisContext.merged_batches`) feeds
-        whole columnar runs to :meth:`DetectorBackend.feed_batch` when
-        one backend runs, and materializes each event once for N
-        backends side-by-side.  With ``detect_shards > 1`` and a single
-        ``fasttrack`` backend, detection runs address-sharded in
-        parallel with a deterministic findings merge instead (verdicts
-        bit-identical, tested).
+        One loop over the splice merge
+        (:meth:`AnalysisContext.merged_batches`) hands every backend
+        each sync operation and each whole columnar run, with the run's
+        stream position, through :meth:`DetectorBackend.sync` and
+        :meth:`DetectorBackend.feed_batch`, however many backends run.
+        With ``detect_shards > 1`` and a single ``fasttrack`` backend,
+        detection runs address-sharded in parallel with a deterministic
+        findings merge instead (verdicts bit-identical, tested).
         """
         backends = tuple(create_backend(name) for name in self.detectors)
         if (self.detect_shards > 1 and len(backends) == 1
@@ -352,35 +353,20 @@ class OfflinePipeline:
             sharded = run_sharded_fasttrack(context,
                                             shards=self.detect_shards)
             return (sharded,), sharded.events_processed
+        syncs = [backend.sync for backend in backends]
+        feeds = [backend.feed_batch for backend in backends]
         events_processed = 0
-        if len(backends) == 1:
-            d_sync = backends[0].sync
-            d_feed = backends[0].feed_batch
-            for item in context.merged_batches():
-                if item[0] == BATCH_SYNC:
-                    d_sync(item[1])
-                    events_processed += 1
-                else:
-                    _, batch, start, stop, base = item
-                    d_feed(batch, start, stop, base)
-                    events_processed += stop - start
-        else:
-            # N backends share one scalar materialization per event (the
-            # splice merge still replaces the per-event heap traffic).
-            for item in context.merged_batches():
-                if item[0] == BATCH_SYNC:
-                    op = item[1]
-                    for backend in backends:
-                        backend.sync(op)
-                    events_processed += 1
-                else:
-                    _, batch, start, stop, _base = item
-                    access_at = batch.access_at
-                    for i in range(start, stop):
-                        event = access_at(i)
-                        for backend in backends:
-                            backend.access(event)
-                    events_processed += stop - start
+        for item in context.merged_batches():
+            if item[0] == BATCH_SYNC:
+                op = item[1]
+                for sync in syncs:
+                    sync(op)
+                events_processed += 1
+            else:
+                _, batch, start, stop, base = item
+                for feed in feeds:
+                    feed(batch, start, stop, base)
+                events_processed += stop - start
         return backends, events_processed
 
     def _snapshot_path(self, context: AnalysisContext,

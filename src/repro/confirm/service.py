@@ -9,7 +9,10 @@ service
    :meth:`~repro.analysis.pipeline.OfflinePipeline.events_for`, a view
    of the very merge the detectors ran on — with the shared
    :class:`~repro.detector.witness.WitnessPlanner` (the same search the
-   predictive backend uses, un-truncated so it can be driven);
+   predictive backend uses, un-truncated so it can be driven).  The
+   schedule ends at the reported instance of the pair: the planner
+   finds the second access at the report's stream position
+   (:attr:`~repro.detector.events.RaceReport.index`);
 2. re-executes the traced program on a fresh
    :class:`~repro.machine.machine.Machine` under schedule control —
    attempt 1 drives the exact witness schedule with a
@@ -29,8 +32,9 @@ service
    * ``unconfirmed`` — no replay within the retry budget made the
      race fire;
    * ``inapplicable`` — no feasible schedule exists in the planner's
-     node budget (or the racy pair cannot be located in the stream),
-     so there is nothing to drive.
+     node budget, or the report's stream position does not hold the
+     access it names (a report from another stream, or with index
+     -1), so there is nothing to drive.
 
 Replays run under :func:`repro.supervise.supervised_map` — per-replay
 timeouts, crash isolation, bounded retries and quarantine — and every
@@ -329,7 +333,8 @@ def confirm_races(
 
     Args:
         program: the traced :class:`~repro.isa.program.Program`.
-        races: the detector's reports (any backend).
+        races: the detector's reports (any backend), each naming its
+            second access by its position in *events*.
         events: the bundle's merged event stream, the
             ``(sort_key, event)`` pairs
             :meth:`~repro.analysis.pipeline.OfflinePipeline.events_for`

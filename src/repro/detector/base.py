@@ -7,7 +7,11 @@ streaming protocol so the analysis pipeline can feed N backends
 side-by-side from a single merged event-stream pass:
 
 * :meth:`DetectorBackend.sync` — consume one synchronization operation;
-* :meth:`DetectorBackend.access` — consume one memory access;
+* :meth:`DetectorBackend.access` — consume one memory access and its
+  merged-stream position, which every report on it carries as
+  :attr:`~repro.detector.events.RaceReport.index`;
+* :meth:`DetectorBackend.feed_batch` — consume one columnar access run
+  (by default, :meth:`access` per event);
 * :meth:`DetectorBackend.finish` — finalize and return immutable
   :class:`DetectionFindings`.
 
@@ -125,7 +129,10 @@ class DetectorBackend:
     def sync(self, op: SyncOp) -> None:
         raise NotImplementedError
 
-    def access(self, access: Access) -> None:
+    def access(self, access: Access, index: int = -1) -> None:
+        """Consume one memory access at merged-stream position *index*
+        (-1 outside a merged stream); every report it makes names
+        *access* as ``second`` and *index* as ``index``."""
         raise NotImplementedError
 
     def feed_batch(self, batch, start: int = 0,
@@ -135,21 +142,21 @@ class DetectorBackend:
         events ``[start, stop)``, all from ``batch.tid`` with no
         intervening sync operation.
 
+        *base* is the merged-stream position of the run's **first**
+        event, so batch position ``i`` sits at ``base + i - start``.
         The default materializes each event and delegates to
-        :meth:`access`, so every backend accepts batches with verdicts
-        bit-identical to the scalar stream; FastTrack overrides this to
-        read the columns and materialize only the events it reports.
-        *base* is the global merged-stream index of the run's **first**
-        event, so batch position ``i`` has global index
-        ``base + i - start`` — used by the sharded runner to restore
-        stream order when merging per-shard reports.
+        :meth:`access` with that position, so every backend accepts
+        batches with verdicts bit-identical to the scalar stream;
+        FastTrack overrides this to read the columns and materialize
+        only the events it reports.
         """
         if stop is None:
             stop = len(batch)
         access = self.access
         access_at = batch.access_at
+        gbase = base - start
         for i in range(start, stop):
-            access(access_at(i))
+            access(access_at(i), gbase + i)
 
     def finish(self) -> DetectionFindings:
         """Finalize the pass and return immutable findings.

@@ -192,6 +192,10 @@ class RaceReport:
     first_kind: AccessKind
     first_ip: Optional[int]
     second: Access
+    #: Position of ``second`` in the merged stream the backend was fed
+    #: (-1 for an access fed outside one): how a witness planner finds
+    #: the reported access.
+    index: int = -1
     #: Reordering witness (predictive backend only): a feasible schedule
     #: demonstrating the pair can execute back-to-back.
     witness: Optional[WitnessSchedule] = None

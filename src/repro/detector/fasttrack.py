@@ -32,21 +32,22 @@ implementation of the race logic.  They take an event as column values
 (thread, variable, ip), check the same-epoch fast path on the
 variable's shadow state alone, and build the reported :class:`Access`
 only when the event races: ``batch.access_at(position)``, once per
-reported event however many reports it makes.
+reported event however many reports it makes.  Each report carries the
+event's merged-stream position as :attr:`RaceReport.index`.
 :meth:`FastTrack.feed_batch` is a plain loop over a columnar
 :class:`~repro.detector.batch.EventBatch` run that calls them, and
 :meth:`FastTrack.access` an adapter that passes a scalar access's
-fields and reports that very object.  Nothing else caches the fast-path
-answer: the repository's merged streams hold about one access per
-(variable, kind) repeat group, and on lock-dense streams the thread's
-epoch moves every few accesses, so a second copy of the shadow state or
-a repeat-group index cost more than they saved.
+fields and position and reports that very object.  Nothing else caches
+the fast-path answer: the repository's merged streams hold about one
+access per (variable, kind) repeat group, and on lock-dense streams the
+thread's epoch moves every few accesses, so a second copy of the shadow
+state or a repeat-group index cost more than they saved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .base import HBDetectorBackend
 from .events import Access, AccessKind, RaceReport
@@ -89,11 +90,6 @@ class FastTrack(HBDetectorBackend):
     def __init__(self) -> None:
         super().__init__()
         self._vars: Dict[Tuple[int, int], _VarState] = {}
-        #: Global stream index of each report's second access, parallel
-        #: to :attr:`races` (-1 for events fed through :meth:`access`),
-        #: so the sharded runner can merge per-shard reports back into
-        #: exact serial stream order.
-        self.race_indices: List[int] = []
 
     # ------------------------------------------------------------------
     # Accesses
@@ -102,17 +98,16 @@ class FastTrack(HBDetectorBackend):
     # _read/_write take one event as column values plus where it comes
     # from: *source* and *position* name the event (an EventBatch and
     # the event's index in it, or, from access(), the Access itself and
-    # -1), and *gidx* is its global stream index.  Only _report turns
+    # -1), and *gidx* is its merged-stream position.  Only _report turns
     # the event into an Access.
 
-    def access(self, access: Access) -> None:
-        """Consume one scalar access; a report's ``second`` is *access*
-        itself (the predictive backend's planner finds the reported
-        access by identity)."""
+    def access(self, access: Access, index: int = -1) -> None:
+        """Consume one scalar access at stream position *index*; a
+        report's ``second`` is *access* itself."""
         if access.is_write:
-            self._write(access.tid, access.var, access.ip, access, -1, -1)
+            self._write(access.tid, access.var, access.ip, access, -1, index)
         else:
-            self._read(access.tid, access.var, access.ip, access, -1, -1)
+            self._read(access.tid, access.var, access.ip, access, -1, index)
 
     def _report(self, var: Tuple[int, int], racing,
                 source, position: int, gidx: int) -> None:
@@ -121,7 +116,6 @@ class FastTrack(HBDetectorBackend):
         :class:`Access` is built here once."""
         second = source if position < 0 else source.access_at(position)
         for first_tid, first_kind, first_ip in racing:
-            self.race_indices.append(gidx)
             self.races.append(
                 RaceReport(
                     var=var,
@@ -129,6 +123,7 @@ class FastTrack(HBDetectorBackend):
                     first_kind=first_kind,
                     first_ip=first_ip,
                     second=second,
+                    index=gidx,
                 )
             )
 
@@ -247,8 +242,8 @@ class FastTrack(HBDetectorBackend):
         ips = batch.ips
         read = self._read
         write = self._write
-        # *base* is the global index of the run's first event (batch
-        # position *start*), so event i's global index is base + i - start.
+        # *base* is the stream position of the run's first event (batch
+        # position *start*), so event i's is base + i - start.
         gbase = base - start
         for i in range(start, stop):
             if kinds[i]:

@@ -108,7 +108,7 @@ class LocksetDetector(DetectorBackend):
         # fork/join/semaphores/barriers carry no lockset information:
         # this is the imprecision the paper's HB choice avoids.
 
-    def access(self, access: Access) -> None:
+    def access(self, access: Access, index: int = -1) -> None:
         self.accesses_processed += 1
         state = self._vars.setdefault(access.var, _VarState())
         # Writes are protected only by write-mode locks; reads by any
@@ -161,6 +161,7 @@ class LocksetDetector(DetectorBackend):
                     first_kind=state.prior_kind or access.kind,
                     first_ip=state.first_ip,
                     second=access,
+                    index=index,
                 )
             )
         self._remember(state, access)

@@ -58,7 +58,7 @@ class O1SamplesDetector(HBDetectorBackend):
         self._read_replacements = 0
         self._reads_sampled_out = 0
 
-    def access(self, access: Access) -> None:
+    def access(self, access: Access, index: int = -1) -> None:
         self.accesses_processed += 1
         clock = self._clock(access.tid)
         state = self._vars.get(access.var)
@@ -74,6 +74,7 @@ class O1SamplesDetector(HBDetectorBackend):
                     var=access.var, first_tid=state.write_epoch.tid,
                     first_kind=AccessKind.WRITE, first_ip=state.write_ip,
                     second=access,
+                    index=index,
                 )
             )
 
@@ -86,6 +87,7 @@ class O1SamplesDetector(HBDetectorBackend):
                         var=access.var, first_tid=state.read_epoch.tid,
                         first_kind=AccessKind.READ,
                         first_ip=state.read_ip, second=access,
+                        index=index,
                     )
                 )
             state.write_epoch = Epoch(clock.get(access.tid), access.tid)

@@ -59,7 +59,7 @@ class PredictiveDetector(DetectorBackend):
         else:
             self._dropped += 1
 
-    def access(self, access: Access) -> None:
+    def access(self, access: Access, index: int = -1) -> None:
         self.accesses_processed += 1
         if len(self._events) < self.max_events:
             self._events.append(access)
@@ -70,12 +70,14 @@ class PredictiveDetector(DetectorBackend):
 
     def finish(self):
         self.races = []
+        # The buffer is the stream's prefix, so a buffer position is the
+        # stream position the pre-pass reports and the planner looks up.
         pre = FastTrack()
-        for event in self._events:
+        for position, event in enumerate(self._events):
             if isinstance(event, SyncOp):
                 pre.sync(event)
             else:
-                pre.access(event)
+                pre.access(event, position)
 
         planner = WitnessPlanner(self._events, max_nodes=self.max_nodes,
                                  tail=WITNESS_TAIL)

@@ -33,7 +33,7 @@ class ReferenceDetector(HBDetectorBackend):
         super().__init__()
         self._vars: Dict[Tuple[int, int], _VarState] = {}
 
-    def access(self, access: Access) -> None:
+    def access(self, access: Access, index: int = -1) -> None:
         self.accesses_processed += 1
         clock = self._clock(access.tid)
         state = self._vars.setdefault(access.var, _VarState())
@@ -46,6 +46,7 @@ class ReferenceDetector(HBDetectorBackend):
                         first_kind=AccessKind.WRITE,
                         first_ip=state.write_ips.get(tid),
                         second=access,
+                        index=index,
                     )
                 )
         if access.is_write:
@@ -57,6 +58,7 @@ class ReferenceDetector(HBDetectorBackend):
                             first_kind=AccessKind.READ,
                             first_ip=state.read_ips.get(tid),
                             second=access,
+                            index=index,
                         )
                     )
             state.writes.set(access.tid, clock.get(access.tid))

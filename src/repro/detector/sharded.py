@@ -16,10 +16,10 @@ syncs therefore gives every shard bit-identical thread clocks to the
 serial run at every stream position, and each variable's full access
 subsequence meets exactly one shard — so the union of per-shard
 verdicts equals the serial verdicts, report for report.  Stream *order*
-is restored by tagging each report with the global index of its second
-access (:attr:`FastTrack.race_indices`) and k-way merging the per-shard
-report lists on it; reports for one event all come from one shard, so
-the merge is total and deterministic.  The argument is independent of
+is restored by k-way merging the per-shard report lists on the stream
+position each report carries (:attr:`RaceReport.index`); reports for
+one event all come from one shard, so the merge is total and
+deterministic.  The argument is independent of
 how the merged stream was keyed — in particular, uncertainty-clamped
 merge keys under clock reconciliation (:mod:`repro.clock`) reach every
 shard identically, so sharded verdicts stay bit-identical to serial
@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
-from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Optional, Tuple
 
 from ..supervise import supervised_map
 from .base import DetectorBackend
@@ -68,11 +68,8 @@ def _shard_worker(shard: int):
         else:
             _, batch, start, stop, base = item
             d_feed(batch, start, stop, base, shard, nshards)
-    return (
-        list(zip(detector.race_indices, detector.races)),
-        detector.accesses_processed,
-        detector.sync_processed,
-    )
+    return (detector.races, detector.accesses_processed,
+            detector.sync_processed)
 
 
 class ShardedFastTrack(DetectorBackend):
@@ -121,15 +118,8 @@ def run_sharded_fasttrack(
     finally:
         _PLAN = None
     backend = ShardedFastTrack(shards=shards, executor=executor)
-    merged = heapq.merge(*(tagged for tagged, _, _ in results),
-                         key=itemgetter(0))
-    races: List = []
-    indices: List[int] = []
-    for gidx, report in merged:
-        indices.append(gidx)
-        races.append(report)
-    backend.races = races
-    backend.race_indices = indices
+    backend.races = list(heapq.merge(*(races for races, _, _ in results),
+                                     key=attrgetter("index")))
     backend.accesses_processed = sum(r[1] for r in results)
     # Every shard consumed the whole broadcast sync stream once.
     backend.sync_processed = results[0][2] if results else 0

@@ -100,9 +100,6 @@ class WitnessPlanner:
         self.tail = tail
         #: DFS nodes explored across all searches so far.
         self.nodes_total = 0
-        self._index_of: Dict[int, int] = {
-            id(event): index for index, event in enumerate(self.events)
-        }
         count = len(self.events)
         self._tids: List[int] = [0] * count
         self._codes: List[int] = [_FREE] * count
@@ -153,25 +150,24 @@ class WitnessPlanner:
     def locate_pair(self, report: RaceReport) -> Optional[Tuple[int, int]]:
         """Buffer indices of the report's racy pair, or None.
 
-        Matches the ``second`` access by identity when the report came
-        from this very stream, falling back to a by-value scan (latest
-        occurrence) so reports that crossed a process boundary still
-        resolve.
+        The second access is the event at the report's stream position
+        (:attr:`RaceReport.index`), which must be an access matching
+        ``report.second`` on thread, variable, kind and ip: a report
+        from another stream, or fed outside one (index -1), is not
+        located.
         """
-        second_at = self._index_of.get(id(report.second))
-        if second_at is None:
-            for index in range(len(self.events) - 1, -1, -1):
-                event = self.events[index]
-                if (
-                    isinstance(event, Access)
-                    and event.tid == report.second.tid
-                    and event.var == report.var
-                    and event.kind == report.second.kind
-                    and event.ip == report.second.ip
-                ):
-                    second_at = index
-                    break
-        if second_at is None or report.first_ip is None:
+        second_at = report.index
+        if not 0 <= second_at < len(self.events) or report.first_ip is None:
+            return None
+        second = report.second
+        event = self.events[second_at]
+        if not (
+            isinstance(event, Access)
+            and event.tid == second.tid
+            and event.var == report.var
+            and event.kind == second.kind
+            and event.ip == second.ip
+        ):
             return None
         # The first access: the latest matching access before the
         # second (exactly the access whose shadow slot triggered the

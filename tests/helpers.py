@@ -656,17 +656,26 @@ def reference_merged_events(context):
     return kept, suppressed
 
 
+def last_position_of(events, access) -> int:
+    """The position of the last access in *events* (a plain event
+    stream) that matches *access* on thread, variable, kind and ip."""
+    return max(index for index, event in enumerate(events)
+               if isinstance(event, Access)
+               and (event.tid, event.var, event.kind, event.ip)
+               == (access.tid, access.var, access.kind, access.ip))
+
+
 class ReferenceFastTrack(HBDetectorBackend):
     """The reference for FastTrack's column access routine: the scalar
     path as it was when every event arrived as an :class:`Access`.
 
     :meth:`access` checks the same-epoch fast path and runs the race
     logic on the access's fields, and every report's ``second`` is the
-    access itself.  *gidx*, the event's global stream index, tags each
-    report in :attr:`race_indices` (-1 when not given).  The
-    differential tests assert that ``FastTrack`` gives the same
-    ``races``, ``race_indices``, ``accesses_processed`` and
-    ``sync_processed`` through every feed.
+    access itself.  *gidx*, the event's merged-stream position, is each
+    report's ``index`` (-1 when not given).  The differential tests
+    assert that ``FastTrack`` gives the same ``races`` (positions
+    included), ``accesses_processed`` and ``sync_processed`` through
+    every feed.
     """
 
     name = "fasttrack"
@@ -674,7 +683,6 @@ class ReferenceFastTrack(HBDetectorBackend):
     def __init__(self) -> None:
         super().__init__()
         self._vars: Dict[Tuple[int, int], _VarState] = {}
-        self.race_indices: List[int] = []
 
     def access(self, access: Access, gidx: int = -1) -> None:
         if access.is_write:
@@ -683,10 +691,9 @@ class ReferenceFastTrack(HBDetectorBackend):
             self._read(access, gidx)
 
     def _report(self, access, gidx, first_tid, first_kind, first_ip):
-        self.race_indices.append(gidx)
         self.races.append(RaceReport(
             var=access.var, first_tid=first_tid, first_kind=first_kind,
-            first_ip=first_ip, second=access))
+            first_ip=first_ip, second=access, index=gidx))
 
     def _read(self, access: Access, gidx: int) -> None:
         self.accesses_processed += 1
@@ -772,20 +779,21 @@ def scalar_findings(pipeline, bundle):
     Feeds :func:`reference_merged_events` of the final round of
     ``pipeline.analyze(bundle)`` — which must have run on this very
     bundle object — through fresh backends' ``sync()``/``access()`` one
-    event at a time, and returns their findings keyed by backend name.
-    ``fasttrack`` is :class:`ReferenceFastTrack`.
+    event at a time, each access with its stream position, and returns
+    their findings keyed by backend name.  ``fasttrack`` is
+    :class:`ReferenceFastTrack`.
     """
     analyzed, context, _replay = pipeline._analyzed
     assert analyzed is bundle, "analyze() this bundle first"
     events, _suppressed = reference_merged_events(context)
     backends = [ReferenceFastTrack() if name == "fasttrack"
                 else create_backend(name) for name in pipeline.detectors]
-    for _key, event in events:
+    for position, (_key, event) in enumerate(events):
         for backend in backends:
             if isinstance(event, SyncOp):
                 backend.sync(event)
             else:
-                backend.access(event)
+                backend.access(event, position)
     return {backend.name: backend.finish() for backend in backends}
 
 

@@ -3,6 +3,7 @@ verdict, true races confirm, synchronized pairs never do, and the
 whole pass is deterministic (satellite: same seed + same schedules →
 bit-identical verdicts across runs and across ``--jobs``)."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +14,11 @@ from repro.confirm import (
     confirm_races,
 )
 from repro.detector.events import Access, AccessKind, RaceReport
+from repro.detector.registry import backend_names
+from repro.detector.witness import WitnessPlanner
 from repro.errors import EXIT_OK, EXIT_UNCONFIRMED
 from repro.isa import assemble
+from repro.machine import Machine
 from repro.tracing import trace_run
 from repro.workloads import (
     GeneratorConfig,
@@ -24,7 +28,7 @@ from repro.workloads import (
     generate_server_program,
 )
 
-from tests.helpers import CLEAN_COUNTER_ASM
+from tests.helpers import CLEAN_COUNTER_ASM, last_position_of
 
 GEN_CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
 #: A generated program every jobs-invariance run includes: 14 replays,
@@ -32,16 +36,17 @@ GEN_CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
 PROCESS_SEED = 11
 
 
-def detect(program, period=2, seed=0):
+def detect(program, period=2, seed=0, detectors=("fasttrack",)):
     bundle = trace_run(program, period=period, seed=seed)
-    pipeline = OfflinePipeline(program)
+    pipeline = OfflinePipeline(program, detectors=detectors)
     result = pipeline.analyze(bundle)
     events, _replay = pipeline.events_for(bundle)
     return result, events
 
 
-def confirm(program, period=2, seed=0, **cfg):
-    result, events = detect(program, period=period, seed=seed)
+def confirm(program, period=2, seed=0, detectors=("fasttrack",), **cfg):
+    result, events = detect(program, period=period, seed=seed,
+                            detectors=detectors)
     config = ConfirmConfig(seed=seed, machine_seed=seed, **cfg)
     report = confirm_races(program, result.races, events, config=config)
     return result, report
@@ -79,6 +84,44 @@ class TestConfirmsTrueRaces:
         assert verdict.verdict == "confirmed"
         assert report.exit_code() == EXIT_OK
 
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_every_backend_names_its_accesses(self, backend):
+        """Each registry backend, as primary, reports every access at
+        its stream position, so every report it makes is planned and
+        replayed rather than dropped as inapplicable."""
+        program, _pair = generate_server_program(1)
+        result, report = confirm(program, period=7, seed=1,
+                                 detectors=(backend,))
+        assert result.races
+        assert all(race.index >= 0 for race in result.races)
+        assert report.inapplicable == 0
+        assert report.confirmed == report.races_reported
+
+
+class TestPlansTheReportedInstance:
+    def test_schedules_end_at_the_reported_access(self):
+        """Regression: the planner used to match a report's second
+        access by value from the end of the stream, so it planned the
+        pair's last occurrence.  apache-25520 as perfbench's
+        ``table2-confirm`` traces it at seed 0 (period 1,000, machine
+        and sampling seed 0) reports at stream positions 55-58 of
+        2,136, and the same pair recurs at 2,109-2,110."""
+        program = RACE_BUGS["apache-25520"].build(
+            WorkloadScale(iterations=40))
+        bundle = trace_run(program, period=1_000, seed=0,
+                           machine=Machine(program, seed=0))
+        pipeline = OfflinePipeline(program)
+        result = pipeline.analyze(bundle)
+        events, _replay = pipeline.events_for(bundle)
+        planner = WitnessPlanner([event for _key, event in events],
+                                 tail=None)
+        assert result.races
+        for race in result.races:
+            assert events[race.index][1] == race.second
+            assert planner.locate_pair(race)[1] == race.index
+            schedule = planner.schedule_for(race)
+            assert schedule.total_steps <= race.index + 1
+
 
 class TestNeverConfirmsSynchronized:
     def test_fabricated_locked_pair_is_not_confirmed(self):
@@ -93,14 +136,22 @@ class TestNeverConfirmsSynchronized:
         events, _replay = pipeline.events_for(bundle)
         label = program.labels["bump"]
         total = program.symbols["total"]
+        plain = [event for _key, event in events]
+        second = Access(tid=1, var=(total, 0), kind=AccessKind.WRITE,
+                        ip=label + 3, tsc=0.0, provenance="forged")
+        # The position of the last real write the forged access names,
+        # so the pair is located and the search runs.
         fake = RaceReport(
             var=(total, 0),
             first_tid=0,
             first_kind=AccessKind.READ,
             first_ip=label + 1,
-            second=Access(tid=1, var=(total, 0), kind=AccessKind.WRITE,
-                          ip=label + 3, tsc=0.0, provenance="forged"),
+            second=second,
+            index=last_position_of(plain, second),
         )
+        planner = WitnessPlanner(plain, tail=None)
+        assert planner.locate_pair(fake) is not None
+        assert planner.schedule_for(fake) is None
         report = confirm_races(program, [fake], events,
                                config=ConfirmConfig(seed=0, machine_seed=0))
         assert report.conserves

@@ -23,7 +23,7 @@ Three layers of differential evidence:
 """
 
 import heapq
-from operator import itemgetter
+from operator import attrgetter
 from unittest import mock
 
 import pytest
@@ -359,18 +359,20 @@ def _run_sharded(plan, nshards):
                 detector.feed_batch_shard(batch, start, stop, base,
                                           shard, nshards)
         per_shard.append(detector)
-    merged = list(heapq.merge(
-        *(list(zip(d.race_indices, d.races)) for d in per_shard),
-        key=itemgetter(0)))
-    races = [report for _gidx, report in merged]
-    indices = [gidx for gidx, _report in merged]
+    races = list(heapq.merge(*(d.races for d in per_shard),
+                             key=attrgetter("index")))
+    indices = [report.index for report in races]
     accesses = sum(d.accesses_processed for d in per_shard)
     return races, indices, accesses, per_shard[0].sync_processed
 
 
+def _indices(detector):
+    return [report.index for report in detector.races]
+
+
 def _assert_same(detector, reference):
     assert detector.races == reference.races
-    assert detector.race_indices == reference.race_indices
+    assert _indices(detector) == _indices(reference)
     assert detector.accesses_processed == reference.accesses_processed
     assert detector.sync_processed == reference.sync_processed
 
@@ -404,7 +406,7 @@ def test_sharded_merge_matches_scalar_order(stream, nshards):
     reference = _run_reference(plan)
     races, indices, accesses, syncs = _run_sharded(plan, nshards)
     assert races == reference.races
-    assert indices == reference.race_indices
+    assert indices == _indices(reference)
     assert accesses == reference.accesses_processed
     assert syncs == reference.sync_processed
 
@@ -424,22 +426,27 @@ def test_access_at_runs_once_per_reported_event():
                            side_effect=access_at) as spy:
         batched = _run_batched(plan)
     _assert_same(batched, reference)
-    assert batched.race_indices == [2, 2, 4]
+    assert _indices(batched) == [2, 2, 4]
     assert spy.call_count == 2
 
 
 def test_access_reports_the_access_itself():
-    """The adapter reports the very object it was given: the predictive
-    backend's witness planner finds the reported access by identity."""
+    """The adapter reports the very object it was given, at the stream
+    position it was given (-1 when none is)."""
     first = Access(tid=1, var=(0x10, 0), kind=AccessKind.WRITE, ip=1,
                    tsc=1.0, provenance="sampled")
     second = Access(tid=2, var=(0x10, 0), kind=AccessKind.WRITE, ip=2,
                     tsc=2.0, provenance="sampled")
     detector = FastTrack()
-    detector.access(first)
-    detector.access(second)
+    detector.access(first, 0)
+    detector.access(second, 7)
     [report] = detector.races
     assert report.second is second
+    assert report.index == 7
+    unplaced = FastTrack()
+    unplaced.access(first)
+    unplaced.access(second)
+    assert unplaced.races[0].index == -1
 
 
 def test_race_indices_are_global_stream_positions():
@@ -457,7 +464,7 @@ def test_race_indices_are_global_stream_positions():
     stream.append(("access", 2, 3, True))   # gidx 52: race on vC
     _batches, plan = _lower(stream)
     batched = _run_batched(plan)
-    assert batched.race_indices == [51, 52]
+    assert _indices(batched) == [51, 52]
     reference = _run_reference(plan)
     _assert_same(batched, reference)
     for nshards in (2, 3):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detector import witness
-from repro.detector.events import Access, AccessKind, SyncOp
+from repro.detector.events import Access, AccessKind, RaceReport, SyncOp
 from repro.detector.witness import WitnessPlanner
 
 from tests.helpers import ReferenceWitnessPlanner
@@ -324,3 +324,25 @@ def test_planner_reuses_its_index_across_searches():
         assert (planner.search(first_at, second_at)
                 == reference.search(first_at, second_at))
     assert planner.nodes_total == reference.nodes_total
+
+
+def test_locate_pair_reads_the_reported_position():
+    """The second access is the event at the report's stream position,
+    not a later access with the same fields; a position that holds
+    another event, lies outside the stream, or is -1 locates nothing."""
+    events = [write(0, 1), read(1, 2), write(0, 1), read(1, 2)]
+    planner = WitnessPlanner(events, tail=None)
+
+    def report(index, second=read(1, 2)):
+        return RaceReport(var=second.var, first_tid=0,
+                          first_kind=AccessKind.WRITE, first_ip=1,
+                          second=second, index=index)
+
+    assert planner.locate_pair(report(1)) == (0, 1)
+    assert planner.locate_pair(report(3)) == (2, 3)
+    assert planner.schedule_for(report(1)).total_steps == 2
+    for index in (-1, 0, 2, 4):
+        assert planner.locate_pair(report(index)) is None
+    for second in (read(1, 9), read(1, 2, Y), write(1, 2), read(0, 2)):
+        assert planner.locate_pair(report(1, second)) is None
+    assert planner.schedule_for(report(-1)) is None
