@@ -245,7 +245,11 @@ class ConfirmationReport:
 
 def _replay_one(item: Dict[str, object]) -> Dict[str, object]:
     """Execute one schedule-controlled replay; returns what the
-    controller observed.  Deterministic per item."""
+    controller observed.  Deterministic per item.
+
+    The run ends when the controller deactivates, so an error can only
+    come before the verdict or in the instruction that reached it; a
+    fire stands either way (see :mod:`repro.machine.controller`)."""
     if item["mode"] == "pair":
         controller = PairTargetController(
             item["first_ip"],
@@ -279,7 +283,7 @@ def _replay_one(item: Dict[str, object]) -> Dict[str, object]:
         repr(controller.observed).encode(), digest_size=8
     ).hexdigest()
     return {
-        "fired": controller.fired and not error,
+        "fired": controller.fired,
         "completed": controller.completed,
         "diverged": controller.diverged,
         "matched": controller.cursor,

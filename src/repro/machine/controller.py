@@ -25,14 +25,20 @@ and names only a subset of what the machine emits:
 
 Unmatched events in between are tolerated up to a per-step instruction
 budget; exhausting the budget, or needing a thread that is not
-runnable, counts as **divergence**: the controller deactivates and the
-machine free-runs to completion under its normal seeded scheduler
-(this free-running tail is what the perf gate measures).
+runnable, counts as **divergence**.
 
 The race **fires** when the full schedule is observed and the final
 two steps — the racy pair — were matched back-to-back: different
 threads touching the same address with no synchronization event
 observed in between.
+
+A controller deactivates once it has fired, diverged or run out of
+budget, and the machine's run ends at the next instruction boundary.
+Everything a verdict reads (``fired``, ``completed``, ``diverged``,
+``cursor``, ``observed``) is final at that point.  A fire is final
+too: two threads' accesses to one address retired back-to-back with no
+synchronization between them, in a legal execution of the program, and
+nothing the program does afterwards can undo that.
 
 An optional seeded perturbation (for flaky-interleaving retries)
 occasionally yields one slice to a random runnable thread; with the
@@ -113,8 +119,8 @@ class ScheduleController:
     # -- scheduling hook -------------------------------------------------
 
     def pick(self, runnable) -> Optional[object]:
-        """Choose the next thread to run, or None to hand control back
-        to the machine's own scheduler (controller done/diverged)."""
+        """Choose the next thread to run, or None once the controller
+        has deactivated (done or diverged), which ends the run."""
         if not self.active:
             return None
         if self.cursor >= len(self.steps):
@@ -275,7 +281,9 @@ class PairTargetController:
 
     def pick(self, runnable) -> Optional[object]:
         """Force the parked thread on delivery, exclude it otherwise;
-        ``None`` hands the slice to the machine's seeded scheduler."""
+        ``None`` hands the next instruction to the machine's seeded
+        scheduler while the controller is active, and ends the run once
+        it is not."""
         if not self.active:
             return None
         if self._spent >= self.step_budget:

@@ -76,7 +76,7 @@ class MachineError(Exception):
 
 @dataclass
 class RunResult:
-    """Summary statistics of one completed run."""
+    """Summary statistics of one run."""
 
     tsc: int
     instructions: int
@@ -120,10 +120,12 @@ class Machine:
         max_instructions: runaway guard.
         controller: optional :class:`~repro.machine.controller.\
 ScheduleController` that overrides scheduling while active, driving
-            threads toward a witness interleaving; once it completes or
-            diverges the machine free-runs to completion.  Any
-            controller provides ``active``, ``pick``, ``pick_again``,
-            ``observe_access`` and ``observe_sync``.
+            threads toward a witness interleaving.  A controlled run
+            lasts only while its controller is active: it ends at the
+            first instruction boundary after the controller fired,
+            diverged or ran out of budget, with the threads where they
+            are.  Any controller provides ``active``, ``pick``,
+            ``pick_again``, ``observe_access`` and ``observe_sync``.
     """
 
     def __init__(
@@ -214,7 +216,9 @@ ScheduleController` that overrides scheduling while active, driving
     # ------------------------------------------------------------------
 
     def run(self, entry: str = "main") -> RunResult:
-        """Run to completion from label *entry*; returns run statistics."""
+        """Run from label *entry* until every thread is done, or, under
+        a controller, until the controller deactivates; returns run
+        statistics."""
         if self._started:
             raise MachineError("machine instances are single-use")
         self._started = True
@@ -239,7 +243,13 @@ ScheduleController` that overrides scheduling while active, driving
             if 0.0 < self.preempt_probability < 1.0
             else None
         )
+        controller = self.controller
         while True:
+            if controller is not None and not controller.active:
+                # A controlled run ends at its verdict: the first
+                # instruction boundary after the controller fired,
+                # diverged or ran out of budget.
+                break
             runnable = [
                 t for t in self.threads.values() if t.status is ready
             ]
@@ -251,8 +261,7 @@ ScheduleController` that overrides scheduling while active, driving
                     break
                 self._advance_past_io()
                 continue
-            controller = self.controller
-            if controller is not None and controller.active:
+            if controller is not None:
                 forced = controller.pick(runnable)
                 if forced is not None:
                     # The controller decides at every instruction
@@ -270,16 +279,16 @@ ScheduleController` that overrides scheduling while active, driving
                         if current.status is not ready or not again(current):
                             break
                     continue
-                if controller.active:
-                    # Controller declined this slice but is still
-                    # watching (pair targeting): free-run one
-                    # instruction at a time so it sees every boundary.
-                    current = self._pick(runnable, current)
-                    self._step(current)
-                    if self._io_blocked and self._io_next_wake <= self.tsc:
-                        self._wake_io()
-                    continue
-                # Controller completed or diverged: free-run from here.
+                if not controller.active:
+                    break
+                # Controller declined this boundary but is still
+                # watching (pair targeting): the seeded scheduler runs
+                # one instruction, so it sees every boundary.
+                current = self._pick(runnable, current)
+                self._step(current)
+                if self._io_blocked and self._io_next_wake <= self.tsc:
+                    self._wake_io()
+                continue
             current = self._pick(runnable, current)
             # Time-slice length: the quantum, cut short by a random
             # preemption point (geometric with the per-instruction

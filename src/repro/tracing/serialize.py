@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import pickle
 import struct
@@ -462,14 +463,23 @@ def _decode_clock(payload: bytes):
         raise TraceFormatError(
             f"clock section length mismatch: {len(payload)} != {expected}"
         )
+    # NaN compares false with everything, so every range check below
+    # asks for a finite value as well.
+    if not (math.isfinite(default_half_width) and default_half_width >= 0.0):
+        raise TraceFormatError(
+            f"bad clock default half-width {default_half_width}")
     fits = []
     offset = _CLOCK_HEADER.size
     for _ in range(count):
         core, fit_offset, scale, half_width, anchors = \
             _CLOCK_FIT.unpack_from(payload, offset)
         offset += _CLOCK_FIT.size
-        if scale <= 0.0:
+        if not (math.isfinite(scale) and scale > 0.0):
             raise TraceFormatError(f"bad clock fit scale {scale}")
+        if not math.isfinite(fit_offset):
+            raise TraceFormatError(f"bad clock fit offset {fit_offset}")
+        if not (math.isfinite(half_width) and half_width >= 0.0):
+            raise TraceFormatError(f"bad clock fit half-width {half_width}")
         fits.append(CoreClockFit(
             core=core, offset=fit_offset, scale=scale,
             half_width=half_width, anchors=anchors,

@@ -656,6 +656,22 @@ def reference_merged_events(context):
     return kept, suppressed
 
 
+def retired_at_deactivation(machine) -> list:
+    """Record, at each call of *machine*'s controller's ``_deactivate``,
+    the instructions *machine* has retired so far; returns the list the
+    records go to."""
+    controller = machine.controller
+    deactivate = controller._deactivate
+    retired_at = []
+
+    def snapshot(*args, **kwargs):
+        retired_at.append(machine._instructions)
+        deactivate(*args, **kwargs)
+
+    controller._deactivate = snapshot
+    return retired_at
+
+
 def last_position_of(events, access) -> int:
     """The position of the last access in *events* (a plain event
     stream) that matches *access* on thread, variable, kind and ip."""

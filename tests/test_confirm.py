@@ -13,12 +13,13 @@ from repro.confirm import (
     RaceVerdict,
     confirm_races,
 )
+from repro.confirm import service
 from repro.detector.events import Access, AccessKind, RaceReport
 from repro.detector.registry import backend_names
 from repro.detector.witness import WitnessPlanner
 from repro.errors import EXIT_OK, EXIT_UNCONFIRMED
 from repro.isa import assemble
-from repro.machine import Machine
+from repro.machine import Machine, MachineError
 from repro.tracing import trace_run
 from repro.workloads import (
     GeneratorConfig,
@@ -28,7 +29,12 @@ from repro.workloads import (
     generate_server_program,
 )
 
-from tests.helpers import CLEAN_COUNTER_ASM, last_position_of
+from tests.helpers import (
+    CLEAN_COUNTER_ASM,
+    RACY_ASM,
+    last_position_of,
+    retired_at_deactivation,
+)
 
 GEN_CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
 #: A generated program every jobs-invariance run includes: 14 replays,
@@ -121,6 +127,72 @@ class TestPlansTheReportedInstance:
             assert planner.locate_pair(race)[1] == race.index
             schedule = planner.schedule_for(race)
             assert schedule.total_steps <= race.index + 1
+
+
+#: ``RACY_ASM`` whose main faults where it would halt, after joining
+#: the worker: one instruction for one, so no ip moves, and every race
+#: has run before the fault.
+FAULT_AFTER_RACES_ASM = RACY_ASM.replace(
+    "    join %rbx\n    halt\n", "    join %rbx\n    mov %rax, $5\n")
+
+
+class TestReplayEndsAtVerdict:
+    def test_no_instruction_retires_after_deactivation(self, monkeypatch):
+        """Every replay of apache-25520, as perfbench's
+        ``table2-confirm`` traces it at seed 0, stops at the instruction
+        boundary where its controller deactivates."""
+        program = RACE_BUGS["apache-25520"].build(
+            WorkloadScale(iterations=40))
+        bundle = trace_run(program, period=1_000, seed=0,
+                           machine=Machine(program, seed=0))
+        pipeline = OfflinePipeline(program)
+        result = pipeline.analyze(bundle)
+        events, _replay = pipeline.events_for(bundle)
+        runs = []
+
+        class Watched(Machine):
+            def run(self, entry="main"):
+                retired_at = retired_at_deactivation(self)
+                run = super().run(entry)
+                runs.append((retired_at, run.instructions))
+                return run
+
+        monkeypatch.setattr(service, "Machine", Watched)
+        report = confirm_races(program, result.races, events,
+                               config=ConfirmConfig(seed=0, machine_seed=0))
+        assert report.races_reported and report.conserves
+        assert len(runs) == report.replays_total
+        for retired_at, retired in runs:
+            assert retired_at == [retired]
+
+    def test_a_fire_is_final(self, monkeypatch):
+        """A race fires in a legal execution even when the program
+        faults later: the replay ends at the fire, before main's
+        fault, and the race is confirmed on its exact schedule."""
+        assert RACY_ASM.count("    join %rbx\n    halt\n") == 1
+        clean = assemble(RACY_ASM)
+        faulting = assemble(FAULT_AFTER_RACES_ASM)
+        assert len(faulting.instructions) == len(clean.instructions)
+        with pytest.raises(MachineError):
+            Machine(faulting, seed=0).run()
+        result, events = detect(clean, period=3, seed=0)
+        assert len(result.races) == 3
+        replays = []
+        replay_one = service._replay_one
+
+        def recorded(item):
+            outcome = replay_one(item)
+            replays.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(service, "_replay_one", recorded)
+        report = confirm_races(faulting, result.races, events,
+                               config=ConfirmConfig(seed=0, machine_seed=0))
+        assert [v.verdict for v in report.verdicts] == ["confirmed"] * 3
+        assert all(v.fired_on == 1 for v in report.verdicts)
+        assert len(replays) == 3
+        assert all(outcome["fired"] and not outcome["error"]
+                   for outcome in replays)
 
 
 class TestNeverConfirmsSynchronized:

@@ -10,6 +10,10 @@ from repro.detector import (
     DetectionFindings,
     DetectorBackend,
     FastTrack,
+    LocksetDetector,
+    O1SamplesDetector,
+    PredictiveDetector,
+    ReferenceDetector,
     SyncOp,
     backend_names,
     create_backend,
@@ -20,6 +24,15 @@ from repro.detector import (
 from repro.errors import EXIT_TRACE_ERROR, UnknownDetectorError, UsageError
 
 VAR = (0x1000, 0)
+
+#: The class each registered name builds.
+BACKEND_CLASSES = {
+    "fasttrack": FastTrack,
+    "reference": ReferenceDetector,
+    "lockset": LocksetDetector,
+    "o1": O1SamplesDetector,
+    "predict": PredictiveDetector,
+}
 
 
 def write(tid, ip=2):
@@ -42,6 +55,14 @@ class TestResolution:
         second = create_backend("fasttrack")
         assert isinstance(first, FastTrack)
         assert first is not second
+
+    @pytest.mark.parametrize("name", backend_names())
+    def test_create_builds_the_registered_class(self, name):
+        """The registry hands out the backend itself, not a wrapper, so
+        a pipeline that selects its detector by name runs the very
+        methods a direct construction would."""
+        assert set(backend_names()) == set(BACKEND_CLASSES)
+        assert type(create_backend(name)) is BACKEND_CLASSES[name]
 
     def test_names_normalize(self):
         assert resolve_detector(" FastTrack ") == "fasttrack"

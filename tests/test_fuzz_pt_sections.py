@@ -27,13 +27,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import OfflinePipeline
 from repro.clock.model import ClockModel, CoreClockFit
 from repro.pmu.governor import GovernorConfig
 from repro.ptdecode import decode_all_tolerant
 from repro.tracing import read_trace_bytes, trace_run, trace_to_bytes
 from repro.tracing.serialize import (
+    _CLOCK_FIT,
+    _CLOCK_HEADER,
     _HEADER,
     _PT_HEADER,
+    _SEC_CLOCK,
     _SEC_PT,
     _SECTION,
     _SECTION_V2,
@@ -227,3 +231,45 @@ def test_every_path_is_reached(version):
     loaded = read_trace_bytes(
         _damage(blob, entry, [(kind_at + 1, 0xFF)], True), program=PROGRAM)
     assert loaded.defects is None
+
+
+#: The fields of a clock fit record, by position in ``_CLOCK_FIT``.
+FIT_FIELDS = {"offset": 1, "scale": 2, "half_width": 3}
+
+
+def _calibration_with(field, value):
+    """The v4 container with *field* of its calibration set to *value*
+    (``default_half_width`` in the section header, else in the second
+    of its four fits), CRCs recomputed; returns it and the section."""
+    blob = CONTAINERS[4]
+    entry, = _sections(blob, _SEC_CLOCK)
+    data = bytearray(blob)
+    if field == "default_half_width":
+        count, inversions, _width = _CLOCK_HEADER.unpack_from(
+            data, entry.offset)
+        _CLOCK_HEADER.pack_into(data, entry.offset, count, inversions,
+                                value)
+    else:
+        at = entry.offset + _CLOCK_HEADER.size + _CLOCK_FIT.size
+        fit = list(_CLOCK_FIT.unpack_from(data, at))
+        fit[FIT_FIELDS[field]] = value
+        _CLOCK_FIT.pack_into(data, at, *fit)
+    return _seal(data, entry), entry
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, value)
+    for field in ("scale", "offset", "half_width", "default_half_width")
+    for value in (float("nan"), float("inf"), float("-inf"))
+] + [("half_width", -1.0), ("default_half_width", -1.0)])
+def test_non_finite_calibration(field, value):
+    """A calibration that cannot map a timestamp is refused: a strict
+    read raises, a salvaging read loses the clock section, and
+    reconciliation then re-estimates the clock instead of crashing."""
+    blob, entry = _calibration_with(field, value)
+    with pytest.raises(TraceFormatError, match="bad clock"):
+        read_trace_bytes(blob, program=PROGRAM)
+    bundle = read_trace_bytes(blob, program=PROGRAM, allow_partial=True)
+    assert bundle.defects.corrupted_sections == (f"clock#{entry.index}",)
+    assert bundle.clock is None
+    OfflinePipeline(PROGRAM, reconcile_clock=True).analyze(bundle)

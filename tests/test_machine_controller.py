@@ -27,6 +27,7 @@ from repro.detector.events import WitnessStep
 from repro.detector.witness import WitnessPlanner
 from repro.isa import assemble
 from repro.machine import Machine, PairTargetController, ScheduleController
+from repro.machine.threads import ThreadStatus
 from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
 
@@ -78,7 +79,8 @@ class TestScheduleController:
 
     def test_impossible_schedule_diverges_and_machine_finishes(self):
         """A schedule naming instructions the program never reaches
-        deactivates the controller; the run still completes."""
+        deactivates the controller, and the run ends there without
+        an error."""
         from dataclasses import replace
 
         program = assemble(RACY_ASM)
@@ -144,8 +146,8 @@ class TestPairTargetController:
         assert not controller.active
 
     def test_machine_result_unaffected_after_deactivation(self):
-        """Once the controller completes, the machine free-runs to the
-        same final memory a controller-free run reaches."""
+        """Once the controller fires the run ends, with the counter
+        written as a controller-free run writes it."""
         program = assemble(RACY_ASM)
         first, second, address = self._racy_ips(program)
         controller = PairTargetController(first, second, address)
@@ -155,10 +157,25 @@ class TestPairTargetController:
         free = Machine(program, num_cores=4, seed=0)
         free.run()
         racy = program.symbols["racy"]
-        # Both runs complete and leave the counter written (the exact
-        # value is schedule-dependent — that is the race).
+        # Both runs leave the counter written (the exact value is
+        # schedule-dependent — that is the race).
         assert driven.memory.load(racy) != 0
         assert free.memory.load(racy) != 0
+
+
+    def test_unfired_pair_target_watches_to_the_end(self):
+        """A pair that never occurs never deactivates the targeter, so
+        it watches every boundary until the program ends."""
+        program = assemble(RACY_ASM)
+        first, second, _address = self._racy_ips(program)
+        untouched = program.symbols["lockvar"]
+        controller = PairTargetController(first, second, untouched)
+        machine = Machine(program, num_cores=4, seed=0,
+                          controller=controller)
+        machine.run()
+        assert controller.active and not controller.fired
+        assert all(thread.status is ThreadStatus.DONE
+                   for thread in machine.threads.values())
 
 
 class OnePickPerInstruction(ScheduleController):

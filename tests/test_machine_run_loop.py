@@ -1,5 +1,6 @@
 """The machine's run loop: its per-instruction hook, its error paths,
-its instruction budget, and that a finished machine frees itself.
+its instruction budget, where a controlled run ends, and that a
+finished machine frees itself.
 
 Several oracles (``tests.helpers.record_states``, the PT decode
 fidelity checks) wrap an instance's ``_step`` to see every retired
@@ -9,6 +10,7 @@ instruction on every scheduling path.
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.machine import (
 )
 from repro.tracing import trace_run
 
-from tests.helpers import RACY_ASM
+from tests.helpers import RACY_ASM, retired_at_deactivation
 
 
 def _witness(program):
@@ -78,6 +80,42 @@ class TestStepHook:
         machine = Machine(program, seed=0, controller=controller)
         result, calls = _counted_run(machine)
         assert len(calls) == result.instructions
+
+
+#: One controller per way of deactivating, each built from the first
+#: race of ``RACY_ASM`` and its witness schedule.
+DEACTIVATIONS = {
+    "schedule fires": lambda report, schedule: ScheduleController(
+        schedule.steps),
+    "schedule diverges": lambda report, schedule: ScheduleController(
+        [replace(step, detail=9999) for step in schedule.steps],
+        step_budget=200),
+    "schedule out of budget": lambda report, schedule: ScheduleController(
+        schedule.steps, step_budget=1),
+    "pair fires": lambda report, schedule: PairTargetController(
+        *report.pair, report.address),
+    "pair out of budget": lambda report, schedule: PairTargetController(
+        *report.pair, report.address, step_budget=1),
+}
+
+
+class TestControlledRunEndsAtVerdict:
+    """A controlled run retires no instruction after its controller
+    deactivates, however it deactivates."""
+
+    @pytest.mark.parametrize("how", sorted(DEACTIVATIONS))
+    def test_no_instruction_after_deactivation(self, how):
+        program = assemble(RACY_ASM)
+        report, schedule = _witness(program)
+        controller = DEACTIVATIONS[how](report, schedule)
+        machine = Machine(program, seed=0, controller=controller)
+        retired_at = retired_at_deactivation(machine)
+        result = machine.run()
+        assert not controller.active
+        assert retired_at == [result.instructions]
+        assert controller.fired == how.endswith("fires")
+        free = Machine(program, seed=0).run()
+        assert result.instructions < free.instructions
 
 
 class TestErrorPaths:
